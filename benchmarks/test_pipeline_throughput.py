@@ -3,49 +3,41 @@
 Not a paper table — an engineering benchmark recording that the analysis
 scales to the corpus sizes the paper processed (8,035 configuration files;
 the authors' tooling ran over a full provider archive of 23,417 routers).
-Measures configuration parsing rate (cold, stanza-cache-warm, parallel,
-and file-cache-warm), the cost of the heaviest analysis stages, and
-persists every number as JSON under ``benchmarks/results/`` so future PRs
-have a trajectory to compare against.
+Measures configuration parsing rate (cold and file-cache-warm), the cost
+of the heaviest analysis stages, and persists every number as JSON under
+``benchmarks/results/`` so future PRs have a trajectory to compare
+against.
 
 Throughput floors are intentionally an order of magnitude below what
 development machines measure (single-pass lexer: ~4,400 files/s and
-~1.2M lines/s cold on a 1-CPU container; the stanza memo adds another
-~20-40% on corpora with repeated stanzas), so they catch only real
+~1.2M lines/s cold on a 1-CPU container), so they catch only real
 regressions — an accidentally quadratic parser, a cache that stopped
 hitting — not noisy CI hardware.
 """
 
 import os
-import time
 
 from repro.core import compute_instances
-from repro.ingest import ParseCache, StageTimer, available_cpus
+from repro.ingest import ParseCache, StageTimer
 from repro.ios import parse_config
-from repro.ios.blockcache import BlockCache
 from repro.model import Network
 from repro.report import format_table
 
 from benchmarks.conftest import record, record_json
 
-#: Conservative regression floors for serial *cold* parsing (stanza cache
-#: off — the worst case; see module docstring).
+#: Conservative regression floors for serial *cold* parsing (see module
+#: docstring).
 MIN_FILES_PER_SECOND = 500
 MIN_LINES_PER_SECOND = 120_000
 
-#: The warm stanza memo must never make parsing slower than this fraction
-#: of the cold rate (decode+merge replay is cheaper than a parse, but the
-#: floor is loose enough for timer noise at small scales).
-MIN_WARM_COLD_RATIO = 0.7
-
 
 def test_parse_throughput(benchmark, by_name):
-    """Cold configs parsed per second (stanza cache off), on net5's files."""
+    """Cold configs parsed per second, on net5's files."""
     configs = list(by_name["net5"].configs.values())
     total_lines = sum(text.count("\n") for text in configs)
 
     def parse_all():
-        return [parse_config(text, block_cache=None) for text in configs]
+        return [parse_config(text) for text in configs]
 
     parsed = benchmark(parse_all)
     seconds = benchmark.stats.stats.mean
@@ -61,7 +53,7 @@ def test_parse_throughput(benchmark, by_name):
                 ("files/second", f"{rate:,.0f}"),
                 ("lines/second", f"{lines_rate:,.0f}"),
             ],
-            title="Pipeline throughput — cold parsing, stanza cache off (net5)",
+            title="Pipeline throughput — cold parsing (net5)",
         ),
     )
     record_json(
@@ -84,139 +76,6 @@ def test_parse_throughput(benchmark, by_name):
     # these floors is a parser regression, not hardware noise.
     assert rate > MIN_FILES_PER_SECOND
     assert lines_rate > MIN_LINES_PER_SECOND
-
-
-def test_block_cache_throughput(benchmark, by_name):
-    """Stanza-memo-warm parsing on net35 (the most stanza-repetitive
-    corpus network): every repeated interface/ACL/route-map stanza replays
-    from the in-process memo instead of re-parsing."""
-    configs = list(by_name["net35"].configs.values())
-    total_lines = sum(text.count("\n") for text in configs)
-
-    # Cold reference (one timed pass, stanza cache off).
-    start = time.perf_counter()
-    cold_configs = [parse_config(text, block_cache=None) for text in configs]
-    cold_seconds = time.perf_counter() - start
-
-    memo: dict = {}
-    warm_cache = BlockCache(memo=memo)
-    [parse_config(text, block_cache=warm_cache) for text in configs]  # warm it
-
-    def parse_all_warm():
-        return [parse_config(text, block_cache=warm_cache) for text in configs]
-
-    warm_configs = benchmark(parse_all_warm)
-    warm_seconds = benchmark.stats.stats.mean
-    cold_rate = len(configs) / cold_seconds
-    warm_rate = len(configs) / warm_seconds
-    total = warm_cache.hits + warm_cache.misses
-    hit_share = warm_cache.hits / total if total else 0.0
-    record(
-        "pipeline_throughput_blocks",
-        format_table(
-            ["quantity", "value"],
-            [
-                ("files", len(configs)),
-                ("lines", total_lines),
-                ("cold files/second", f"{cold_rate:,.0f}"),
-                ("warm files/second", f"{warm_rate:,.0f}"),
-                ("warm/cold", f"{warm_rate / cold_rate:.2f}x"),
-                ("stanza hit share", f"{hit_share:.1%}"),
-                ("memoized stanzas", len(memo)),
-            ],
-            title="Pipeline throughput — stanza-level cache (net35)",
-        ),
-    )
-    record_json(
-        "pipeline_throughput_blocks",
-        {
-            "network": "net35",
-            "files": len(configs),
-            "lines": total_lines,
-            "cold_seconds": round(cold_seconds, 6),
-            "warm_seconds": round(warm_seconds, 6),
-            "cold_files_per_second": round(cold_rate, 1),
-            "warm_files_per_second": round(warm_rate, 1),
-            "stanza_hit_share": round(hit_share, 4),
-            "memoized_stanzas": len(memo),
-            "floors": {"warm_cold_ratio": MIN_WARM_COLD_RATIO},
-        },
-    )
-    # Cache-hit parses must equal full parses, file for file...
-    assert warm_configs == cold_configs
-    # ...and replaying from the memo must never cost more than parsing.
-    assert warm_rate >= MIN_WARM_COLD_RATIO * cold_rate
-
-
-def test_parallel_parse_speedup(tmp_path_factory, by_name):
-    """jobs=4 vs jobs=1 on a materialized archive of net5's files.
-
-    On multi-core hardware the parse stage must speed up ≥ 2x at
-    ``jobs=4``.  On starved hosts the worker clamp kicks in — ``--jobs``
-    beyond the usable CPU count runs at the CPU count (serial on a 1-CPU
-    box) — so ``--jobs 4`` is *never materially slower than serial*
-    anywhere; that no-regression bound is asserted on all hardware.
-    """
-    from repro.ingest import pool_economics, shutdown_pool
-
-    archive = tmp_path_factory.mktemp("net5-archive")
-    for name, text in by_name["net5"].configs.items():
-        (archive / name).write_text(text)
-
-    shutdown_pool()  # charge this benchmark the full pool warmup bill
-    timings = {}
-    networks = {}
-    for jobs in (1, 4):
-        best = float("inf")
-        for _ in range(3):  # best-of-3: single runs are noisy on small hosts
-            timer = StageTimer()
-            networks[jobs] = Network.from_directory(
-                os.fspath(archive), on_error="skip-block", jobs=jobs, timer=timer
-            )
-            best = min(best, timer.seconds("parse"))
-        timings[jobs] = best
-    speedup = timings[1] / timings[4] if timings[4] > 0 else 0.0
-    cpus = available_cpus()
-    economics = pool_economics()
-    record(
-        "pipeline_throughput_parallel",
-        format_table(
-            ["quantity", "value"],
-            [
-                ("files", len(networks[1].routers)),
-                ("usable cpus", cpus),
-                ("jobs=1 parse s", f"{timings[1]:.3f}"),
-                ("jobs=4 parse s", f"{timings[4]:.3f}"),
-                ("speedup", f"{speedup:.2f}x"),
-                ("pool warmup s", economics["warmup_seconds"] or 0.0),
-            ],
-            title="Pipeline throughput — parallel parsing (net5)",
-        ),
-    )
-    record_json(
-        "pipeline_throughput_parallel",
-        {
-            "network": "net5",
-            "files": len(networks[1].routers),
-            "usable_cpus": cpus,
-            "jobs1_seconds": round(timings[1], 6),
-            "jobs4_seconds": round(timings[4], 6),
-            "speedup": round(speedup, 3),
-            "pool_economics": economics,
-        },
-    )
-    # Identical results are non-negotiable on any hardware.
-    assert sorted(networks[1].routers) == sorted(networks[4].routers)
-    assert [str(d) for d in networks[1].diagnostics] == [
-        str(d) for d in networks[4].diagnostics
-    ]
-    # The no-regression bound: requesting parallelism never loses to
-    # serial by more than timer noise, whatever the host width.
-    assert speedup >= 0.8, (
-        f"jobs=4 ran {1 / speedup:.2f}x slower than serial on {cpus} cpu(s)"
-    )
-    if cpus >= 4:
-        assert speedup >= 2.0, f"jobs=4 speedup {speedup:.2f}x below 2x on {cpus} cpus"
 
 
 def test_warm_cache_parses_nothing(tmp_path_factory, by_name):

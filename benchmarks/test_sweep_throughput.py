@@ -8,21 +8,22 @@ the per-scenario seconds recorded here.
 
 Records JSON under ``benchmarks/results/sweep_throughput.json`` with the
 serial scenarios/s and, on hardware with ≥ 4 usable CPUs, the ``--jobs
-4`` speedup.  The serial floor is asserted everywhere; the speedup floor
-only where there are cores to speed up on.  Determinism (serial payload
-== parallel payload) is asserted everywhere too — parallelism must
-never change results.
+4`` speedup (``--jobs`` is capped at the usable CPUs, so on a 1-CPU
+host both runs are serial).  The serial floor is asserted everywhere;
+the speedup floor only where there are cores to speed up on.
+Determinism (serial payload == parallel payload) is asserted everywhere
+too — parallelism must never change results.
 """
 
 import json
 import time
 
-from repro.ingest import available_cpus
 from repro.model import Network
 from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.report import format_table
 from repro.report.sweep import normalize_sweep_payload
 from repro.sweep import SweepConfig, run_network_sweep
+from repro.sweep.runner import available_cpus
 from repro.synth.templates.backbone import build_backbone
 
 from benchmarks.conftest import record, record_json

@@ -31,15 +31,15 @@ scenario) finished degraded, timed out, failed, or was skipped (see
 whole run, ``--fail-fast`` stops at the first timeout/failure, and
 finished stages are checkpointed (``--checkpoint-dir``,
 ``--no-checkpoint``) so an interrupted run continues with ``--resume``.
-``--archive-jobs N`` analyzes N archives concurrently (0 auto-detects)
-under one worker budget shared with ``--jobs``; the report, manifest,
-and exit code are identical to the serial run.
+Archives are analyzed one at a time, in corpus order.
 
-Archive-reading commands also accept ``--jobs N`` (parse with N worker
-processes; 0 auto-detects), ``--cache-dir PATH`` (persistent parse cache,
-default ``~/.cache/repro``), ``--no-cache``, and ``--no-block-cache``
-(keep the file-level cache but skip the stanza-level tier).  Results are
-identical whatever the jobs/cache settings — only the wall time changes.
+Archive-reading commands also accept ``--cache-dir PATH`` (persistent
+parse cache, default ``~/.cache/repro``) and ``--no-cache``.  Ingestion
+is one serial pass that parses each file the cache has not seen;
+results are identical whatever the cache holds.  ``repro sweep --jobs
+N`` simulates failure scenarios on up to N worker processes (capped at
+the usable CPUs).  Elsewhere ``--jobs`` and ``repro corpus
+--archive-jobs`` are still accepted, but no longer change anything.
 
 Observability (every command): ``--log-level debug|info|warning|error``
 and ``--log-json`` control structured logging on stderr.  Archive
@@ -70,8 +70,7 @@ from repro.core import (
 from repro.core.filters import analyze_filter_placement
 from repro.core.roles import classify_roles
 from repro.diag import EXIT_ERRORS, PHASE_ANALYSIS
-from repro.ingest import ParseCache, StageTimer, pool_economics
-from repro.ios import blockcache
+from repro.ingest import ParseCache, StageTimer
 from repro.model import Network
 from repro.obs import (
     MetricsRegistry,
@@ -466,14 +465,13 @@ def _corpus_archives(root: str) -> "Tuple[List[str], List[str]]":
 
 
 def _ingest_archive(
-    args: argparse.Namespace, path: str, cache, budget, timer: StageTimer
+    args: argparse.Namespace, path: str, cache, timer: StageTimer
 ) -> Network:
-    """Ingest one corpus archive (thread-safe: no namespace mutation).
+    """Ingest one corpus archive.
 
     Unlike :func:`_load` this neither appends to ``_loaded_networks`` nor
-    prints the ingestion summary — concurrent archive workers must not
-    interleave those; ``cmd_corpus`` does both in archive order after the
-    scheduler returns.
+    prints the ingestion summary; ``cmd_corpus`` does both in archive
+    order after the scheduler returns.
     """
     if not os.path.isdir(path):
         raise SystemExit(f"error: {path} is not a directory of config files")
@@ -485,7 +483,6 @@ def _ingest_archive(
         jobs=getattr(args, "jobs", None),
         cache=cache,
         timer=timer,
-        budget=budget,
     )
 
 
@@ -602,11 +599,10 @@ def cmd_corpus(args: argparse.Namespace) -> int:
 
     This is the paper's own workload — 31 networks, 8,035 files — run as
     one command: every subdirectory of ``corpusdir`` is ingested
-    (parallel, cached), then every analysis stage runs inside the
+    (cached), then every analysis stage runs inside the
     :mod:`repro.exec` barrier (per-stage deadlines, degradation ladders,
-    checkpoint/resume).  ``--archive-jobs N`` analyzes N archives
-    concurrently under one shared worker budget; results are identical
-    to the serial run.  Output is a per-network table (or ``--json``).
+    checkpoint/resume).  Archives run one at a time, in corpus order.
+    Output is a per-network table (or ``--json``).
 
     Exit code contract: 0 all archives clean; 1 ingestion warnings only;
     2 ingestion errors; 3 the run *completed* but at least one analysis
@@ -617,16 +613,7 @@ def cmd_corpus(args: argparse.Namespace) -> int:
     if not os.path.isdir(args.corpusdir):
         raise SystemExit(f"error: {args.corpusdir} is not a directory")
     from repro.diag import EXIT_CLEAN, EXIT_DEGRADED  # noqa: PLC0415
-    from repro.exec import (  # noqa: PLC0415
-        CorpusScheduler,
-        archive_name,
-        resolve_archive_jobs,
-    )
-    from repro.ingest import (  # noqa: PLC0415
-        MAX_AUTO_JOBS,
-        WorkerBudget,
-        available_cpus,
-    )
+    from repro.exec import CorpusScheduler, archive_name  # noqa: PLC0415
 
     archives, ignored = _corpus_archives(args.corpusdir)
     for loose in ignored:
@@ -635,25 +622,16 @@ def cmd_corpus(args: argparse.Namespace) -> int:
             f"(archives are directories; move it into one to analyze it)",
             file=sys.stderr,
         )
-    try:
-        archive_jobs = resolve_archive_jobs(
-            getattr(args, "archive_jobs", None), len(archives)
-        )
-    except ValueError as exc:
-        raise SystemExit(f"error: {exc}") from None
-    # One worker budget for the whole run: the archive workers' parse
-    # pools split the --jobs token pool instead of multiplying by it.
-    jobs = getattr(args, "jobs", None)
-    total_workers = jobs if jobs else min(available_cpus(), MAX_AUTO_JOBS)
-    budget = WorkerBudget(total=max(1, total_workers), archive_jobs=archive_jobs)
+    archive_jobs = getattr(args, "archive_jobs", None)
+    if archive_jobs is not None and archive_jobs < 0:
+        raise SystemExit(f"error: archive-jobs must be >= 0, got {archive_jobs}")
 
     executor = _corpus_executor(args)
-    # Materialize the shared cache before workers race the lazy creation.
     cache = _cache_from_args(args)
 
     def analyze_archive(path: str):
         timer = StageTimer()
-        network = _ingest_archive(args, path, cache, budget, timer)
+        network = _ingest_archive(args, path, cache, timer)
         name = archive_name(path)
         execution = executor.run_archive(name, network)
         for result in execution.results:
@@ -686,14 +664,10 @@ def cmd_corpus(args: argparse.Namespace) -> int:
         }
         return entry, network, execution
 
-    scheduler = CorpusScheduler(
-        archive_jobs=archive_jobs, abort=executor.abort_event
-    )
-    outcomes = scheduler.run(archives, analyze_archive)
+    outcomes = CorpusScheduler(abort=executor.abort_event).run(archives, analyze_archive)
 
-    # Merge in archive order, whatever order the workers finished in:
-    # the report, the loaded-network list (exit-code folding, run
-    # manifest), and the ingestion summaries are all deterministic.
+    # Merge in archive order: the report, the loaded-network list
+    # (exit-code folding, run manifest), and the ingestion summaries.
     executions = args._executions = {}
     loaded = args._loaded_networks = []
     report: List[dict] = []
@@ -730,8 +704,6 @@ def cmd_corpus(args: argparse.Namespace) -> int:
                 stage_totals[status] = stage_totals.get(status, 0) + count
     payload = {
         "corpus": args.corpusdir,
-        "jobs": jobs,
-        "archive_jobs": archive_jobs,
         "ignored_files": ignored,
         "cache": cache.stats.as_dict() if cache is not None else None,
         "execution": {
@@ -1003,7 +975,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         port=args.port,
         poll_interval=args.poll_interval,
         grace=args.grace,
-        jobs=args.jobs,
         cache=_cache_from_args(args),
         checkpoints=store,
         stage_deadline=stage_deadline,
@@ -1098,7 +1069,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="parse with N worker processes (0 = auto-detect, 1 = serial)",
+        help="repro sweep: simulate scenarios on up to N worker processes "
+        "(0 = auto-detect, 1 = serial; capped at the usable CPUs); "
+        "accepted by the other commands but no longer changes ingestion",
     )
     ingest.add_argument(
         "--cache-dir",
@@ -1110,11 +1083,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-cache",
         action="store_true",
         help="disable the persistent parse cache",
-    )
-    ingest.add_argument(
-        "--no-block-cache",
-        action="store_true",
-        help="disable the stanza-level parse cache (file-level cache unaffected)",
     )
     ingest.add_argument(
         "--trace",
@@ -1263,9 +1231,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="analyze N archives concurrently under one shared worker "
-        "budget (0 = auto-detect, default 1 = serial); results are "
-        "identical whatever N is",
+        help="accepted for compatibility; archives are always analyzed "
+        "one at a time",
     )
     p.add_argument(
         "--deadline",
@@ -1436,13 +1403,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: 10.0)",
     )
     p.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="parse fan-out inside a generation (default 1 = serial)",
-    )
-    p.add_argument(
         "--cache-dir",
         default=None,
         metavar="PATH",
@@ -1534,12 +1494,6 @@ def _emit_run_report(
         "jobs": getattr(args, "jobs", None),
         "mode": getattr(args, "mode", None),
         "cache": cache.stats.as_dict() if cache is not None else None,
-        "block_cache": (
-            blockcache.shared_stats()
-            if getattr(args, "_block_cache_enabled", blockcache.is_enabled())
-            else None
-        ),
-        "pool": pool_economics(),
         "compress": bool(getattr(args, "compress", None)),
     }
     sweep_summary = getattr(args, "_sweep_summary", None)
@@ -1595,22 +1549,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     # calls (tests, embedding) from bleeding counters into each other.
     registry = MetricsRegistry()
     tracer = Tracer() if (trace_path or report_path) else None
-    # --no-block-cache toggles process-wide state; restore it afterwards so
-    # repeated in-process main() calls (tests, embedding) stay independent.
-    blocks_were_enabled = blockcache.is_enabled()
-    if getattr(args, "no_block_cache", False):
-        blockcache.set_enabled(False)
-    args._block_cache_enabled = blockcache.is_enabled()
     start = time.perf_counter()
-    try:
-        with use_registry(registry), activate_tracer(tracer):
-            if tracer is not None:
-                with tracer.span("run", command=args.command):
-                    code = args.func(args)
-            else:
+    with use_registry(registry), activate_tracer(tracer):
+        if tracer is not None:
+            with tracer.span("run", command=args.command):
                 code = args.func(args)
-    finally:
-        blockcache.set_enabled(blocks_were_enabled)
+        else:
+            code = args.func(args)
     if args.func is not cmd_lint:
         for _path, network in getattr(args, "_loaded_networks", []):
             code = max(code, network.diagnostics.exit_code())

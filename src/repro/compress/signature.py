@@ -25,7 +25,12 @@ import json
 from typing import Dict, List, Tuple
 
 from repro.core.roles import RouterRole, classify_router_roles
-from repro.ios.payload import _enc_acl, _enc_clist, _enc_plist, _enc_route_map
+from repro.ios.payload import (
+    encode_acl,
+    encode_community_list,
+    encode_prefix_list,
+    encode_route_map,
+)
 from repro.model.network import Network
 
 #: Refinement-round ceiling.  WL stabilizes in at most |V| rounds; real
@@ -36,24 +41,26 @@ MAX_ROUNDS = 32
 def _policy_digest(network: Network, router: str) -> str:
     """A content digest of every policy object configured on *router*.
 
-    Uses the canonical payload encoders (the same tuples the block cache
-    and parse cache persist), serialized with sorted container keys, so
-    two routers carrying byte-identical policy stanzas digest equally no
-    matter what order their stanzas appeared in.
+    Uses the canonical policy encoders of :mod:`repro.ios.payload`,
+    serialized with sorted container keys, so two routers carrying
+    byte-identical policy stanzas digest equally no matter what order
+    their stanzas appeared in.
     """
     config = network.routers[router].config
     body = {
         "acl": sorted(
-            (name, _enc_acl(acl)) for name, acl in config.access_lists.items()
+            (name, encode_acl(acl)) for name, acl in config.access_lists.items()
         ),
         "plist": sorted(
-            (name, _enc_plist(plist)) for name, plist in config.prefix_lists.items()
+            (name, encode_prefix_list(plist))
+            for name, plist in config.prefix_lists.items()
         ),
         "clist": sorted(
-            (name, _enc_clist(clist)) for name, clist in config.community_lists.items()
+            (name, encode_community_list(clist))
+            for name, clist in config.community_lists.items()
         ),
         "rmap": sorted(
-            (name, _enc_route_map(rmap)) for name, rmap in config.route_maps.items()
+            (name, encode_route_map(rmap)) for name, rmap in config.route_maps.items()
         ),
         "groups": sorted(
             (iface.access_group_in or "", iface.access_group_out or "")

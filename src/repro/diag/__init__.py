@@ -102,8 +102,8 @@ class DiagnosticSink:
         """Fold another sink's (or iterable's) diagnostics into this one.
 
         Appends in the other collection's order and returns ``self`` so
-        per-worker sinks can be chained back together in submission
-        order: merging N sinks one after another yields exactly the
+        per-file sinks can be chained back together in file order:
+        merging N sinks one after another yields exactly the
         diagnostic stream — and therefore the same severity counts and
         :meth:`exit_code` — a single shared sink would have collected.
         """

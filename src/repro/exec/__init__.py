@@ -9,9 +9,8 @@ content-addressed per-(archive, stage) checkpoints for ``--resume``
 (:mod:`~repro.exec.checkpoint`), injectable chaos hooks for testing the
 whole thing (:mod:`~repro.exec.chaos`), deadline defaults derived
 from measured stage timings (:mod:`~repro.exec.budget`), and a
-corpus-level scheduler that fans whole archives out across worker
-threads with deterministic merged results
-(:mod:`~repro.exec.scheduler`).
+corpus-level scheduler that walks the archives in order and accounts
+for every one of them (:mod:`~repro.exec.scheduler`).
 """
 
 from repro.exec.budget import DeadlineSuggestion, suggest_stage_deadline
@@ -31,12 +30,7 @@ from repro.exec.executor import (
     Rung,
     StageContext,
 )
-from repro.exec.scheduler import (
-    ArchiveOutcome,
-    CorpusScheduler,
-    archive_name,
-    resolve_archive_jobs,
-)
+from repro.exec.scheduler import ArchiveOutcome, CorpusScheduler, archive_name
 from repro.exec.stage import (
     ANALYSIS_STAGES,
     FINISHED_STATUSES,
@@ -84,7 +78,6 @@ __all__ = [
     "archive_digest",
     "archive_name",
     "default_checkpoint_dir",
-    "resolve_archive_jobs",
     "run_with_deadline",
     "status_counts",
     "suggest_stage_deadline",

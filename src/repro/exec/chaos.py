@@ -27,8 +27,7 @@ without code changes)::
     of stage attempts: the clause's first field fnmatch-targets the
     destination **path**, its second the store kind (``cache`` for
     :meth:`repro.ingest.cache.ParseCache.put`, ``checkpoint`` for
-    :meth:`repro.exec.checkpoint.CheckpointStore.store`,
-    ``blockcache`` for the stanza tier's disk writes).  Those writes
+    :meth:`repro.exec.checkpoint.CheckpointStore.store`).  Those writes
     are best-effort by contract, so the injected error exercises the
     degrade-silently-never-crash paths (``*.write_failures`` metrics);
 * ``action@N`` — only fire on attempt ``N`` (0 = the full-fidelity
@@ -187,9 +186,9 @@ class ChaosPlan:
 
     def io_error(self, kind: str, path: str) -> None:
         """Raise :class:`OSError` if an ``io-error`` rule targets this
-        store write.  ``kind`` is the store (``cache`` / ``checkpoint`` /
-        ``blockcache``) matched against the rule's stage field; ``path``
-        is the destination file matched against its archive field."""
+        store write.  ``kind`` is the store (``cache`` / ``checkpoint``)
+        matched against the rule's stage field; ``path`` is the
+        destination file matched against its archive field."""
         for rule in self.rules:
             if rule.action != "io-error":
                 continue

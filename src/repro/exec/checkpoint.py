@@ -72,9 +72,9 @@ def archive_digest(inventory: Iterable) -> str:
 class CheckpointStats:
     """Hit/miss/store accounting for one store instance's lifetime.
 
-    Increments are locked: one store is shared by every archive worker
-    of a parallel corpus run, and unlocked ``+=`` would lose counts
-    under thread interleaving.
+    Increments are locked: the serve daemon updates these counters on
+    its generation thread while other threads read them, and an
+    unlocked ``+=`` can lose counts under thread interleaving.
     """
 
     hits: int = 0

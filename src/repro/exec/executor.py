@@ -270,9 +270,8 @@ class AnalysisExecutor:
     def __init__(self, config: Optional[ExecutorConfig] = None):
         self.config = config or ExecutorConfig()
         # --fail-fast tripped; remaining work skips.  An Event, not a
-        # bool: one executor drives every archive worker of a parallel
-        # corpus run, and the abort must be visible across threads the
-        # instant any of them trips it.
+        # bool: the serve daemon's drain trips it from another thread,
+        # and the abort must be visible there the instant it is set.
         self._abort = threading.Event()
         self._run_start = time.perf_counter()
 

@@ -1,59 +1,33 @@
-"""Corpus-level scheduling: analyze archives concurrently, merge in order.
+"""Corpus-level scheduling: walk the archives in order, account for each.
 
-The paper's workload is 31 *independent* networks analyzed in one batch;
-``repro corpus`` long parsed each archive in parallel but still walked
-the archives themselves strictly serially, so corpus wall time was the
-sum over archives instead of the max.  :class:`CorpusScheduler` closes
-that gap: it fans the whole per-archive pipeline (ingest → all analysis
-stages) out across ``--archive-jobs`` worker threads.
+The paper's workload is 31 *independent* networks analyzed in one batch.
+:class:`CorpusScheduler` runs the whole per-archive pipeline (ingest →
+all analysis stages) for each archive in corpus order, one at a time,
+and returns one :class:`ArchiveOutcome` per archive in that order.
 
-Why threads, not processes: the expensive part of an archive — parsing —
-already runs in a :class:`~concurrent.futures.ProcessPoolExecutor` fed
-by :func:`repro.ingest.parallel.parse_many`, and the GIL is released
-while an archive thread waits on its pool.  Concurrent archive threads
-therefore overlap real multi-core parse work; the pure-Python analysis
-stages interleave on the GIL, which is cheap for them and keeps every
-result object in one address space (no pickling of networks).  The
-per-archive pools stay inside one shared
-:class:`~repro.ingest.parallel.WorkerBudget`, so ``--archive-jobs`` and
-``--jobs`` split one machine instead of multiplying against each other.
+Archives are not run concurrently: on the 1-CPU reference host,
+analyzing four archives on four threads took 0.61x the serial rate.
+The one parallel grain is the sweep's scenario pool
+(:mod:`repro.sweep.runner`).
 
-Determinism contract (the same one PR 2 established for parse jobs):
-workers return their results to the caller, and the caller receives them
-**in archive order**, whatever order the threads finished in.  Spans are
-collected per archive on private tracers and grafted back in archive
-order; metrics go to the shared (locked) registry, whose counter slice
-is order-independent sums.  ``--archive-jobs 8`` therefore produces the
-same normalized manifest, exit code, and ``--json`` payload as
-``--archive-jobs 1``.
-
-Failure semantics compose with the PR 4 executor:
+Failure semantics compose with the executor:
 
 * the executor's ``--fail-fast`` abort event is shared; archives that
   have not *started* when it trips are reported as skipped outcomes
-  (never silently dropped), while in-flight archives finish with their
-  remaining stages individually skipped by the executor;
+  (never silently dropped);
 * a ``BaseException`` escaping a worker (``SimulatedKill``, strict-mode
-  parse errors raised as ``SystemExit``, ``KeyboardInterrupt``) stops
-  new archives from starting, and the *first such error in archive
-  order* is re-raised on the calling thread once in-flight archives have
-  drained — exactly where the serial loop would have raised it.
+  parse errors raised as ``SystemExit``, ``KeyboardInterrupt``)
+  propagates at once, so no later archive starts.
 """
 
 from __future__ import annotations
 
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Callable, List, Optional, Sequence
 
-from repro.ingest.parallel import MAX_AUTO_JOBS, available_cpus
-from repro.obs.logging import get_logger
-from repro.obs.metrics import get_registry, use_registry
-from repro.obs.trace import Tracer, activate_tracer, current_tracer
-
-_log = get_logger("exec.scheduler")
+from repro.obs.trace import current_tracer
 
 
 def archive_name(path: str) -> str:
@@ -61,159 +35,52 @@ def archive_name(path: str) -> str:
     return os.path.basename(path.rstrip(os.sep)) or path
 
 
-def resolve_archive_jobs(archive_jobs: Optional[int], n_archives: int) -> int:
-    """Turn an ``--archive-jobs`` request into a concrete thread count.
-
-    ``None`` (flag absent) stays serial — the scheduler is opt-in.
-    ``0`` auto-detects: one thread per CPU, capped at
-    :data:`~repro.ingest.parallel.MAX_AUTO_JOBS` and at the archive
-    count.  Explicit requests are honored but never exceed the archive
-    count.
-    """
-    if archive_jobs is not None and archive_jobs < 0:
-        raise ValueError(f"archive-jobs must be >= 0, got {archive_jobs}")
-    if n_archives <= 0:
-        return 1
-    if archive_jobs is None:
-        return 1
-    if archive_jobs == 0:
-        return max(1, min(available_cpus(), MAX_AUTO_JOBS, n_archives))
-    return min(archive_jobs, n_archives)
-
-
 @dataclass
 class ArchiveOutcome:
     """What happened to one scheduled archive.
 
-    Exactly one of these holds:
-
-    * ``skipped`` — the archive never started (the shared abort tripped,
-      or an earlier archive's worker raised);
-    * ``error`` set — the worker raised (re-raised by :meth:`run` for
-      the first erroring archive in archive order);
-    * otherwise ``value`` is the worker's return value.
+    ``skipped`` — the archive never started (the shared abort tripped);
+    otherwise ``value`` is the worker's return value.
     """
 
-    index: int
     path: str
     name: str
     skipped: bool = False
     value: Any = None
-    error: Optional[BaseException] = None
 
 
 class CorpusScheduler:
-    """Runs one worker callable per archive, concurrently, merging in order.
+    """Runs one worker callable per archive, in archive order.
 
     *abort* is an optional :class:`threading.Event` (in practice the
     executor's ``--fail-fast`` signal): once set, archives that have not
     started are skipped instead of run.
     """
 
-    def __init__(
-        self, *, archive_jobs: int = 1, abort: Optional[threading.Event] = None
-    ):
-        if archive_jobs < 1:
-            raise ValueError(f"archive_jobs must be >= 1, got {archive_jobs}")
-        self.archive_jobs = archive_jobs
+    def __init__(self, *, abort: Optional[threading.Event] = None):
         self._abort = abort
-        self._stop = threading.Event()  # a worker raised; stop launching
-
-    def _should_skip(self) -> bool:
-        return self._stop.is_set() or (
-            self._abort is not None and self._abort.is_set()
-        )
 
     def run(
         self, paths: Sequence[str], worker: Callable[[str], Any]
     ) -> List[ArchiveOutcome]:
         """Run ``worker(path)`` for every archive; outcomes in archive order."""
-        outcomes = [
-            ArchiveOutcome(index=index, path=path, name=archive_name(path))
-            for index, path in enumerate(paths)
-        ]
-        if self.archive_jobs <= 1 or len(outcomes) <= 1:
-            self._run_serial(outcomes, worker)
-        else:
-            self._run_threaded(outcomes, worker)
-        for outcome in outcomes:  # first error in archive order wins
-            if outcome.error is not None:
-                raise outcome.error
-        return outcomes
-
-    # -- serial --------------------------------------------------------------
-
-    def _run_serial(
-        self, outcomes: List[ArchiveOutcome], worker: Callable[[str], Any]
-    ) -> None:
         tracer = current_tracer()
-        for outcome in outcomes:
-            if self._should_skip():
+        outcomes = []
+        for path in paths:
+            outcome = ArchiveOutcome(path=path, name=archive_name(path))
+            outcomes.append(outcome)
+            if self._abort is not None and self._abort.is_set():
                 outcome.skipped = True
-                continue
-            if tracer is not None:
+            elif tracer is not None:
                 with tracer.span(f"archive:{outcome.name}"):
-                    outcome.value = worker(outcome.path)
+                    outcome.value = worker(path)
             else:
-                outcome.value = worker(outcome.path)
-
-    # -- threaded ------------------------------------------------------------
-
-    def _run_threaded(
-        self, outcomes: List[ArchiveOutcome], worker: Callable[[str], Any]
-    ) -> None:
-        # Observability scoping is thread-local: each worker thread
-        # re-activates the caller's registry (shared, locked) but traces
-        # into a *private* tracer — a span stack cannot take interleaved
-        # pushes from two archives.  The private trees are grafted back
-        # below, in archive order, so trace structure is deterministic.
-        registry = get_registry()
-        parent_tracer = current_tracer()
-        tracers: List[Optional[Tracer]] = [None] * len(outcomes)
-
-        def run_one(outcome: ArchiveOutcome) -> None:
-            if self._should_skip():
-                outcome.skipped = True
-                return
-            tracer = Tracer() if parent_tracer is not None else None
-            tracers[outcome.index] = tracer
-            try:
-                with use_registry(registry), activate_tracer(tracer):
-                    if tracer is not None:
-                        with tracer.span(f"archive:{outcome.name}"):
-                            outcome.value = worker(outcome.path)
-                    else:
-                        outcome.value = worker(outcome.path)
-            except BaseException as exc:  # noqa: BLE001 — re-raised in order
-                outcome.error = exc
-                self._stop.set()
-                _log.error(
-                    "archive worker raised",
-                    archive=outcome.name,
-                    error=f"{type(exc).__name__}: {exc}",
-                )
-
-        workers = min(self.archive_jobs, len(outcomes))
-        _log.info(
-            "scheduling archives", archives=len(outcomes), archive_jobs=workers
-        )
-        with ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="repro-archive"
-        ) as pool:
-            futures = [pool.submit(run_one, outcome) for outcome in outcomes]
-            for future in futures:
-                future.result()  # run_one never raises; this is a join
-
-        if parent_tracer is not None:
-            for outcome in outcomes:
-                tracer = tracers[outcome.index]
-                if tracer is not None:
-                    parent_tracer.graft(tracer)
+                outcome.value = worker(path)
+        return outcomes
 
 
 __all__ = [
     "ArchiveOutcome",
     "CorpusScheduler",
     "archive_name",
-    "resolve_archive_jobs",
 ]

@@ -1,24 +1,22 @@
-"""Parallel, cached, instrumented corpus ingestion.
+"""Cached, instrumented corpus ingestion.
 
 The paper's method was applied to 8,035 configuration files across 31
 networks, and the authors ran their tooling over a provider archive of
-23,417 routers.  At that scale ingestion is a batch workload: it must fan
-out across cores, skip work it has already done, and report where the
-time went.  This package provides those three pieces:
+23,417 routers.  At that scale ingestion is a batch workload: it parses
+each file once, skips work it has already done, and reports where the
+time went.  This package provides those pieces:
 
-* :mod:`repro.ingest.parallel` — a process-pool parse engine whose
-  results are byte-identical to the serial path (per-worker sinks merged
-  in submission order);
+* :mod:`repro.ingest.parallel` — the serial parse pass: per-file sinks
+  merged in file order, strict-mode errors re-raised at their file;
 * :mod:`repro.ingest.cache` — a persistent content-addressed parse cache
   keyed by file bytes + parser version + mode, replaying diagnostics
-  faithfully on hits (with a stanza-level tier, see
-  :mod:`repro.ios.blockcache`, that survives single-stanza edits);
+  faithfully on hits;
 * :mod:`repro.ingest.timer` — per-stage wall-time/item-count
   instrumentation surfaced by ``repro corpus``.
 
 :class:`repro.model.network.Network`'s ``from_directory``/``from_configs``
-constructors drive this engine via their ``jobs=``, ``cache=``, and
-``timer=`` keywords.
+constructors drive this pass via their ``cache=`` and ``timer=``
+keywords.
 """
 
 from repro.ingest.cache import (
@@ -29,18 +27,11 @@ from repro.ingest.cache import (
     default_cache_dir,
 )
 from repro.ingest.parallel import (
-    MAX_AUTO_JOBS,
     ON_ERROR_POLICIES,
-    PARALLEL_THRESHOLD,
     ParseOutcome,
     ParseTask,
-    WorkerBudget,
-    available_cpus,
     parse_many,
     parse_one,
-    pool_economics,
-    resolve_jobs,
-    shutdown_pool,
 )
 from repro.ingest.snapshot import (
     CorpusSnapshot,
@@ -58,24 +49,17 @@ __all__ = [
     "CacheStats",
     "CorpusSnapshot",
     "FileStat",
-    "MAX_AUTO_JOBS",
     "ON_ERROR_POLICIES",
-    "PARALLEL_THRESHOLD",
     "ParseCache",
     "ParseOutcome",
     "ParseTask",
     "SnapshotDiff",
     "StageRecord",
     "StageTimer",
-    "WorkerBudget",
-    "available_cpus",
     "default_cache_dir",
     "diff_snapshots",
     "parse_many",
     "parse_one",
-    "pool_economics",
-    "resolve_jobs",
     "scan_stats",
-    "shutdown_pool",
     "snapshot_corpus",
 ]

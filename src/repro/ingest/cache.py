@@ -24,12 +24,9 @@ through a temp file + :func:`os.replace`, so concurrent runs sharing a
 cache directory see only complete entries.  A corrupt or unreadable
 entry is treated as a miss and deleted.
 
-The same directory also hosts the **block-level** tier under
-``<root>/blocks`` (see :mod:`repro.ios.blockcache`): when a file-level
-lookup misses — one edited stanza re-keys the whole file — the parse
-that follows replays every *unchanged* stanza from the block store
-instead of re-parsing all 2,000 lines.  File-level hits stay
-authoritative and never consult the block tier.
+This is the only parse store.  A ``<root>/blocks`` directory left by
+older versions (a stanza-level tier, since removed) is never read and
+is safe to delete.
 """
 
 from __future__ import annotations
@@ -76,9 +73,9 @@ class CacheEntry:
 class CacheStats:
     """Hit/miss/store counters for one cache instance's lifetime.
 
-    Increments are locked: one cache instance is shared by every archive
-    worker of a parallel corpus run, and unlocked ``+=`` would lose
-    counts under thread interleaving.
+    Increments are locked: the serve daemon updates these counters on
+    its generation thread while other threads read them, and an
+    unlocked ``+=`` can lose counts under thread interleaving.
     """
 
     hits: int = 0
@@ -141,17 +138,6 @@ class ParseCache:
     def _path(self, key: str) -> str:
         return os.path.join(self.root, "objects", key[:2], key)
 
-    def block_cache(self):
-        """The stanza-level cache rooted in this directory (or ``None``).
-
-        Returns a :class:`repro.ios.blockcache.BlockCache` whose
-        persistent tier lives under ``<root>/blocks``, or ``None`` when
-        block caching is disabled process-wide.
-        """
-        from repro.ios.blockcache import get_block_cache  # noqa: PLC0415 — cycle
-
-        return get_block_cache(self.root)
-
     # -- access ------------------------------------------------------------
 
     def get(self, key: str) -> Optional[CacheEntry]:
@@ -193,9 +179,9 @@ class ParseCache:
         counts ``cache.write_failures`` and logs one warning per cache
         instance so operators can tell caching is off.
         """
-        # Lazy import — repro.exec.__init__ pulls in the scheduler, which
-        # imports repro.ingest; a module-level import here would cycle.
-        from repro.exec.chaos import maybe_io_error  # noqa: PLC0415 — cycle
+        # Lazy import: importing repro.exec pulls in the whole executor,
+        # which ingest-only callers never need.
+        from repro.exec.chaos import maybe_io_error  # noqa: PLC0415
 
         path = self._path(key)
         try:

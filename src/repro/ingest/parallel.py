@@ -1,64 +1,38 @@
-"""Parallel, cache-aware configuration parsing.
+"""Cache-aware configuration parsing: one serial pass, merged in file order.
 
-Parsing dominates ingestion cost and is embarrassingly parallel: every
-file is independent, and the strict/lenient fault policy is applied *per
-file*.  This module fans parsing out over a
-:class:`concurrent.futures.ProcessPoolExecutor` while keeping the
-sequential contract exact:
+Every file is independent and the strict/lenient fault policy is applied
+*per file*, so ingestion is one serial pass:
 
-* each file is parsed against a **fresh, private** `DiagnosticSink`
-  inside the worker; the parent merges per-file diagnostics in
-  **submission order**, so the diagnostic stream is byte-identical no
-  matter how many workers raced or which finished first;
-* a strict-mode parse failure is carried back as a picklable exception
-  and re-raised by the caller at the position the serial loop would have
-  raised it — files earlier in the order contribute their diagnostics,
-  files later contribute nothing;
-* with a :class:`~repro.ingest.cache.ParseCache`, files whose bytes were
-  parsed before are *replayed* (config + diagnostics + quarantine
-  decision) without hitting the pool at all.
+* look each file up in the :class:`~repro.ingest.cache.ParseCache` by the
+  hash of its bytes; a hit *replays* the config, diagnostics and
+  quarantine decision of the parse that stored it;
+* parse each miss with :func:`parse_one` against a **fresh, private**
+  :class:`~repro.diag.DiagnosticSink`, and store the result;
+* return one outcome per file, in file order — the caller merges the
+  per-file diagnostics in that order, so the diagnostic stream is the
+  same whichever files were replayed;
+* a strict-mode parse failure is carried back in its outcome and
+  re-raised by the caller at the file's position: files earlier in the
+  order contribute their diagnostics, files later contribute nothing.
 
-Pool economics (the ``speedup: 0.466`` pathology on small hosts):
-
-* the executor is a **warm persistent pool**, built once per process and
-  reused by every subsequent ``parse_many`` call of the same width, so
-  fork/spawn cost is paid once per run instead of once per archive;
-* workers return **compact primitive payloads**
-  (:func:`repro.ios.payload.encode_config` tuples) instead of pickled
-  ``RouterConfig`` object graphs, so result transfer runs through
-  pickle's C fast path;
-* warmup cost and a serial-baseline comparison are surfaced as
-  ``ingest.pool.warmup.seconds`` / ``ingest.pool.net_win`` gauges and
-  via :func:`pool_economics` (recorded into run-manifest environments),
-  so a pool that loses to serial is visible in run reports.
-
-The worker entry point :func:`parse_one` is a module-level function so it
-pickles under every multiprocessing start method.
+There is no parse pool.  On the 1-CPU reference host a per-file process
+pool parsed at 0.81x the serial rate (IPC costs more than a parse
+saves); the one parallel grain left is the sweep's scenario pool
+(:mod:`repro.sweep.runner`).  ``jobs`` is still accepted, and a
+negative value still rejected, so existing callers keep working; it no
+longer changes ingestion.
 """
 
 from __future__ import annotations
 
-import atexit
-import os
-import pickle
-import threading
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.diag import PHASE_PARSE, Diagnostic, DiagnosticSink
 from repro.ingest.cache import CacheEntry, ParseCache
 from repro.ingest.timer import StageTimer
-from repro.ios import blockcache
 from repro.ios.config import RouterConfig
-from repro.ios.payload import (
-    decode_config,
-    decode_diagnostics,
-    encode_config,
-    encode_diagnostics,
-)
 from repro.obs.logging import get_logger
 from repro.obs.metrics import get_registry
 
@@ -68,86 +42,6 @@ _log = get_logger("ingest")
 #: :mod:`repro.model.network`, their historical home).
 ON_ERROR_POLICIES = ("strict", "skip-block", "skip-file")
 
-#: Below this many to-be-parsed files, auto job selection stays serial:
-#: even a warm pool costs IPC that a small parse does not repay.
-PARALLEL_THRESHOLD = 24
-
-#: Auto-detected worker ceiling — parsing is memory-light but IPC-heavy,
-#: and returns diminish well before the core counts of large hosts.
-MAX_AUTO_JOBS = 16
-
-#: Files-parsed floor below which a run is too small to update the
-#: serial/parallel throughput baselines (startup noise dominates).
-_ECON_MIN_FILES = 8
-
-
-def available_cpus() -> int:
-    """CPUs this process may actually use (affinity-aware where possible)."""
-    try:
-        return len(os.sched_getaffinity(0)) or 1
-    except (AttributeError, OSError):
-        return os.cpu_count() or 1
-
-
-def resolve_jobs(jobs: Optional[int], n_items: int) -> int:
-    """Turn a user ``jobs`` request into a concrete worker count.
-
-    ``None``/``0`` auto-detects: serial below :data:`PARALLEL_THRESHOLD`
-    items, else one worker per CPU capped at :data:`MAX_AUTO_JOBS`.
-    Explicit requests are honored but never exceed the item count.
-    """
-    if jobs is not None and jobs < 0:
-        raise ValueError(f"jobs must be >= 0, got {jobs}")
-    if n_items <= 0:
-        return 1
-    if not jobs:  # None or 0 → auto
-        if n_items < PARALLEL_THRESHOLD:
-            return 1
-        return max(1, min(available_cpus(), MAX_AUTO_JOBS, n_items))
-    return min(jobs, n_items)
-
-
-@dataclass(frozen=True)
-class WorkerBudget:
-    """One machine-wide worker budget, split across concurrent archives.
-
-    ``repro corpus --archive-jobs M --jobs N`` must not oversubscribe the
-    host with up to ``M × N`` parse processes.  The scheduler builds one
-    budget for the whole run — ``total`` worker tokens, split evenly
-    across the ``archive_jobs`` archive slots — and every per-archive
-    parse pool sizes itself through :meth:`grant` instead of claiming the
-    machine for itself.
-
-    The split is static (``total // archive_jobs``, floored at one), so
-    granting never blocks: with ``archive_jobs ≤ total`` the concurrent
-    worker count stays ≤ ``total``; asking for more archive slots than
-    worker tokens degrades to one worker per archive, never to a
-    deadlock.
-    """
-
-    total: int
-    archive_jobs: int = 1
-
-    def __post_init__(self) -> None:
-        if self.total < 1:
-            raise ValueError(f"budget total must be >= 1, got {self.total}")
-        if self.archive_jobs < 1:
-            raise ValueError(f"archive_jobs must be >= 1, got {self.archive_jobs}")
-
-    @property
-    def share(self) -> int:
-        """Worker tokens available to one archive slot."""
-        return max(1, self.total // self.archive_jobs)
-
-    @property
-    def concurrent(self) -> bool:
-        """True when archives run concurrently (parse pools must offload)."""
-        return self.archive_jobs > 1
-
-    def grant(self, requested: int) -> int:
-        """Cap a requested worker count at this slot's share (min 1)."""
-        return max(1, min(requested, self.share))
-
 
 @dataclass(frozen=True)
 class ParseTask:
@@ -156,20 +50,12 @@ class ParseTask:
     ``data`` is the file's raw bytes when known (directory ingestion) —
     the cache key hashes bytes, not the lossily-decoded text, so a file
     whose decode behavior changes still re-keys correctly.
-
-    ``cache_root``/``block_cache`` configure the stanza-level cache
-    *inside* the parse (see :mod:`repro.ios.blockcache`): workers attach
-    the persistent block tier under the same directory as the file-level
-    cache, and ``block_cache=False`` forces every stanza to parse fresh.
-    ``parse_many`` fills both in from its own arguments.
     """
 
     source: str
     text: str
     on_error: str = "strict"
     data: Optional[bytes] = field(default=None, repr=False)
-    cache_root: Optional[str] = None
-    block_cache: bool = True
 
     def cache_data(self) -> bytes:
         return self.data if self.data is not None else self.text.encode("utf-8")
@@ -196,16 +82,11 @@ class ParseOutcome:
     cached: bool = False
 
 
-#: "Caller did not choose" marker for the block-cache pass-through.
-_UNSET = object()
-
-
 def _parse_with_policy(
     text: str,
     source: str,
     on_error: str,
     sink: DiagnosticSink,
-    block_cache: object = _UNSET,
 ) -> Optional[RouterConfig]:
     """Parse one config under the given fault policy.
 
@@ -216,12 +97,11 @@ def _parse_with_policy(
 
     if on_error not in ON_ERROR_POLICIES:
         raise ValueError(f"unknown on_error policy: {on_error!r}")
-    kwargs = {} if block_cache is _UNSET else {"block_cache": block_cache}
     if on_error == "strict":
-        return parse_any_config(text, mode="strict", sink=sink, source=source, **kwargs)
+        return parse_any_config(text, mode="strict", sink=sink, source=source)
     mode = "lenient" if on_error == "skip-block" else "strict"
     try:
-        return parse_any_config(text, mode=mode, sink=sink, source=source, **kwargs)
+        return parse_any_config(text, mode=mode, sink=sink, source=source)
     except Exception as exc:  # noqa: BLE001 — quarantine, never crash the run
         sink.error(
             PHASE_PARSE,
@@ -233,47 +113,14 @@ def _parse_with_policy(
         return None
 
 
-def _picklable_exception(exc: BaseException) -> BaseException:
-    """``exc`` if it survives a pickle round trip, else a faithful surrogate.
-
-    Worker exceptions must cross the process boundary; an exception class
-    whose constructor defeats pickling would otherwise poison the pool.
-    """
-    try:
-        roundtripped = pickle.loads(pickle.dumps(exc))
-        if isinstance(roundtripped, BaseException):
-            return exc
-    except Exception:  # noqa: BLE001 — fall through to the surrogate
-        pass
-    surrogate = ValueError(str(exc))
-    surrogate.line_number = getattr(exc, "line_number", 0)  # type: ignore[attr-defined]
-    surrogate.line = getattr(exc, "line", "")  # type: ignore[attr-defined]
-    return surrogate
-
-
-def _task_block_cache(task: ParseTask):
-    """The stanza cache a task should parse through (``None`` to disable)."""
-    if not task.block_cache:
-        return None
-    return blockcache.get_block_cache(task.cache_root)
-
-
 def parse_one(task: ParseTask) -> ParseOutcome:
-    """Parse one task against a fresh sink (the pool worker entry point)."""
+    """Parse one task against a fresh sink; errors come back in the outcome."""
     sink = DiagnosticSink()
     try:
-        config = _parse_with_policy(
-            task.text,
-            task.source,
-            task.on_error,
-            sink,
-            block_cache=_task_block_cache(task),
-        )
-    except Exception as exc:  # noqa: BLE001 — carried home and re-raised
+        config = _parse_with_policy(task.text, task.source, task.on_error, sink)
+    except Exception as exc:  # noqa: BLE001 — re-raised by the caller, in order
         return ParseOutcome(
-            source=task.source,
-            diagnostics=tuple(sink.diagnostics),
-            error=_picklable_exception(exc),
+            source=task.source, diagnostics=tuple(sink.diagnostics), error=exc
         )
     return ParseOutcome(
         source=task.source,
@@ -283,168 +130,30 @@ def parse_one(task: ParseTask) -> ParseOutcome:
     )
 
 
-def _parse_one_wire(task: ParseTask) -> tuple:
-    """Worker entry returning a compact primitive payload.
-
-    Pickling a ``RouterConfig`` graph runs ``__reduce_ex__`` per model
-    object at Python speed; nested tuples of str/int ride pickle's C fast
-    path.  The parent rehydrates with :func:`_decode_wire`.
-    """
-    outcome = parse_one(task)
-    return (
-        None if outcome.config is None else encode_config(outcome.config),
-        encode_diagnostics(outcome.diagnostics),
-        outcome.quarantined,
-        outcome.error,
-    )
-
-
-def _decode_wire(source: str, wire: tuple) -> ParseOutcome:
-    enc_config, enc_diags, quarantined, error = wire
-    return ParseOutcome(
-        source=source,
-        config=None if enc_config is None else decode_config(enc_config),
-        diagnostics=decode_diagnostics(enc_diags),
-        quarantined=quarantined,
-        error=error,
-    )
-
-
-# ---------------------------------------------------------------------------
-# the warm pool and its economics
-
-
-_POOL_LOCK = threading.Lock()
-_POOL: Optional[ProcessPoolExecutor] = None
-_POOL_WORKERS = 0
-
-_ECON_LOCK = threading.Lock()
-_ECONOMICS = {
-    "pool_builds": 0,
-    "warmup_seconds": None,  # cost of the most recent pool build
-    "serial_files_per_second": None,  # EWMA over serial parse_many runs
-    "parallel_files_per_second": None,  # most recent pooled run
-    "pool_net_win": None,  # parallel rate >= serial baseline, when both known
-}
-
-
-def _acquire_pool(workers: int) -> Tuple[ProcessPoolExecutor, float]:
-    """The shared executor at the requested width, plus warmup seconds.
-
-    The pool persists across ``parse_many`` calls — warmup (executor
-    construction plus one no-op round trip that forks the first worker)
-    is paid only when the width changes.  Width changes rebuild rather
-    than grow: a wider pool than the :class:`WorkerBudget` granted would
-    quietly oversubscribe the host.
-    """
-    global _POOL, _POOL_WORKERS
-    with _POOL_LOCK:
-        if _POOL is not None and _POOL_WORKERS == workers:
-            return _POOL, 0.0
-        stale = _POOL
-        start = time.perf_counter()
-        pool = ProcessPoolExecutor(max_workers=workers)
-        pool.submit(int).result()
-        warmup = time.perf_counter() - start
-        _POOL, _POOL_WORKERS = pool, workers
-    if stale is not None:
-        stale.shutdown(wait=False, cancel_futures=True)
-    with _ECON_LOCK:
-        _ECONOMICS["pool_builds"] += 1
-        _ECONOMICS["warmup_seconds"] = warmup
-    return pool, warmup
-
-
-def _discard_pool(pool: ProcessPoolExecutor) -> None:
-    global _POOL, _POOL_WORKERS
-    with _POOL_LOCK:
-        if _POOL is pool:
-            _POOL, _POOL_WORKERS = None, 0
-    pool.shutdown(wait=False, cancel_futures=True)
-
-
-def shutdown_pool() -> None:
-    """Tear down the warm pool (process exit, or tests forcing a cold start)."""
-    global _POOL, _POOL_WORKERS
-    with _POOL_LOCK:
-        pool, _POOL, _POOL_WORKERS = _POOL, None, 0
-    if pool is not None:
-        pool.shutdown(wait=False, cancel_futures=True)
-
-
-atexit.register(shutdown_pool)
-
-
-def _record_economics(parallel: bool, parsed: int, elapsed: float) -> Optional[bool]:
-    """Update throughput baselines; returns ``pool_net_win`` when known.
-
-    Serial runs feed an exponentially weighted files/s baseline; pooled
-    runs compare against it.  Tiny runs (< :data:`_ECON_MIN_FILES`) are
-    ignored — startup noise would swamp the signal.
-    """
-    if parsed < _ECON_MIN_FILES or elapsed <= 0:
-        return None
-    rate = parsed / elapsed
-    with _ECON_LOCK:
-        if parallel:
-            _ECONOMICS["parallel_files_per_second"] = rate
-            baseline = _ECONOMICS["serial_files_per_second"]
-            if baseline is None:
-                _ECONOMICS["pool_net_win"] = None
-                return None
-            net_win = rate >= baseline
-            _ECONOMICS["pool_net_win"] = net_win
-            return net_win
-        baseline = _ECONOMICS["serial_files_per_second"]
-        _ECONOMICS["serial_files_per_second"] = (
-            rate if baseline is None else 0.5 * baseline + 0.5 * rate
-        )
-        return None
-
-
-def pool_economics() -> dict:
-    """A snapshot of pool cost/benefit, for manifests and run reports."""
-    with _ECON_LOCK:
-        return dict(_ECONOMICS)
-
-
 def parse_many(
     tasks: Sequence[ParseTask],
     *,
     jobs: Optional[int] = None,
     cache: Union[ParseCache, str, None] = None,
     timer: Optional[StageTimer] = None,
-    budget: Optional[WorkerBudget] = None,
-    block_cache: Optional[bool] = None,
 ) -> List[ParseOutcome]:
-    """Parse all tasks, in parallel where it pays, through the cache.
+    """Parse all tasks through the cache; one outcome per task, in order.
 
-    Returns one :class:`ParseOutcome` per task **in task order** — the
-    caller folds diagnostics and raises strict-mode errors in that order,
-    which is what makes ``jobs=8`` indistinguishable from ``jobs=1``.
-
-    *budget*, when given, caps the worker count at this archive slot's
-    share of the corpus-wide :class:`WorkerBudget`.  Under a concurrent
-    budget even a one-worker parse of a large archive is routed through a
-    process pool: the GIL is released while the parent waits on the pool,
-    so sibling archive threads parse on other cores in the meantime.
-
-    *block_cache* forces the stanza-level cache on/off for this call;
-    ``None`` follows the process-wide default
-    (:func:`repro.ios.blockcache.is_enabled`).  When a file-level *cache*
-    is present its directory also hosts the persistent block tier, so a
-    file-level miss (one edited stanza) still replays every unchanged
-    stanza from disk.
+    The caller folds diagnostics and raises strict-mode errors in task
+    order.  ``jobs`` is accepted for compatibility (negative values
+    raise :class:`ValueError`) and changes nothing.
     """
+    if jobs is not None and jobs < 0:
+        raise ValueError(f"jobs must be >= 0, got {jobs}")
     cache = ParseCache.coerce(cache)
     start = time.perf_counter()
     outcomes: List[Optional[ParseOutcome]] = [None] * len(tasks)
     keys: List[Optional[str]] = [None] * len(tasks)
-    pending: List[int] = []
-    for index, task in enumerate(tasks):
-        if cache is not None:
-            key = cache.key(task.cache_data(), task.on_error)
-            keys[index] = key
+    # Every lookup happens before any store, so two files with the same
+    # bytes both count as parsed on a cold cache.
+    if cache is not None:
+        for index, task in enumerate(tasks):
+            keys[index] = key = cache.key(task.cache_data(), task.on_error)
             entry = cache.get(key)
             if entry is not None:
                 outcomes[index] = ParseOutcome(
@@ -454,125 +163,48 @@ def parse_many(
                     quarantined=entry.quarantined,
                     cached=True,
                 )
-                continue
-        pending.append(index)
-
-    use_blocks = blockcache.is_enabled() if block_cache is None else bool(block_cache)
-    block_root = cache.root if (cache is not None and use_blocks) else None
-
-    def task_for_parse(task: ParseTask) -> ParseTask:
-        if task.block_cache is use_blocks and task.cache_root == block_root:
-            return task
-        return replace(task, block_cache=use_blocks, cache_root=block_root)
-
-    worker_count = resolve_jobs(jobs, len(pending))
-    if budget is not None:
-        worker_count = budget.grant(worker_count)
-    # A pool wider than the hardware cannot win: extra workers time-slice
-    # the same cores and pay IPC for the privilege.  Clamping here (not in
-    # resolve_jobs) keeps explicit requests visible to the budget math but
-    # makes ``--jobs 8`` on a 1-CPU host run serial instead of 2x slower.
-    worker_count = min(worker_count, available_cpus())
-    offload = (
-        budget is not None
-        and budget.concurrent
-        and len(pending) >= PARALLEL_THRESHOLD
-    )
-    warmup = 0.0
-    pooled = False
-    if worker_count <= 1 and not offload:
-        for index in pending:
-            outcomes[index] = parse_one(task_for_parse(tasks[index]))
-    else:
-        pooled = True
-        # chunksize amortizes IPC over many small configs; submission
-        # order is preserved by executor.map regardless of completion.
-        chunksize = max(1, len(pending) // (worker_count * 4))
-        # Under a shared budget the ONE warm pool is sized for the whole
-        # machine (budget.total); concurrent archive slots then split its
-        # workers by submitting share-sized chunked maps, instead of each
-        # slot building a private pool.
-        pool_width = budget.total if budget is not None else worker_count
-        pool_width = max(1, min(pool_width, available_cpus()))
-        pool, warmup = _acquire_pool(pool_width)
-        try:
-            results = pool.map(
-                _parse_one_wire,
-                [task_for_parse(tasks[i]) for i in pending],
-                chunksize=chunksize,
+    pending = [index for index, outcome in enumerate(outcomes) if outcome is None]
+    for index in pending:
+        outcome = outcomes[index] = parse_one(tasks[index])
+        if cache is not None and outcome.error is None:
+            cache.put(
+                keys[index],
+                CacheEntry(
+                    config=outcome.config,
+                    diagnostics=outcome.diagnostics,
+                    quarantined=outcome.quarantined,
+                ),
             )
-            for index, wire in zip(pending, results):
-                outcomes[index] = _decode_wire(tasks[index].source, wire)
-        except BrokenProcessPool:
-            # A worker died (OOM/kill).  Drop the poisoned pool and finish
-            # the remaining files serially — correctness over speed.
-            _discard_pool(pool)
-            _log.warning("parse pool broke; finishing serially")
-            for index in pending:
-                if outcomes[index] is None:
-                    outcomes[index] = parse_one(task_for_parse(tasks[index]))
-
-    if cache is not None:
-        for index in pending:
-            outcome = outcomes[index]
-            if outcome is not None and outcome.error is None:
-                cache.put(
-                    keys[index],
-                    CacheEntry(
-                        config=outcome.config,
-                        diagnostics=outcome.diagnostics,
-                        quarantined=outcome.quarantined,
-                    ),
-                )
 
     elapsed = time.perf_counter() - start
     parsed = len(pending)
     replayed = len(tasks) - parsed
-    workers = worker_count if pending else 0
-    net_win = _record_economics(pooled, parsed, elapsed)
     metrics = get_registry()
     metrics.counter("ingest.parse.files").inc(len(tasks))
     metrics.counter("ingest.parse.parsed").inc(parsed)
     metrics.counter("ingest.parse.cached").inc(replayed)
-    metrics.gauge("ingest.pool.workers").set(workers)
-    metrics.gauge("ingest.pool.warmup.seconds").set(warmup)
-    if net_win is not None:
-        metrics.gauge("ingest.pool.net_win").set(1.0 if net_win else 0.0)
     metrics.histogram("ingest.stage.parse.seconds").observe(elapsed)
     _log.info(
         "parse stage done",
         files=len(tasks),
         parsed=parsed,
         cached=replayed,
-        workers=workers,
         seconds=round(elapsed, 4),
-        pool_warmup=round(warmup, 4),
     )
     if timer is not None:
         timer.record(
             "parse",
             elapsed,
             items=len(tasks),
-            counters={
-                "parsed": parsed,
-                "cached": replayed,
-                "workers": workers,
-            },
+            counters={"parsed": parsed, "cached": replayed},
         )
-    return [outcome for outcome in outcomes if outcome is not None]
+    return outcomes
 
 
 __all__ = [
-    "MAX_AUTO_JOBS",
     "ON_ERROR_POLICIES",
-    "PARALLEL_THRESHOLD",
     "ParseOutcome",
     "ParseTask",
-    "WorkerBudget",
-    "available_cpus",
     "parse_many",
     "parse_one",
-    "pool_economics",
-    "resolve_jobs",
-    "shutdown_pool",
 ]

@@ -71,18 +71,4 @@ def lex_config(text: str) -> Tuple[List[Stanza], int, int]:
     return stanzas, line_count, command_count
 
 
-def stanza_key(tokens: Stanza) -> str:
-    """A canonical text key identifying a stanza's parse-relevant content.
-
-    Line numbers are deliberately excluded: two copies of the same stanza
-    at different file offsets parse to the same (position-free) model
-    fragment.  Indentation *is* included — relative indents decide how
-    sub-lines nest.  Single-line stanzas key as the bare line (config
-    lines cannot contain a newline, so the forms cannot collide).
-    """
-    if len(tokens) == 1:
-        return tokens[0][2]
-    return "\n".join("%d\x00%s" % (token[1], token[2]) for token in tokens)
-
-
-__all__ = ["Stanza", "Token", "lex_config", "stanza_key"]
+__all__ = ["Stanza", "Token", "lex_config"]

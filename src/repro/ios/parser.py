@@ -13,14 +13,7 @@ Hot-path structure (see ARCHITECTURE.md "Performance envelope"):
   are retained straight from the stream without word-splitting or
   :class:`ConfigBlock` construction;
 * dispatch is a dict lookup on the interned head keyword
-  (:data:`_TOP_DISPATCH`), not a cascade of ``words[0] ==`` comparisons;
-* *state-free* stanza kinds (interfaces, ospf/eigrp/bgp processes, ACLs,
-  route maps, static routes) parse into a private fragment that is folded
-  into the config and memoized in the block-level cache
-  (:mod:`repro.ios.blockcache`), so a repeated stanza — within a file,
-  across files, or across runs via the persistent tier — parses once.
-  ``ip prefix-list`` (sequence numbers depend on accumulated state) and
-  ``router rip`` (merges into prior state) always parse directly.
+  (:data:`_TOP_DISPATCH`), not a cascade of ``words[0] ==`` comparisons.
 
 Two error-handling modes:
 
@@ -39,7 +32,6 @@ from typing import Dict, List, Optional
 
 from repro.diag import PHASE_PARSE, DiagnosticSink
 
-from repro.ios.blockcache import BlockCache, get_block_cache
 from repro.ios.blocks import ConfigBlock, materialize_stanza
 from repro.ios.config import (
     AccessList,
@@ -58,8 +50,7 @@ from repro.ios.config import (
     RouterConfig,
     StaticRoute,
 )
-from repro.ios.lexer import Stanza, lex_config, stanza_key
-from repro.ios.payload import decode_config, encode_config, merge_fragment
+from repro.ios.lexer import Stanza, lex_config
 from repro.net import IPv4Address, Prefix
 from repro.net.ipv4 import AddressError
 
@@ -79,13 +70,8 @@ class ConfigParseError(ValueError):
     def __reduce__(self):
         # Default exception pickling would re-invoke __init__ with the
         # already-formatted detail string, duplicating the location suffix
-        # and dropping line_number/line.  Parallel ingestion ships these
-        # across process boundaries, so reconstruct from the raw fields.
+        # and dropping line_number/line; reconstruct from the raw fields.
         return (type(self), (self.message, self.line_number, self.line))
-
-
-#: Sentinel: "use the process-default block cache".
-_DEFAULT_CACHE = object()
 
 
 def parse_config(
@@ -94,23 +80,16 @@ def parse_config(
     mode: str = "strict",
     sink: Optional[DiagnosticSink] = None,
     source: Optional[str] = None,
-    block_cache: object = _DEFAULT_CACHE,
 ) -> RouterConfig:
     """Parse one router's configuration file.
 
     ``mode`` selects error handling (see module docstring); in lenient mode
     skipped blocks and unmodeled commands are reported into ``sink``, with
-    ``source`` as the diagnostics' file name.  ``block_cache`` overrides
-    the stanza-level cache: a :class:`~repro.ios.blockcache.BlockCache`
-    instance, ``None`` to disable, or unset for the process default.
+    ``source`` as the diagnostics' file name.
     """
     if mode not in ("strict", "lenient"):
         raise ValueError(f"unknown parse mode: {mode!r}")
     lenient = mode == "lenient"
-    if block_cache is _DEFAULT_CACHE:
-        cache: Optional[BlockCache] = get_block_cache()
-    else:
-        cache = block_cache  # type: ignore[assignment]
     stanzas, line_count, command_count = lex_config(text)
     config = RouterConfig(line_count=line_count, command_count=command_count)
     unmodeled = config.unmodeled_lines
@@ -135,7 +114,7 @@ def parse_config(
                 unmodeled.append(token[2])
             continue
         try:
-            handler(config, tokens, sink, source, cache)
+            handler(config, tokens, sink, source)
         except (ValueError, IndexError, KeyError) as exc:
             # ConfigParseError and AddressError both subclass ValueError;
             # IndexError/KeyError from short or garbled lines are equally
@@ -161,40 +140,6 @@ def parse_config(
 # dispatch
 
 
-def _run_fragment(
-    config: RouterConfig,
-    tokens: Stanza,
-    handler,
-    cache: Optional[BlockCache],
-) -> None:
-    """Parse a state-free stanza through the block-level cache.
-
-    The stanza is parsed into a private fragment config so its effect can
-    be captured, memoized, and replayed.  On a handler exception the
-    partial fragment is still folded in — exactly the partial mutations a
-    direct parse would have left behind — before the error propagates to
-    the strict/lenient policy above.  Only clean parses are cached, and
-    clean parses of these stanza kinds never emit diagnostics, so cached
-    fragments are position- and mode-independent.
-    """
-    if cache is None:
-        handler(config, materialize_stanza(tokens))
-        return
-    key = stanza_key(tokens)
-    payload = cache.get(key)
-    if payload is not None:
-        merge_fragment(config, decode_config(payload))
-        return
-    fragment = RouterConfig()
-    try:
-        handler(fragment, materialize_stanza(tokens))
-    except BaseException:
-        merge_fragment(config, fragment)
-        raise
-    cache.put(key, encode_config(fragment), len(tokens))
-    merge_fragment(config, fragment)
-
-
 def _retain_stanza(
     config: RouterConfig,
     tokens: Stanza,
@@ -215,7 +160,7 @@ def _retain_stanza(
         config.unmodeled_lines.append(token[2])
 
 
-def _top_hostname(config, tokens, sink, source, cache) -> None:
+def _top_hostname(config, tokens, sink, source) -> None:
     words = tokens[0][2].split()
     if len(words) >= 2:
         config.hostname = words[1]
@@ -223,44 +168,33 @@ def _top_hostname(config, tokens, sink, source, cache) -> None:
         _retain_stanza(config, tokens, sink, source)
 
 
-def _top_interface(config, tokens, sink, source, cache) -> None:
-    _run_fragment(config, tokens, _parse_interface, cache)
+def _top_interface(config, tokens, sink, source) -> None:
+    _parse_interface(config, materialize_stanza(tokens))
 
 
-_CACHEABLE_PROTOCOLS = frozenset(("ospf", "eigrp", "igrp", "bgp"))
+def _top_router(config, tokens, sink, source) -> None:
+    _parse_router(config, materialize_stanza(tokens), sink=sink, source=source)
 
 
-def _top_router(config, tokens, sink, source, cache) -> None:
-    words = tokens[0][2].split()
-    if len(words) >= 2 and words[1] in _CACHEABLE_PROTOCOLS:
-        _run_fragment(config, tokens, _parse_router, cache)
-    else:
-        # rip merges into accumulated state; unknown protocols emit an
-        # info diagnostic; a bare "router" raises — none are cacheable.
-        _parse_router(config, materialize_stanza(tokens), sink=sink, source=source)
+def _top_access_list(config, tokens, sink, source) -> None:
+    _parse_access_list(config, materialize_stanza(tokens))
 
 
-def _top_access_list(config, tokens, sink, source, cache) -> None:
-    _run_fragment(config, tokens, _parse_access_list, cache)
+def _top_route_map(config, tokens, sink, source) -> None:
+    _parse_route_map(config, materialize_stanza(tokens))
 
 
-def _top_route_map(config, tokens, sink, source, cache) -> None:
-    _run_fragment(config, tokens, _parse_route_map, cache)
-
-
-def _top_ip(config, tokens, sink, source, cache) -> None:
+def _top_ip(config, tokens, sink, source) -> None:
     words = tokens[0][2].split()
     n = len(words)
     if n >= 2 and words[1] == "route":
-        _run_fragment(config, tokens, _parse_static_route, cache)
+        _parse_static_route(config, materialize_stanza(tokens))
     elif n >= 3 and words[1] == "access-list":
-        _run_fragment(config, tokens, _parse_named_access_list, cache)
+        _parse_named_access_list(config, materialize_stanza(tokens))
     elif n >= 3 and words[1] == "prefix-list":
-        # Default sequence numbers depend on entries accumulated from
-        # earlier stanzas — never cached, parsed straight into config.
         _parse_prefix_list(config, materialize_stanza(tokens))
     elif n >= 3 and words[1] == "community-list":
-        _run_fragment(config, tokens, _parse_community_list, cache)
+        _parse_community_list(config, materialize_stanza(tokens))
     else:
         _retain_stanza(config, tokens, sink, source)
 

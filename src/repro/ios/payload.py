@@ -1,281 +1,39 @@
-"""Compact primitive payloads for parsed configuration models.
+"""Canonical primitive encodings of routing-policy objects.
 
-Two hot paths move :class:`~repro.ios.config.RouterConfig` values around
-in bulk and were paying for it:
+:mod:`repro.compress.signature` digests each router's policies (ACLs,
+prefix lists, community lists, route maps) to decide which routers are
+interchangeable.  The digest must not depend on object identity or on
+the order stanzas appeared in, so every policy object is encoded here
+into nested tuples of primitives (str/int/bool/None) that serialize the
+same way in every process.
 
-* **cross-process transfer** — ``parse_many`` workers used to return
-  pickled ``RouterConfig`` object graphs, which pickle via per-instance
-  ``__reduce_ex__`` at Python speed;
-* **block-level caching** — replaying a cached stanza must produce a
-  *fresh* object graph per hit (downstream passes mutate configs), so
-  cached values cannot be shared model objects.
-
-This module encodes every model class into nested tuples of primitives
-(str/int/bool/None), which pickle through the fast C path and are
-immutable — safe to share in an in-process memo and rehydrate on demand.
-``decode_config(encode_config(c)) == c`` for every parser-producible
-config (pinned by tests/test_parse_payload.py).
-
-Encoders/decoders are positional and must track the dataclass field
-order in :mod:`repro.ios.config`.
+The encoders are positional and track the dataclass field order in
+:mod:`repro.ios.config`.  Their output is part of the compression
+contract: changing it moves routers between equivalence classes.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional
 
-from repro.diag import Diagnostic
 from repro.ios.config import (
     AccessList,
     AclRule,
-    BgpNeighbor,
-    BgpProcess,
     CommunityList,
-    DistributeList,
-    EigrpProcess,
-    InterfaceConfig,
-    NetworkStatement,
-    OspfProcess,
     PrefixList,
     PrefixListEntry,
-    RedistributeConfig,
-    RipProcess,
     RouteMap,
     RouteMapClause,
-    RouterConfig,
-    StaticRoute,
 )
 from repro.net import IPv4Address, Prefix
-
-# -- scalar helpers ---------------------------------------------------------
 
 
 def _enc_addr(addr: Optional[IPv4Address]):
     return None if addr is None else addr.value
 
 
-def _dec_addr(value) -> Optional[IPv4Address]:
-    return None if value is None else IPv4Address(value)
-
-
 def _enc_prefix(prefix: Optional[Prefix]):
     return None if prefix is None else (prefix.network_int, prefix.length)
-
-
-def _dec_prefix(value) -> Optional[Prefix]:
-    return None if value is None else Prefix(value[0], value[1])
-
-
-# -- model classes ----------------------------------------------------------
-
-
-def _enc_interface(iface: InterfaceConfig) -> tuple:
-    return (
-        iface.name,
-        iface.description,
-        _enc_addr(iface.address),
-        _enc_addr(iface.netmask),
-        tuple((a.value, m.value) for a, m in iface.secondary_addresses),
-        iface.access_group_in,
-        iface.access_group_out,
-        iface.shutdown,
-        iface.bandwidth_kbit,
-        iface.encapsulation,
-        iface.point_to_point,
-        iface.frame_relay_dlci,
-        iface.unnumbered_source,
-        tuple(iface.extra_lines),
-    )
-
-
-def _dec_interface(p: tuple) -> InterfaceConfig:
-    return InterfaceConfig(
-        p[0],
-        p[1],
-        _dec_addr(p[2]),
-        _dec_addr(p[3]),
-        [(IPv4Address(a), IPv4Address(m)) for a, m in p[4]],
-        p[5],
-        p[6],
-        p[7],
-        p[8],
-        p[9],
-        p[10],
-        p[11],
-        p[12],
-        list(p[13]),
-    )
-
-
-def _enc_network(stmt: NetworkStatement) -> tuple:
-    return (
-        stmt.address.value,
-        _enc_addr(stmt.wildcard),
-        stmt.area,
-        _enc_addr(stmt.mask),
-    )
-
-
-def _dec_network(p: tuple) -> NetworkStatement:
-    return NetworkStatement(IPv4Address(p[0]), _dec_addr(p[1]), p[2], _dec_addr(p[3]))
-
-
-def _enc_redistribute(r: RedistributeConfig) -> tuple:
-    return (
-        r.source_protocol,
-        r.source_id,
-        r.metric,
-        r.metric_type,
-        r.subnets,
-        r.route_map,
-        r.tag,
-    )
-
-
-def _dec_redistribute(p: tuple) -> RedistributeConfig:
-    return RedistributeConfig(p[0], p[1], p[2], p[3], p[4], p[5], p[6])
-
-
-def _enc_distribute(d: DistributeList) -> tuple:
-    return (d.acl, d.direction, d.interface, d.source_protocol)
-
-
-def _dec_distribute(p: tuple) -> DistributeList:
-    return DistributeList(p[0], p[1], p[2], p[3])
-
-
-def _enc_ospf(proc: OspfProcess) -> tuple:
-    return (
-        proc.process_id,
-        _enc_addr(proc.router_id),
-        tuple(_enc_network(n) for n in proc.networks),
-        tuple(_enc_redistribute(r) for r in proc.redistributes),
-        tuple(_enc_distribute(d) for d in proc.distribute_lists),
-        tuple(proc.passive_interfaces),
-        proc.default_information_originate,
-        tuple(_enc_prefix(s) for s in proc.summary_addresses),
-        tuple(proc.extra_lines),
-    )
-
-
-def _dec_ospf(p: tuple) -> OspfProcess:
-    return OspfProcess(
-        p[0],
-        _dec_addr(p[1]),
-        [_dec_network(n) for n in p[2]],
-        [_dec_redistribute(r) for r in p[3]],
-        [_dec_distribute(d) for d in p[4]],
-        list(p[5]),
-        p[6],
-        [_dec_prefix(s) for s in p[7]],
-        list(p[8]),
-    )
-
-
-def _enc_eigrp(proc: EigrpProcess) -> tuple:
-    return (
-        proc.asn,
-        proc.protocol,
-        tuple(_enc_network(n) for n in proc.networks),
-        tuple(_enc_redistribute(r) for r in proc.redistributes),
-        tuple(_enc_distribute(d) for d in proc.distribute_lists),
-        tuple(proc.passive_interfaces),
-        proc.no_auto_summary,
-        tuple(proc.extra_lines),
-    )
-
-
-def _dec_eigrp(p: tuple) -> EigrpProcess:
-    return EigrpProcess(
-        p[0],
-        p[1],
-        [_dec_network(n) for n in p[2]],
-        [_dec_redistribute(r) for r in p[3]],
-        [_dec_distribute(d) for d in p[4]],
-        list(p[5]),
-        p[6],
-        list(p[7]),
-    )
-
-
-def _enc_rip(proc: RipProcess) -> tuple:
-    return (
-        proc.version,
-        tuple(_enc_network(n) for n in proc.networks),
-        tuple(_enc_redistribute(r) for r in proc.redistributes),
-        tuple(_enc_distribute(d) for d in proc.distribute_lists),
-        tuple(proc.passive_interfaces),
-        tuple(proc.extra_lines),
-    )
-
-
-def _dec_rip(p: tuple) -> RipProcess:
-    return RipProcess(
-        p[0],
-        [_dec_network(n) for n in p[1]],
-        [_dec_redistribute(r) for r in p[2]],
-        [_dec_distribute(d) for d in p[3]],
-        list(p[4]),
-        list(p[5]),
-    )
-
-
-def _enc_neighbor(nbr: BgpNeighbor) -> tuple:
-    return (
-        nbr.address.value,
-        nbr.remote_as,
-        nbr.description,
-        nbr.route_map_in,
-        nbr.route_map_out,
-        nbr.distribute_list_in,
-        nbr.distribute_list_out,
-        nbr.prefix_list_in,
-        nbr.prefix_list_out,
-        nbr.update_source,
-        nbr.next_hop_self,
-        nbr.send_community,
-        nbr.route_reflector_client,
-    )
-
-
-def _dec_neighbor(p: tuple) -> BgpNeighbor:
-    return BgpNeighbor(
-        IPv4Address(p[0]),
-        p[1],
-        p[2],
-        p[3],
-        p[4],
-        p[5],
-        p[6],
-        p[7],
-        p[8],
-        p[9],
-        p[10],
-        p[11],
-        p[12],
-    )
-
-
-def _enc_bgp(proc: BgpProcess) -> tuple:
-    return (
-        proc.asn,
-        _enc_addr(proc.router_id),
-        tuple(_enc_neighbor(n) for n in proc.neighbors),
-        tuple(_enc_network(n) for n in proc.networks),
-        tuple(_enc_redistribute(r) for r in proc.redistributes),
-        tuple(proc.extra_lines),
-    )
-
-
-def _dec_bgp(p: tuple) -> BgpProcess:
-    return BgpProcess(
-        p[0],
-        _dec_addr(p[1]),
-        [_dec_neighbor(n) for n in p[2]],
-        [_dec_network(n) for n in p[3]],
-        [_dec_redistribute(r) for r in p[4]],
-        list(p[5]),
-    )
 
 
 def _enc_rule(rule: AclRule) -> tuple:
@@ -293,51 +51,20 @@ def _enc_rule(rule: AclRule) -> tuple:
     )
 
 
-def _dec_rule(p: tuple) -> AclRule:
-    return AclRule(
-        p[0],
-        _dec_addr(p[1]),
-        _dec_addr(p[2]),
-        p[3],
-        p[4],
-        _dec_addr(p[5]),
-        _dec_addr(p[6]),
-        p[7],
-        p[8],
-        p[9],
-    )
-
-
-def _enc_acl(acl: AccessList) -> tuple:
+def encode_acl(acl: AccessList) -> tuple:
     return (acl.name, tuple(_enc_rule(r) for r in acl.rules))
-
-
-def _dec_acl(p: tuple) -> AccessList:
-    return AccessList(p[0], [_dec_rule(r) for r in p[1]])
 
 
 def _enc_plist_entry(entry: PrefixListEntry) -> tuple:
     return (entry.sequence, entry.action, _enc_prefix(entry.prefix), entry.ge, entry.le)
 
 
-def _dec_plist_entry(p: tuple) -> PrefixListEntry:
-    return PrefixListEntry(p[0], p[1], _dec_prefix(p[2]), p[3], p[4])
-
-
-def _enc_plist(plist: PrefixList) -> tuple:
+def encode_prefix_list(plist: PrefixList) -> tuple:
     return (plist.name, tuple(_enc_plist_entry(e) for e in plist.entries))
 
 
-def _dec_plist(p: tuple) -> PrefixList:
-    return PrefixList(p[0], [_dec_plist_entry(e) for e in p[1]])
-
-
-def _enc_clist(clist: CommunityList) -> tuple:
+def encode_community_list(clist: CommunityList) -> tuple:
     return (clist.name, tuple(clist.entries))
-
-
-def _dec_clist(p: tuple) -> CommunityList:
-    return CommunityList(p[0], [(action, value) for action, value in p[1]])
 
 
 def _enc_clause(clause: RouteMapClause) -> tuple:
@@ -356,193 +83,13 @@ def _enc_clause(clause: RouteMapClause) -> tuple:
     )
 
 
-def _dec_clause(p: tuple) -> RouteMapClause:
-    return RouteMapClause(
-        p[0],
-        p[1],
-        list(p[2]),
-        list(p[3]),
-        list(p[4]),
-        list(p[5]),
-        p[6],
-        p[7],
-        p[8],
-        p[9],
-        list(p[10]),
-    )
-
-
-def _enc_route_map(rmap: RouteMap) -> tuple:
+def encode_route_map(rmap: RouteMap) -> tuple:
     return (rmap.name, tuple(_enc_clause(c) for c in rmap.clauses))
 
 
-def _dec_route_map(p: tuple) -> RouteMap:
-    return RouteMap(p[0], [_dec_clause(c) for c in p[1]])
-
-
-def _enc_static(route: StaticRoute) -> tuple:
-    return (
-        _enc_prefix(route.prefix),
-        _enc_addr(route.next_hop),
-        route.interface,
-        route.distance,
-        route.tag,
-    )
-
-
-def _dec_static(p: tuple) -> StaticRoute:
-    return StaticRoute(_dec_prefix(p[0]), _dec_addr(p[1]), p[2], p[3], p[4])
-
-
-# -- whole configs ----------------------------------------------------------
-
-
-def encode_config(config: RouterConfig) -> tuple:
-    """Encode a :class:`RouterConfig` (or a stanza fragment of one)."""
-    return (
-        config.hostname,
-        tuple(_enc_interface(i) for i in config.interfaces.values()),
-        tuple(_enc_ospf(p) for p in config.ospf_processes),
-        tuple(_enc_eigrp(p) for p in config.eigrp_processes),
-        None if config.rip_process is None else _enc_rip(config.rip_process),
-        None if config.bgp_process is None else _enc_bgp(config.bgp_process),
-        tuple(_enc_acl(a) for a in config.access_lists.values()),
-        tuple(_enc_plist(p) for p in config.prefix_lists.values()),
-        tuple(_enc_clist(c) for c in config.community_lists.values()),
-        tuple(_enc_route_map(r) for r in config.route_maps.values()),
-        tuple(_enc_static(s) for s in config.static_routes),
-        tuple(config.unmodeled_lines),
-        config.line_count,
-        config.command_count,
-    )
-
-
-def decode_config(payload: tuple) -> RouterConfig:
-    """Rehydrate a fresh :class:`RouterConfig` from :func:`encode_config`.
-
-    Every call builds new model objects — payloads may be replayed into
-    many configs and downstream passes mutate what they receive.
-    """
-    config = RouterConfig(
-        hostname=payload[0],
-        rip_process=None if payload[4] is None else _dec_rip(payload[4]),
-        bgp_process=None if payload[5] is None else _dec_bgp(payload[5]),
-        static_routes=[_dec_static(s) for s in payload[10]],
-        unmodeled_lines=list(payload[11]),
-        line_count=payload[12],
-        command_count=payload[13],
-    )
-    for encoded in payload[1]:
-        iface = _dec_interface(encoded)
-        config.interfaces[iface.name] = iface
-    config.ospf_processes = [_dec_ospf(p) for p in payload[2]]
-    config.eigrp_processes = [_dec_eigrp(p) for p in payload[3]]
-    for encoded in payload[6]:
-        acl = _dec_acl(encoded)
-        config.access_lists[acl.name] = acl
-    for encoded in payload[7]:
-        plist = _dec_plist(encoded)
-        config.prefix_lists[plist.name] = plist
-    for encoded in payload[8]:
-        clist = _dec_clist(encoded)
-        config.community_lists[clist.name] = clist
-    for encoded in payload[9]:
-        rmap = _dec_route_map(encoded)
-        config.route_maps[rmap.name] = rmap
-    return config
-
-
-def merge_fragment(config: RouterConfig, fragment: RouterConfig) -> None:
-    """Fold a single-stanza *fragment* into an accumulating config.
-
-    Replicates exactly what the stanza handlers do when parsing directly
-    into ``config``: interfaces and BGP overwrite, process lists extend,
-    named containers (ACLs, prefix/community lists, route maps)
-    setdefault-then-extend, static routes and retained lines append.
-    """
-    if fragment.hostname is not None:
-        config.hostname = fragment.hostname
-    if fragment.interfaces:
-        config.interfaces.update(fragment.interfaces)
-    if fragment.ospf_processes:
-        config.ospf_processes.extend(fragment.ospf_processes)
-    if fragment.eigrp_processes:
-        config.eigrp_processes.extend(fragment.eigrp_processes)
-    if fragment.rip_process is not None:
-        config.rip_process = fragment.rip_process
-    if fragment.bgp_process is not None:
-        config.bgp_process = fragment.bgp_process
-    for name, acl in fragment.access_lists.items():
-        existing = config.access_lists.get(name)
-        if existing is None:
-            config.access_lists[name] = acl
-        else:
-            existing.rules.extend(acl.rules)
-    for name, plist in fragment.prefix_lists.items():
-        existing = config.prefix_lists.get(name)
-        if existing is None:
-            config.prefix_lists[name] = plist
-        else:
-            existing.entries.extend(plist.entries)
-    for name, clist in fragment.community_lists.items():
-        existing = config.community_lists.get(name)
-        if existing is None:
-            config.community_lists[name] = clist
-        else:
-            existing.entries.extend(clist.entries)
-    for name, rmap in fragment.route_maps.items():
-        existing = config.route_maps.get(name)
-        if existing is None:
-            config.route_maps[name] = rmap
-        else:
-            existing.clauses.extend(rmap.clauses)
-    if fragment.static_routes:
-        config.static_routes.extend(fragment.static_routes)
-    if fragment.unmodeled_lines:
-        config.unmodeled_lines.extend(fragment.unmodeled_lines)
-
-
-# -- diagnostics ------------------------------------------------------------
-
-
-def encode_diagnostic(diag: Diagnostic) -> tuple:
-    return (
-        diag.severity,
-        diag.phase,
-        diag.message,
-        diag.file,
-        diag.router,
-        diag.line_number,
-        diag.line,
-    )
-
-
-def decode_diagnostic(payload: tuple) -> Diagnostic:
-    return Diagnostic(
-        severity=payload[0],
-        phase=payload[1],
-        message=payload[2],
-        file=payload[3],
-        router=payload[4],
-        line_number=payload[5],
-        line=payload[6],
-    )
-
-
-def encode_diagnostics(diags) -> Tuple[tuple, ...]:
-    return tuple(encode_diagnostic(d) for d in diags)
-
-
-def decode_diagnostics(payloads) -> Tuple[Diagnostic, ...]:
-    return tuple(decode_diagnostic(p) for p in payloads)
-
-
 __all__ = [
-    "decode_config",
-    "decode_diagnostic",
-    "decode_diagnostics",
-    "encode_config",
-    "encode_diagnostic",
-    "encode_diagnostics",
-    "merge_fragment",
+    "encode_acl",
+    "encode_community_list",
+    "encode_prefix_list",
+    "encode_route_map",
 ]

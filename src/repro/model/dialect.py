@@ -21,12 +21,10 @@ from repro.ios.parser import parse_config as parse_ios_config
 #: results are only ever replayed against the parser that produced them.
 #: **Bump this string whenever any parser's observable behavior changes** —
 #: new commands modeled, different diagnostics, changed lenient recovery.
-#: The block-level stanza cache (:mod:`repro.ios.blockcache`) folds it
-#: into its persistent digests too, so both cache tiers age out together.
-#: 2004.2: single-pass lexer + block-level cache rebuild of the IOS front
-#: end and a regex tokenizer for JunOS (observable output is unchanged by
-#: design, but the entry formats and hot paths are new — a clean break
-#: keeps stale entries from ever meeting the new code).
+#: 2004.2: single-pass lexer rebuild of the IOS front end and a regex
+#: tokenizer for JunOS (observable output is unchanged by design, but the
+#: hot paths are new — a clean break keeps stale entries from ever
+#: meeting the new code).
 PARSER_VERSION = "2004.2"
 
 _JUNOS_HINT_RE = re.compile(
@@ -42,17 +40,13 @@ def detect_dialect(text: str) -> str:
     return "ios"
 
 
-#: Forward the caller's "use the process default" to the IOS parser.
-_DEFAULT_BLOCK_CACHE = object()
-
-
 def parse_any_config(
     text: str,
     *,
     mode: str = "strict",
     sink: Optional[DiagnosticSink] = None,
     source: Optional[str] = None,
-    block_cache: object = _DEFAULT_BLOCK_CACHE,
+    block_cache: None = None,
 ) -> RouterConfig:
     """Parse a configuration file in whichever dialect it is written.
 
@@ -60,16 +54,13 @@ def parse_any_config(
     ``"lenient"`` mode, malformed statements are skipped with a
     :class:`repro.diag.Diagnostic` recorded against ``source``.  File-level
     failures (e.g. unbalanced JunOS braces) still raise in either mode.
-    ``block_cache`` (a :class:`repro.ios.blockcache.BlockCache` or ``None``
-    to disable) tunes the IOS stanza-level cache; the JunOS front end is
-    file-level only and ignores it.
+    ``block_cache`` is kept for callers written against the removed
+    stanza-level cache; it accepts ``None`` only and changes nothing.
     """
+    if block_cache is not None:
+        raise TypeError("block_cache accepts None only: the stanza-level cache was removed")
     if detect_dialect(text) == "junos":
         from repro.junos.parser import parse_junos_config  # noqa: PLC0415
 
         return parse_junos_config(text, mode=mode, sink=sink, source=source)
-    if block_cache is _DEFAULT_BLOCK_CACHE:
-        return parse_ios_config(text, mode=mode, sink=sink, source=source)
-    return parse_ios_config(
-        text, mode=mode, sink=sink, source=source, block_cache=block_cache
-    )
+    return parse_ios_config(text, mode=mode, sink=sink, source=source)

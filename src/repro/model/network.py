@@ -13,19 +13,13 @@ from __future__ import annotations
 
 import hashlib
 import os
-from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple, Union
 
 from repro.diag import PHASE_BUILD, PHASE_READ, DiagnosticSink
 from repro.ingest.cache import ParseCache
-from repro.ingest.parallel import (
-    ON_ERROR_POLICIES,
-    ParseTask,
-    WorkerBudget,
-    parse_many,
-)
-from repro.ingest.timer import StageRecord, StageTimer
+from repro.ingest.parallel import ON_ERROR_POLICIES, ParseTask, parse_many
+from repro.ingest.timer import StageTimer
 from repro.obs.logging import get_logger
 from repro.obs.manifest import (
     DISPOSITION_CACHED,
@@ -152,11 +146,7 @@ def _file_record(
 def _record_ingest_observations(
     name: str, sink: DiagnosticSink, inventory: List[FileRecord]
 ) -> None:
-    """Fold one ingestion run's accounting into the metrics registry.
-
-    Runs in the parent process on the submission-order merge path, so the
-    counters are identical whatever ``jobs``/cache produced the outcomes.
-    """
+    """Fold one ingestion run's accounting into the metrics registry."""
     metrics = get_registry()
     dispositions: Dict[str, int] = {}
     for record in inventory:
@@ -248,7 +238,6 @@ class Network:
         jobs: Optional[int] = None,
         cache: Union[ParseCache, str, None] = None,
         timer: Optional[StageTimer] = None,
-        budget: Optional[WorkerBudget] = None,
     ) -> "Network":
         """Build a network from a mapping of router name → config text/model.
 
@@ -259,16 +248,13 @@ class Network:
         files on any parse error.  In the non-strict policies the returned
         network's ``diagnostics``/``quarantined`` describe what was lost.
 
-        ``jobs`` fans parsing out over worker processes (``None``/``0``
-        auto-detects, ``1`` forces serial); ``cache`` is a
-        :class:`repro.ingest.ParseCache` (or directory path) that replays
-        previously-parsed files; ``timer`` is a
+        ``cache`` is a :class:`repro.ingest.ParseCache` (or directory
+        path) that replays previously-parsed files; ``timer`` is a
         :class:`repro.ingest.StageTimer` that receives the parse-stage
-        timing; ``budget`` is the shared
-        :class:`repro.ingest.WorkerBudget` a concurrent corpus run uses
-        to cap this archive's parse workers.  Whatever the
-        ``jobs``/``cache``/``budget`` setting, the resulting routers,
-        diagnostics, and quarantine list are identical.
+        timing.  Whatever the cache state, the resulting routers,
+        diagnostics, and quarantine list are identical.  ``jobs`` is
+        still accepted (negative values raise :class:`ValueError`) but no
+        longer changes ingestion, which is one serial pass.
         """
         if on_error not in ON_ERROR_POLICIES:
             raise ValueError(f"unknown on_error policy: {on_error!r}")
@@ -279,9 +265,7 @@ class Network:
             for router_name, config in entries
             if isinstance(config, str)
         ]
-        outcomes = iter(
-            parse_many(tasks, jobs=jobs, cache=cache, timer=timer, budget=budget)
-        )
+        outcomes = iter(parse_many(tasks, jobs=jobs, cache=cache, timer=timer))
         routers = []
         quarantined: List[str] = []
         inventory: List[FileRecord] = []
@@ -328,7 +312,6 @@ class Network:
         jobs: Optional[int] = None,
         cache: Union[ParseCache, str, None] = None,
         timer: Optional[StageTimer] = None,
-        budget: Optional[WorkerBudget] = None,
     ) -> "Network":
         """Build a network from a directory of config files (``config1`` ...).
 
@@ -341,11 +324,10 @@ class Network:
         and are renamed with a ``~N`` suffix (plus a warning diagnostic)
         otherwise.
 
-        ``jobs``, ``cache``, ``timer``, and ``budget`` behave as in
-        :meth:`from_configs`; file reads and the binary-content sniff
-        always happen in this process, and per-file parse diagnostics are
-        folded back in directory order, so the diagnostic stream does not
-        depend on worker scheduling or cache hits.
+        ``jobs``, ``cache`` and ``timer`` behave as in
+        :meth:`from_configs`; per-file parse diagnostics are folded back
+        in directory order, so the diagnostic stream does not depend on
+        cache hits.
         """
         if on_error not in ON_ERROR_POLICIES:
             raise ValueError(f"unknown on_error policy: {on_error!r}")
@@ -359,12 +341,10 @@ class Network:
         inventory: List[FileRecord] = []
         # Read phase: pull every file into memory, sniffing out binary
         # droppings.  Read diagnostics are buffered per file so the final
-        # merge loop can interleave them exactly as the serial path did.
+        # merge loop can interleave them with parse diagnostics in file
+        # order.
         files: List[Tuple[str, DiagnosticSink, Optional[str], bytes]] = []
-        read_ctx = (
-            timer.stage("read") if timer is not None else nullcontext(StageRecord("read"))
-        )
-        with read_ctx as read_record:
+        with timer.stage("read") as read_record:
             for entry in sorted(os.listdir(path)):
                 full = os.path.join(path, entry)
                 if not os.path.isfile(full):
@@ -378,9 +358,7 @@ class Network:
             for entry, _sink, text, raw in files
             if text is not None
         ]
-        outcomes = iter(
-            parse_many(tasks, jobs=jobs, cache=cache, timer=timer, budget=budget)
-        )
+        outcomes = iter(parse_many(tasks, jobs=jobs, cache=cache, timer=timer))
         for entry, file_sink, text, raw in files:
             sink.merge(file_sink)
             if text is None:

@@ -1,7 +1,7 @@
 """Observability: structured logging, metrics, tracing, run manifests.
 
 Operating the paper's workload — thousands of configuration files, dozens
-of archives, parallel workers, a persistent parse cache — requires being
+of archives, sweep worker processes, a persistent parse cache — requires being
 able to answer, for any run: *which file, which stage, how long, cache
 hit or miss?*  This package is the shared answer, and it is deliberately
 at the bottom of the dependency graph: nothing here imports the parsers,
@@ -20,7 +20,7 @@ Four cooperating pieces:
   span tree, diagnostics summary, and exit code.
 
 Determinism contract: metrics and manifests are recorded **only in the
-parent process**, on the submission-order merge path, so a ``--jobs 8``
+parent process**, in file and scenario order, so a ``--jobs 8``
 run produces the same counters and the same inventory as ``--jobs 1``
 (wall-clock figures aside — see :func:`repro.obs.manifest.normalize_manifest`).
 """

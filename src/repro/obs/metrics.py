@@ -1,16 +1,16 @@
 """A process-local metrics registry: counters, gauges, histograms.
 
-The pipeline's hot paths (parse fan-out, cache lookups, quarantine
+The pipeline's hot paths (parsing, cache lookups, quarantine
 decisions, analysis passes) record what happened here; the CLI snapshots
 the registry into the run manifest.  Three instrument kinds:
 
 * :class:`Counter` — monotone event counts (``cache.hits``,
   ``ingest.files.quarantined``).  Counters are the **deterministic**
-  slice of a run's metrics: recorded only in the parent process on the
-  submission-order merge path, they are identical for ``--jobs 1`` and
+  slice of a run's metrics: recorded only in the parent process, in
+  file and scenario order, they are identical for ``--jobs 1`` and
   ``--jobs 8`` runs over the same input.
-* :class:`Gauge` — point-in-time values (``ingest.pool.workers``).  May
-  legitimately differ between runs.
+* :class:`Gauge` — point-in-time values (a queue depth, a worker
+  count).  May legitimately differ between runs.
 * :class:`Histogram` — distributions, in practice wall/CPU timings
   (``analysis.instances.seconds``).  Never deterministic.
 
@@ -29,10 +29,11 @@ from typing import Dict, Iterator, Optional, Tuple
 class Counter:
     """A monotonically increasing event count.
 
-    Mutation is locked: archive workers of a parallel corpus run share
-    one registry, and an unlocked ``+=`` read-modify-write would lose
-    increments under thread interleaving — turning the deterministic
-    counter slice of the manifest nondeterministic.
+    Mutation is locked: the serve daemon's generation thread, its HTTP
+    handlers and the stage watchdog's threads share one registry, and an
+    unlocked ``+=`` read-modify-write would lose increments under thread
+    interleaving — turning the deterministic counter slice of the
+    manifest nondeterministic.
     """
 
     __slots__ = ("value", "_lock")
@@ -163,8 +164,8 @@ class MetricsRegistry:
 # The registry stack is **thread-local**: a worker thread that never
 # scoped a registry of its own sees the process-wide default, not
 # whatever another thread happens to have pushed.  Threads that work on
-# behalf of a scoped run (the stage watchdog, the corpus scheduler's
-# archive workers) re-activate the parent's registry explicitly with
+# behalf of a scoped run (the stage watchdog, the serve daemon's
+# generation thread) re-activate the parent's registry explicitly with
 # ``use_registry(parent_registry)`` — inheritance is a decision, never an
 # accident of timing.
 _DEFAULT_REGISTRY = MetricsRegistry()

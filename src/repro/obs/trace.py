@@ -5,15 +5,15 @@ attributed, nested wall-clock intervals — for one run.  It subsumes the
 flat ``StageTimer`` of the ingestion pipeline: stage records forward into
 the active tracer as spans (see :mod:`repro.ingest.timer`), and analysis
 entry points open their own spans via the :func:`traced` decorator, so a
-single ``--trace out.json`` file shows parse fan-out, cache replay, link
+single ``--trace out.json`` file shows parsing, cache replay, link
 inference, and every analysis pass on one timeline.  Load ``out.json``
 into ``chrome://tracing`` / Perfetto, or read the same tree from the run
 manifest's ``spans`` section.
 
-The tracer is single-process by design: worker processes report their
-outcomes back to the parent, and the parent's merge loop is what gets
-timed — which is also what keeps trace structure deterministic across
-``--jobs`` settings (durations aside).
+The tracer is single-process by design: the sweep's worker processes
+report their outcomes back to the parent, and the parent's merge loop
+is what gets timed — which is also what keeps trace structure
+deterministic across ``--jobs`` settings (durations aside).
 """
 
 from __future__ import annotations
@@ -105,33 +105,6 @@ class Tracer:
 
     # -- export ------------------------------------------------------------
 
-    def graft(self, other: "Tracer") -> None:
-        """Adopt another tracer's finished root spans into this tree.
-
-        The corpus scheduler gives each concurrent archive worker a
-        private tracer (two threads must not interleave pushes on one
-        span stack) and grafts the per-archive trees back in archive
-        order once all workers are done — so the merged timeline is
-        deterministic in *structure* whatever the completion order was.
-
-        The donor's spans are rebased from its epoch onto ours and
-        attached under the currently open span (or as roots).  The donor
-        is consumed: it must be finished, and is left empty.
-        """
-        offset = other._epoch - self._epoch
-
-        def rebase(span: Span) -> None:
-            span.start += offset
-            if span.end is not None:
-                span.end += offset
-            for child in span.children:
-                rebase(child)
-
-        for root in other.roots:
-            rebase(root)
-            self._attach(root)
-        other.roots = []
-
     def span_tree(self) -> List[Dict[str, Any]]:
         """The nested-dict form embedded in run manifests."""
         return [span.as_dict() for span in self.roots]
@@ -171,8 +144,8 @@ class Tracer:
 # The activation stack is **thread-local**: a Tracer's span stack is not
 # safe for concurrent pushes, so a thread only ever traces into a tracer
 # it activated itself.  Threads working on behalf of a traced run (the
-# stage watchdog, the corpus scheduler's archive workers) re-activate the
-# tracer they were handed with ``activate_tracer(...)``.
+# stage watchdog) re-activate the tracer they were handed with
+# ``activate_tracer(...)``.
 class _TracerStack(threading.local):
     def __init__(self) -> None:
         self.stack: Tuple[Tracer, ...] = ()

@@ -1,15 +1,15 @@
 """Normalization of ``repro corpus --json`` payloads.
 
-The corpus scheduler's contract (see :mod:`repro.exec.scheduler`) is
-that ``--archive-jobs N`` changes only wall time, never results.  This
-module defines what "results" means: :func:`normalize_corpus_payload`
-strips every field that legitimately varies between two runs over the
-same bytes — wall seconds, throughput rates, worker counts, cache/
-checkpoint hit statistics — and keeps everything that must agree:
-archive order and identity, router/file/parsed/cached/quarantined
-counts, per-stage statuses and item counts, diagnostics exit codes, and
-the corpus totals.  The equivalence tests and the CI corpus-parallel
-gate diff exactly this view between serial and concurrent runs.
+Two ``repro corpus`` runs over the same bytes must report the same
+results, whatever flags only tune how they run (``--jobs``,
+``--archive-jobs``, ``--compress``).  This module defines what
+"results" means: :func:`normalize_corpus_payload` strips every field
+that legitimately varies between two such runs — wall seconds,
+throughput rates, cache/checkpoint hit statistics — and keeps
+everything that must agree: archive order and identity,
+router/file/parsed/cached/quarantined counts, per-stage statuses and
+item counts, diagnostics exit codes, and the corpus totals.  The
+equivalence tests and the CI gates diff exactly this view.
 """
 
 from __future__ import annotations
@@ -18,24 +18,14 @@ from typing import Any, Dict, List, Optional
 
 from repro.obs.manifest import normalize_execution
 
-#: Stage counters that depend on scheduling, not on input bytes.  The
-#: parse pool records how many workers it used; a budget-capped archive
-#: worker legitimately uses fewer than a run that owns the machine.
-_SCHEDULING_COUNTERS = ("workers",)
-
 
 def _normalize_stage(stage: Dict[str, Any]) -> Dict[str, Any]:
     entry: Dict[str, Any] = {
         "name": stage.get("name"),
         "items": stage.get("items"),
     }
-    counters = {
-        key: value
-        for key, value in (stage.get("counters") or {}).items()
-        if key not in _SCHEDULING_COUNTERS
-    }
-    if counters:
-        entry["counters"] = counters
+    if stage.get("counters"):
+        entry["counters"] = dict(stage["counters"])
     if stage.get("status") is not None:
         entry["status"] = stage["status"]
     return entry
@@ -62,8 +52,8 @@ def normalize_corpus_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
 
     Two runs over the same corpus with the same cache temperature must
     normalize identically whatever ``--jobs`` and ``--archive-jobs``
-    were.  Stripped: wall seconds and throughput rates, worker counts,
-    cache and checkpoint statistics, and the scheduling knobs themselves.
+    were.  Stripped: wall seconds and throughput rates, cache and
+    checkpoint statistics, and the scheduling knobs themselves.
     Kept: archives in corpus order with their counts, statuses, stage
     outcomes, and exit codes; the execution policy flags; ignored loose
     files; and the corpus totals.

@@ -71,7 +71,7 @@ class ServeConfig:
     poll_interval: float = 2.0
     grace: float = 10.0  # drain budget for the in-flight generation
     on_error: str = "skip-block"  # lenient: a daemon analyzes what it can
-    jobs: Optional[int] = 1  # parse fan-out inside a generation
+    jobs: Optional[int] = 1  # accepted; ingestion is one serial pass
     cache: Optional[ParseCache] = None
     checkpoints: Optional[CheckpointStore] = None
     stage_deadline: Optional[float] = None

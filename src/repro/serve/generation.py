@@ -66,9 +66,11 @@ def run_generation(
 ) -> GenerationOutcome:
     """Run one full generation over ``corpus``; see the module docstring.
 
-    Exceptions from ingestion propagate to the caller (the daemon folds
-    them into its failure accounting); stage exceptions are absorbed by
-    the executor barrier and surface as unfinished stage statuses.
+    ``jobs`` is passed to :meth:`Network.from_directory`, which accepts
+    it but no longer changes ingestion.  Exceptions from ingestion
+    propagate to the caller (the daemon folds them into its failure
+    accounting); stage exceptions are absorbed by the executor barrier
+    and surface as unfinished stage statuses.
     """
     from repro.model.network import Network  # noqa: PLC0415 — heavy import
 

@@ -31,11 +31,16 @@ payload jobs-invariant.
 Parallel execution ships the pickled network + baseline to each worker
 process once (initializer), then streams scenarios through the pool; the
 pure-Python simulation holds the GIL, so threads would serialize and
-processes are the only parallelism that pays.
+processes are the only parallelism that pays.  This scenario pool is the
+program's one parallel grain: a scenario is a whole routing fixpoint
+(about a quarter second at 48 routers), so its IPC amortizes, where
+per-file parsing and per-archive threads did not.  The pool never runs
+more workers than the usable CPUs.
 """
 
 from __future__ import annotations
 
+import os
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
@@ -55,7 +60,6 @@ from repro.exec.stage import (
     worst_status,
 )
 from repro.exec.watchdog import run_with_deadline
-from repro.ingest.parallel import WorkerBudget, resolve_jobs
 from repro.model.network import Network
 from repro.obs.logging import get_logger
 from repro.obs.metrics import get_registry
@@ -77,10 +81,46 @@ from repro.sweep.scenarios import (
 
 _log = get_logger("sweep")
 
+#: Below this many scenarios, auto job selection stays serial: a pool's
+#: start-up and IPC cost is not repaid by a small sweep.
+PARALLEL_THRESHOLD = 24
+
+#: Auto-detected worker ceiling — returns diminish well before the core
+#: counts of large hosts.
+MAX_AUTO_JOBS = 16
+
 #: Checkpoint stage-key prefix.  The ``1`` is the sweep schema version:
 #: bumping it orphans (and therefore invalidates) every older sweep
 #: checkpoint when delta semantics change.
 SCENARIO_STAGE_PREFIX = "sweep1."
+
+
+def available_cpus() -> int:
+    """CPUs this process may actually use (affinity-aware where possible)."""
+    try:
+        return len(os.sched_getaffinity(0)) or 1
+    except (AttributeError, OSError):
+        return os.cpu_count() or 1
+
+
+def resolve_jobs(jobs: Optional[int], n_items: int) -> int:
+    """Turn a user ``jobs`` request into a concrete worker count.
+
+    ``None``/``0`` auto-detects: serial below :data:`PARALLEL_THRESHOLD`
+    items, else one worker per CPU capped at :data:`MAX_AUTO_JOBS`.
+    Explicit requests are honored up to the item count and the usable
+    CPUs: a pool wider than the hardware time-slices the same cores and
+    pays IPC for it, so ``--jobs 4`` on a 1-CPU host runs serial.
+    """
+    if jobs is not None and jobs < 0:
+        raise ValueError(f"jobs must be >= 0, got {jobs}")
+    if n_items <= 0:
+        return 1
+    if not jobs:  # None or 0 → auto
+        if n_items < PARALLEL_THRESHOLD:
+            return 1
+        return max(1, min(available_cpus(), MAX_AUTO_JOBS, n_items))
+    return max(1, min(jobs, n_items, available_cpus()))
 
 
 @dataclass
@@ -98,7 +138,6 @@ class SweepConfig:
     max_scenarios: Optional[int] = None
     max_iterations: int = 1000
     jobs: Optional[int] = None
-    budget: Optional[WorkerBudget] = None
     #: Hard per-scenario wall-clock deadline (seconds); ``None`` = none.
     scenario_deadline: Optional[float] = None
     #: Soft per-scenario deadline: logs + counts, never cancels.
@@ -338,8 +377,6 @@ def run_network_sweep(
     baseline = compute_baseline(network, max_iterations=config.max_iterations)
 
     workers = resolve_jobs(config.jobs, len(pending))
-    if config.budget is not None:
-        workers = config.budget.grant(workers)
 
     first_bad: Optional[int] = None  # enumeration index of the fail-fast trigger
     index_of = {s.scenario_id: i for i, s in enumerate(scenarios)}
@@ -469,8 +506,12 @@ def run_network_sweep(
 
 
 __all__ = [
+    "MAX_AUTO_JOBS",
+    "PARALLEL_THRESHOLD",
     "SCENARIO_STAGE_PREFIX",
     "SweepConfig",
     "SweepResult",
+    "available_cpus",
+    "resolve_jobs",
     "run_network_sweep",
 ]

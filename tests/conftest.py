@@ -25,6 +25,13 @@ def _isolated_parse_cache(tmp_path_factory, monkeypatch):
     )
 
 
+@pytest.fixture()
+def four_cpus(monkeypatch):
+    """Report four usable CPUs, so a sweep with ``jobs`` > 1 takes the
+    process-pool path whatever the host running the tests has."""
+    monkeypatch.setattr("repro.sweep.runner.available_cpus", lambda: 4)
+
+
 @pytest.fixture(scope="session")
 def fig1():
     """The paper's running example: ``(network, meta)``."""

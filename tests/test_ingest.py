@@ -1,4 +1,4 @@
-"""The ingestion engine: stage timing, parse cache, parallel workers."""
+"""The ingestion engine: stage timing, parse cache, the serial parse pass."""
 
 import os
 import pickle
@@ -13,11 +13,11 @@ from repro.ingest import (
     StageTimer,
     parse_many,
     parse_one,
-    resolve_jobs,
 )
-from repro.ingest.parallel import MAX_AUTO_JOBS, PARALLEL_THRESHOLD
 from repro.ios.parser import ConfigParseError
 from repro.junos.blocks import JunosSyntaxError
+from repro.model import Network
+from repro.synth.templates.example_fig1 import build_example_networks
 
 IOS_OK = """\
 hostname r1
@@ -82,29 +82,6 @@ class TestStageTimer:
         assert stage["counters"] == {"cached": 2}
 
 
-class TestResolveJobs:
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            resolve_jobs(-1, 10)
-
-    def test_zero_items_is_serial(self):
-        assert resolve_jobs(8, 0) == 1
-        assert resolve_jobs(None, 0) == 1
-
-    def test_auto_stays_serial_below_threshold(self):
-        assert resolve_jobs(None, PARALLEL_THRESHOLD - 1) == 1
-        assert resolve_jobs(0, PARALLEL_THRESHOLD - 1) == 1
-
-    def test_auto_parallelizes_large_batches(self):
-        jobs = resolve_jobs(None, 10_000)
-        assert 1 <= jobs <= MAX_AUTO_JOBS
-
-    def test_explicit_request_capped_by_items(self):
-        assert resolve_jobs(8, 3) == 3
-        assert resolve_jobs(2, 100) == 2
-        assert resolve_jobs(1, 100) == 1
-
-
 class TestParseOne:
     def test_success_carries_diagnostics(self):
         outcome = parse_one(ParseTask("f1", IOS_OK, "skip-block"))
@@ -131,7 +108,7 @@ class TestParseOne:
 
 
 class TestExceptionPickling:
-    """Strict-mode errors must cross the process boundary intact."""
+    """Strict-mode errors pickle with their fields intact."""
 
     def test_config_parse_error_roundtrip(self):
         exc = ConfigParseError("bad mask", line_number=12, line="ip address x")
@@ -297,19 +274,36 @@ class TestParseMany:
             str(d) for d in warm[0].diagnostics
         ]
 
-    def test_timer_counts_workers(self, monkeypatch):
-        # Worker counts are clamped to the usable CPUs, so pretend the
-        # host is wide enough for the requested pool.
-        monkeypatch.setattr("repro.ingest.parallel.available_cpus", lambda: 8)
-        timer = StageTimer()
-        parse_many(self._tasks(4), jobs=3, timer=timer)
-        assert timer.counter("parse", "workers") == 3
+    def test_jobs_accepted_negative_rejected(self):
+        tasks = self._tasks(3)
+        serial = parse_many(tasks)
+        for jobs in (None, 0, 1, 8):
+            outcomes = parse_many(tasks, jobs=jobs)
+            assert [o.config for o in outcomes] == [o.config for o in serial]
+        with pytest.raises(ValueError):
+            parse_many(tasks, jobs=-1)
 
-    def test_explicit_jobs_clamped_to_cpus(self, monkeypatch):
-        monkeypatch.setattr("repro.ingest.parallel.available_cpus", lambda: 2)
-        timer = StageTimer()
-        parse_many(self._tasks(4), jobs=8, timer=timer)
-        assert timer.counter("parse", "workers") == 2
+
+class TestColdIngestStore:
+    def test_one_cache_object_per_parsed_file_and_nothing_else(self, tmp_path):
+        archive = tmp_path / "archive"
+        archive.mkdir()
+        configs, _meta = build_example_networks()
+        for name, text in configs.items():
+            (archive / name).write_text(text)
+        root = tmp_path / "cache"
+        network = Network.from_directory(
+            os.fspath(archive), cache=ParseCache(root=os.fspath(root))
+        )
+        parsed = sum(1 for r in network.inventory if r.disposition == "parsed")
+        assert parsed == len(configs)
+        written = [
+            os.path.relpath(os.path.join(directory, name), root)
+            for directory, _dirs, names in os.walk(root)
+            for name in names
+        ]
+        assert len(written) == parsed
+        assert all(path.startswith("objects" + os.sep) for path in written)
 
 
 class TestWorkerSinkIsolation:

@@ -1,7 +1,7 @@
-"""The single-pass IOS lexer: stanza boundaries, counts, keys, trees."""
+"""The single-pass IOS lexer: stanza boundaries, counts, trees."""
 
 from repro.ios.blocks import ConfigBlock, materialize_stanza, split_blocks
-from repro.ios.lexer import lex_config, stanza_key
+from repro.ios.lexer import lex_config
 
 SAMPLE = """\
 ! comment at top
@@ -55,29 +55,6 @@ class TestLexConfig:
     def test_empty_input(self):
         assert lex_config("") == ([], 0, 0)
         assert lex_config("\n\n!\n") == ([], 1, 0)
-
-
-class TestStanzaKey:
-    def test_single_line_keys_as_bare_line(self):
-        stanzas, _, _ = lex_config("hostname r1\n")
-        assert stanza_key(stanzas[0]) == "hostname r1"
-
-    def test_key_is_position_free(self):
-        body = "interface E0\n ip address 10.0.0.1 255.0.0.0\n"
-        early, _, _ = lex_config(body)
-        late, _, _ = lex_config("!\n!\n!\n" + body)
-        assert early[0] != late[0]  # line numbers differ...
-        assert stanza_key(early[0]) == stanza_key(late[0])  # ...keys agree
-
-    def test_key_is_indent_sensitive(self):
-        one, _, _ = lex_config("ip access-list extended A\n permit ip any any\n")
-        two, _, _ = lex_config("ip access-list extended A\n  permit ip any any\n")
-        assert stanza_key(one[0]) != stanza_key(two[0])
-
-    def test_multi_line_key_cannot_collide_with_single_line(self):
-        multi, _, _ = lex_config("interface E0\n shutdown\n")
-        single, _, _ = lex_config("interface E0\n")
-        assert stanza_key(multi[0]) != stanza_key(single[0])
 
 
 class TestMaterializeStanza:

@@ -1,19 +1,22 @@
-"""Differential testing of the lexer/cache parse path on realistic input.
+"""Differential testing of the ingest parse path on realistic input.
 
 Property: for any configuration text — template-generated or
-fault-mutated — the cached parse path is *observably identical* to the
-direct one (same config, same diagnostics, same counts, both modes), and
-a lenient parse's serialized model is a serializer fixpoint.  Hypothesis
-drives file choice, fault kind, and fault seed, so each run explores a
-different slice of mangled-input space around the synthetic corpus.
+fault-mutated — the ingest pass and a replay from the parse cache are
+*observably identical* to a direct parse (same config, same diagnostics,
+same counts, both modes), and a lenient parse's serialized model is a
+serializer fixpoint.  Hypothesis drives file choice, fault kind, and
+fault seed, so each run explores a different slice of mangled-input
+space around the synthetic corpus.
 """
+
+import os
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.diag import DiagnosticSink
-from repro.ios.blockcache import BlockCache
+from repro.ingest import ParseCache, ParseTask, parse_many
 from repro.ios.parser import parse_config
 from repro.ios.serializer import serialize_config
 from repro.synth.faults import fault_kinds, inject_fault
@@ -34,45 +37,50 @@ BASE = _base_corpus()
 FILES = sorted(BASE)
 
 
-def parse_every_way(text):
-    """Parse ``text`` uncached, cold-cached, and warm-cached, per mode."""
+@pytest.fixture(scope="module")
+def cache(tmp_path_factory):
+    return ParseCache(root=os.fspath(tmp_path_factory.mktemp("differential-cache")))
+
+
+def _view(config, diagnostics):
+    if config is None:
+        return ("quarantined", tuple(diagnostics))
+    return (config, tuple(diagnostics), config.line_count, config.command_count)
+
+
+def parse_every_way(text, cache):
+    """Parse ``text`` directly, through the ingest pass, and replayed from
+    the parse cache, per mode."""
     results = {}
-    for mode in ("strict", "lenient"):
-        cache = BlockCache(memo={})
-        for variant, block_cache in (
-            ("plain", None),
-            ("cold", cache),
-            ("warm", cache),
-        ):
-            sink = DiagnosticSink()
-            try:
-                config = parse_config(
-                    text, mode=mode, sink=sink, source="d.cfg",
-                    block_cache=block_cache,
-                )
-                results[(mode, variant)] = (
-                    config,
-                    tuple(sink.diagnostics),
-                    config.line_count,
-                    config.command_count,
-                )
-            except ValueError as exc:
-                results[(mode, variant)] = ("raised", str(exc))
+    for mode, on_error in (("strict", "strict"), ("lenient", "skip-block")):
+        sink = DiagnosticSink()
+        try:
+            config = parse_config(text, mode=mode, sink=sink, source="d.cfg")
+            results[(mode, "plain")] = _view(config, sink.diagnostics)
+        except ValueError as exc:
+            results[(mode, "plain")] = ("raised", str(exc))
+        tasks = [ParseTask("d.cfg", text, on_error)]
+        for variant in ("ingest", "replayed"):
+            (outcome,) = parse_many(tasks, cache=cache)
+            if outcome.error is not None:
+                results[(mode, variant)] = ("raised", str(outcome.error))
+            else:
+                results[(mode, variant)] = _view(outcome.config, outcome.diagnostics)
     return results
 
 
-def assert_variants_agree(text):
-    results = parse_every_way(text)
+def assert_variants_agree(text, cache):
+    results = parse_every_way(text, cache)
     for mode in ("strict", "lenient"):
         plain = results[(mode, "plain")]
-        assert results[(mode, "cold")] == plain, (mode, "cold")
-        assert results[(mode, "warm")] == plain, (mode, "warm")
+        assert results[(mode, "ingest")] == plain, (mode, "ingest")
+        assert results[(mode, "replayed")] == plain, (mode, "replayed")
     return results
 
 
 def assert_serializer_fixpoint(config):
     once = serialize_config(config)
-    reparsed = parse_config(once, block_cache=None)
+    reparsed = parse_config(once)
     assert serialize_config(reparsed) == once
 
 
@@ -84,20 +92,19 @@ def assert_serializer_converges(config):
     text = serialize_config(config)
     for _ in range(2):
         sink = DiagnosticSink()
-        reparsed = parse_config(text, mode="lenient", sink=sink,
-                                block_cache=None)
+        reparsed = parse_config(text, mode="lenient", sink=sink)
         again = serialize_config(reparsed)
         if again == text:
             return
         text = again
     sink = DiagnosticSink()
-    reparsed = parse_config(text, mode="lenient", sink=sink, block_cache=None)
+    reparsed = parse_config(text, mode="lenient", sink=sink)
     assert serialize_config(reparsed) == text
 
 
 @pytest.mark.parametrize("name", FILES[:4])
-def test_template_configs_parse_identically(name):
-    results = assert_variants_agree(BASE[name])
+def test_template_configs_parse_identically(name, cache):
+    results = assert_variants_agree(BASE[name], cache)
     config, diags, _lines, _commands = results[("strict", "plain")]
     # Template output may contain unmodeled commands (info), never errors.
     assert not [d for d in diags if d.severity == "error"]
@@ -110,12 +117,12 @@ def test_template_configs_parse_identically(name):
     kind=st.sampled_from(sorted(fault_kinds())),
     seed=st.integers(min_value=0, max_value=2**16),
 )
-def test_mutated_configs_parse_identically(name, kind, seed):
+def test_mutated_configs_parse_identically(cache, name, kind, seed):
     # Mutators run over the whole corpus (some, like splice-files, need
     # several files to work with); we then check every file they touched.
     mutated, fault = inject_fault(dict(BASE), kind, seed)
     for touched in fault.files or (name,):
-        results = assert_variants_agree(mutated[touched])
+        results = assert_variants_agree(mutated[touched], cache)
         lenient = results[("lenient", "plain")]
         # Whatever the mutation did, lenient mode must still produce a
         # model (file-level failures raise identically, asserted above).
@@ -132,11 +139,11 @@ def test_mutated_configs_parse_identically(name, kind, seed):
     ),
     seed=st.integers(min_value=0, max_value=2**16),
 )
-def test_stacked_faults_parse_identically(kinds, seed):
+def test_stacked_faults_parse_identically(cache, kinds, seed):
     mutated = dict(BASE)
     touched = set()
     for offset, kind in enumerate(kinds):
         mutated, fault = inject_fault(mutated, kind, seed + offset)
         touched.update(fault.files)
     for name in sorted(touched):
-        assert_variants_agree(mutated[name])
+        assert_variants_agree(mutated[name], cache)

@@ -1,10 +1,15 @@
 """Dialect detection tests and parser robustness fuzzing."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.diag import DiagnosticSink
 from repro.ios.parser import ConfigParseError, parse_config
 from repro.model.dialect import detect_dialect, parse_any_config
+
+from tests.test_junos import SAMPLE as JUNOS_SAMPLE
+from tests.test_parse_payload import KITCHEN_SINK as IOS_SAMPLE
 
 
 class TestDetection:
@@ -30,6 +35,28 @@ class TestDetection:
         junos = parse_any_config("system { host-name j1; }")
         assert ios.hostname == "c1"
         assert junos.hostname == "j1"
+
+
+class TestBenchmarkParseCall:
+    """perfbench/layers.py (``_parse_pass``) re-parses ingested files with
+    ``parse_any_config(..., block_cache=None)``; that call must keep
+    returning exactly what the call without the keyword returns."""
+
+    @pytest.mark.parametrize("text", [IOS_SAMPLE, JUNOS_SAMPLE], ids=["ios", "junos"])
+    def test_block_cache_none_changes_nothing(self, text):
+        results = []
+        for extra in ({"block_cache": None}, {}):
+            sink = DiagnosticSink()
+            config = parse_any_config(
+                text, mode="lenient", sink=sink, source="r.cfg", **extra
+            )
+            results.append((config, tuple(sink.diagnostics)))
+        assert results[0] == results[1]
+        assert results[0][0].hostname in ("sink", "pe1")
+
+    def test_any_other_block_cache_is_rejected(self):
+        with pytest.raises(TypeError):
+            parse_any_config(IOS_SAMPLE, block_cache=object())
 
 
 class TestParserRobustnessFuzz:

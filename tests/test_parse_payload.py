@@ -1,39 +1,27 @@
-"""The compact payload codec: encode/decode fidelity and fragment merging.
+"""The canonical policy encodings that compression signatures digest.
 
-These tuples cross process boundaries (warm-pool workers) and live in the
-block-level cache, so the round trip must be exact for every modeled
-class — a silent field drop here corrupts configs only on cache hits or
-only under ``--jobs N``, the worst kind of bug to chase.
+:func:`repro.compress.signature._policy_digest` hashes these tuples to
+decide which routers are interchangeable, so their bytes are part of the
+compression contract: a changed encoding moves routers between classes.
+The digests below are pinned to the values the encoders have always
+produced.
 """
 
-from hypothesis import given, settings
+import hashlib
 
-from repro.diag import PHASE_PARSE, Diagnostic
-from repro.ios.config import (
-    AccessList,
-    AclRule,
-    CommunityList,
-    InterfaceConfig,
-    OspfProcess,
-    PrefixList,
-    PrefixListEntry,
-    RouterConfig,
-)
+from repro.compress.signature import _policy_digest
 from repro.ios.parser import parse_config
 from repro.ios.payload import (
-    decode_config,
-    decode_diagnostics,
-    encode_config,
-    encode_diagnostics,
-    merge_fragment,
+    encode_acl,
+    encode_community_list,
+    encode_prefix_list,
+    encode_route_map,
 )
-from repro.net import Prefix
+from repro.model import Network
+from repro.synth.templates.net5 import build_net5
 
-from tests.test_property_roundtrip import router_configs
-
-# A fixture exercising every stanza family the codec must carry,
-# including the kinds the hypothesis strategy does not generate
-# (RIP, prefix lists, community lists, named ACLs, unmodeled lines).
+# A fixture exercising every stanza family, policy objects included
+# (numbered and named ACLs, prefix lists, community lists, route maps).
 KITCHEN_SINK = """\
 hostname sink
 interface Serial0/0
@@ -76,142 +64,38 @@ banner motd ^C unmodeled ^C
 """
 
 
-class TestConfigRoundTrip:
-    def test_kitchen_sink_round_trip(self):
-        config = parse_config(KITCHEN_SINK, block_cache=None)
-        # The fixture really does reach every family.
-        assert config.interfaces and config.ospf_processes
-        assert config.eigrp_processes and config.rip_process
-        assert config.bgp_process and config.access_lists
-        assert config.prefix_lists and config.community_lists
-        assert config.route_maps and config.static_routes
-        assert config.unmodeled_lines
-        assert decode_config(encode_config(config)) == config
+def _flatten(value):
+    if isinstance(value, (tuple, list)):
+        for item in value:
+            yield from _flatten(item)
+    else:
+        yield value
 
-    def test_decoded_config_is_independent(self):
-        config = parse_config(KITCHEN_SINK, block_cache=None)
-        payload = encode_config(config)
-        first = decode_config(payload)
-        second = decode_config(payload)
-        # Decodes are fresh objects: downstream passes mutate configs, and
-        # a shared instance would leak edits between cache hits.
-        assert first == second
-        assert first is not second
-        assert first.interfaces["Serial0/0"] is not second.interfaces["Serial0/0"]
-        first.interfaces["Serial0/0"].description = "mutated"
-        assert decode_config(payload) == config
 
-    def test_counts_survive(self):
-        config = parse_config(KITCHEN_SINK, block_cache=None)
-        decoded = decode_config(encode_config(config))
-        assert decoded.line_count == config.line_count
-        assert decoded.command_count == config.command_count
-
-    @settings(max_examples=60, deadline=None)
-    @given(router_configs())
-    def test_generated_configs_round_trip(self, config):
-        assert decode_config(encode_config(config)) == config
-
-    def test_payload_is_primitives_only(self):
-        def flatten(value):
-            if isinstance(value, (tuple, list)):
-                for item in value:
-                    yield from flatten(item)
-            else:
-                yield value
-
-        payload = encode_config(parse_config(KITCHEN_SINK, block_cache=None))
-        for leaf in flatten(payload):
+class TestPolicyEncoding:
+    def test_encodings_are_primitives_only(self):
+        config = parse_config(KITCHEN_SINK)
+        encoded = (
+            [encode_acl(acl) for acl in config.access_lists.values()]
+            + [encode_prefix_list(p) for p in config.prefix_lists.values()]
+            + [encode_community_list(c) for c in config.community_lists.values()]
+            + [encode_route_map(r) for r in config.route_maps.values()]
+        )
+        assert len(encoded) == 6  # 5, 101, NAMED, PL, 7, RM-OUT
+        for leaf in _flatten(encoded):
             assert leaf is None or isinstance(leaf, (int, str, bool)), leaf
 
+    def test_kitchen_sink_policy_digest_is_pinned(self):
+        network = Network.from_configs({"sink": KITCHEN_SINK})
+        assert _policy_digest(network, "sink") == "202f3c557c1a4ad5"
 
-class TestDiagnosticsRoundTrip:
-    def test_round_trip(self):
-        diags = (
-            Diagnostic("error", PHASE_PARSE, "skipped block: boom",
-                       file="r1.cfg", line_number=7, line="interface E0"),
-            Diagnostic("info", PHASE_PARSE, "unmodeled command: banner",
-                       router="r1"),
+    def test_template_policy_digests_are_pinned(self):
+        configs, _spec = build_net5(scale=0.05, seed=3)
+        network = Network.from_configs(configs)
+        chained = hashlib.sha256()
+        for router in sorted(network.routers):
+            chained.update((router + _policy_digest(network, router)).encode())
+        assert len(network.routers) == 68
+        assert chained.hexdigest() == (
+            "a05209a1b0c4173cad69192ce0441ddc6e8955f88f2b47d816d4e01b72955b4c"
         )
-        assert decode_diagnostics(encode_diagnostics(diags)) == diags
-
-
-class TestMergeFragment:
-    def test_lists_extend_and_dicts_update(self):
-        config = RouterConfig()
-        config.ospf_processes.append(OspfProcess(process_id=1))
-        fragment = RouterConfig()
-        fragment.interfaces["E0"] = InterfaceConfig(name="E0")
-        fragment.ospf_processes.append(OspfProcess(process_id=2))
-        merge_fragment(config, fragment)
-        assert list(config.interfaces) == ["E0"]
-        assert [p.process_id for p in config.ospf_processes] == [1, 2]
-
-    def test_acl_rules_append_to_existing_list(self):
-        # "access-list 5 ..." stanzas accumulate one rule per line, across
-        # stanzas; the merge must extend, not replace.
-        config = RouterConfig()
-        config.access_lists["5"] = AccessList(
-            name="5", rules=[AclRule(action="permit", source_any=True)]
-        )
-        fragment = RouterConfig()
-        fragment.access_lists["5"] = AccessList(
-            name="5", rules=[AclRule(action="deny", source_any=True)]
-        )
-        merge_fragment(config, fragment)
-        assert [r.action for r in config.access_lists["5"].rules] == [
-            "permit",
-            "deny",
-        ]
-
-    def test_prefix_list_entries_extend(self):
-        config = RouterConfig()
-        config.prefix_lists["PL"] = PrefixList(
-            name="PL",
-            entries=[
-                PrefixListEntry(sequence=5, action="permit",
-                                prefix=Prefix(0x0A000000, 8))
-            ],
-        )
-        fragment = RouterConfig()
-        fragment.prefix_lists["PL"] = PrefixList(
-            name="PL",
-            entries=[
-                PrefixListEntry(sequence=10, action="deny",
-                                prefix=Prefix(0, 0))
-            ],
-        )
-        merge_fragment(config, fragment)
-        assert [e.sequence for e in config.prefix_lists["PL"].entries] == [5, 10]
-
-    def test_scalars_overwrite_only_when_set(self):
-        config = RouterConfig(hostname="keep")
-        merge_fragment(config, RouterConfig())
-        assert config.hostname == "keep"
-        merge_fragment(config, RouterConfig(hostname="new"))
-        assert config.hostname == "new"
-
-    def test_community_lists_extend(self):
-        config = RouterConfig()
-        config.community_lists["7"] = CommunityList(
-            name="7", entries=[("permit", "65000:100")]
-        )
-        fragment = RouterConfig()
-        fragment.community_lists["7"] = CommunityList(
-            name="7", entries=[("deny", "65000:200")]
-        )
-        merge_fragment(config, fragment)
-        assert len(config.community_lists["7"].entries) == 2
-
-    def test_unmodeled_lines_extend(self):
-        config = RouterConfig(unmodeled_lines=["a"])
-        merge_fragment(config, RouterConfig(unmodeled_lines=["b"]))
-        assert config.unmodeled_lines == ["a", "b"]
-
-    def test_merge_equals_direct_parse(self):
-        whole = parse_config(KITCHEN_SINK, block_cache=None)
-        merged = RouterConfig(
-            line_count=whole.line_count, command_count=whole.command_count
-        )
-        merge_fragment(merged, whole)
-        assert merged == whole

@@ -135,6 +135,7 @@ class TestKillResumeEquivalence:
         )
         return code, capsys.readouterr().out
 
+    @pytest.mark.usefixtures("four_cpus")
     @pytest.mark.parametrize("jobs", ["1", "4"])
     def test_killed_sweep_resumes_byte_identical(
         self, corpus8, tmp_path, capsys, monkeypatch, jobs
@@ -169,6 +170,7 @@ class TestKillResumeEquivalence:
             reference, sort_keys=True
         )
 
+    @pytest.mark.usefixtures("four_cpus")
     def test_jobs_equivalence_without_interruption(
         self, corpus8, tmp_path, capsys
     ):

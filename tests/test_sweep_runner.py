@@ -16,6 +16,7 @@ from repro.sweep import (
     enumerate_scenarios,
     run_network_sweep,
 )
+from repro.sweep.runner import MAX_AUTO_JOBS, PARALLEL_THRESHOLD, resolve_jobs
 
 
 @pytest.fixture(autouse=True)
@@ -74,6 +75,44 @@ class TestBasicSweep:
         assert any(row["delta"]["lost_pairs"] > 0 for row in router_rows)
 
 
+class TestResolveJobs:
+    def test_negative_rejected(self):
+        with pytest.raises(ValueError):
+            resolve_jobs(-1, 10)
+
+    def test_zero_items_is_serial(self):
+        assert resolve_jobs(8, 0) == 1
+        assert resolve_jobs(None, 0) == 1
+
+    def test_auto_stays_serial_below_threshold(self):
+        assert resolve_jobs(None, PARALLEL_THRESHOLD - 1) == 1
+        assert resolve_jobs(0, PARALLEL_THRESHOLD - 1) == 1
+
+    def test_auto_parallelizes_large_batches(self):
+        jobs = resolve_jobs(None, 10_000)
+        assert 1 <= jobs <= MAX_AUTO_JOBS
+
+    @pytest.mark.usefixtures("four_cpus")
+    def test_explicit_request_capped_by_items(self):
+        assert resolve_jobs(8, 3) == 3
+        assert resolve_jobs(2, 100) == 2
+        assert resolve_jobs(1, 100) == 1
+
+    def test_explicit_jobs_clamped_to_cpus(self, monkeypatch):
+        monkeypatch.setattr("repro.sweep.runner.available_cpus", lambda: 2)
+        assert resolve_jobs(8, 100) == 2
+        assert resolve_jobs(None, 100) == 2
+
+
+class TestWorkers:
+    def test_one_cpu_runs_jobs_4_serially(self, fig1, monkeypatch):
+        monkeypatch.setattr("repro.sweep.runner.available_cpus", lambda: 1)
+        network, _meta = fig1
+        result = run_network_sweep(network, "fig1", config=SweepConfig(jobs=4))
+        assert result.workers == 1
+
+
+@pytest.mark.usefixtures("four_cpus")
 class TestDeterminism:
     def test_jobs_value_never_changes_results(self, fig1):
         network, _meta = fig1
@@ -120,6 +159,7 @@ class TestScenarioBarriers:
         assert by_id[victim]["status"] == "timeout"
         assert result.worst_status == "timeout"
 
+    @pytest.mark.usefixtures("four_cpus")
     def test_parallel_chaos_still_isolated_per_scenario(self, fig1):
         network, _meta = fig1
         victim = enumerate_scenarios(network).scenarios[0].scenario_id
@@ -157,6 +197,7 @@ class TestFailFast:
         assert counts["skipped"] == len(plan.scenarios) - victim_index - 1
         assert counts.get("ok", 0) == victim_index
 
+    @pytest.mark.usefixtures("four_cpus")
     def test_fail_fast_is_jobs_invariant(self, fig1):
         network, _meta = fig1
         victim = enumerate_scenarios(network).scenarios[3].scenario_id
