@@ -30,8 +30,9 @@ from benchmarks.conftest import record, record_json
 
 N_ROUTERS = 48
 
-#: Serial floor: a 48-router scenario simulation costs ~0.25 s on the
-#: reference container, so even a badly-starved box clears 1/s.
+#: Serial floor: a 48-router scenario simulation costs ~0.12 s on a
+#: 2-CPU container (8.1 scenarios/s serial), so even a badly-starved box
+#: clears 1/s.
 MIN_SERIAL_SCENARIOS_PER_SECOND = 1.0
 
 #: Parallel floor on a ≥ 4-core host: workers are independent processes

@@ -6,13 +6,25 @@ realization of Figure 3's RIB/redistribution/selection model.  Fidelity is
 deliberately modest (hop-count IGP metrics, AD-based selection, no timers):
 enough to answer the paper's structural questions, not to emulate vendor
 quirks.
+
+The fixpoint is semi-naive.  Every route that enters a process or local
+RIB is stamped from one monotone counter, and every transfer edge — a
+``redistribute`` statement, one direction of an IGP adjacency, a BGP
+session — keeps a mark: the counter when it last read its source.  Each
+round an edge sends only the source routes stamped after its mark, in the
+source RIB's order.  That is exact, not a heuristic: a RIB entry is
+replaced only by a route with a strictly better preference key, and a
+transfer depends only on the route and on static configuration, so
+re-sending a route the edge already sent can never install anything.  The
+RIBs after every round, their insertion order, the iteration count and
+divergence are those of re-sending every route over every edge each round.
 """
 
 from __future__ import annotations
 
 import difflib
 from dataclasses import replace
-from typing import Dict, Iterable, List, Optional, Set, Union
+from typing import Dict, Hashable, Iterable, List, Optional, Set, Tuple, Union
 
 from repro.model.network import BgpSession, Network
 from repro.model.processes import ProcessKey
@@ -28,6 +40,24 @@ from repro.routing.route import Route
 Rib = Dict[Prefix, Route]
 
 LOCAL = "local"
+
+
+class _Stamps(dict):
+    """One RIB's install stamps, prefix -> stamp, in the RIB's own order.
+
+    Both dicts gain a key only together and never lose one, so their
+    value views stay aligned.  ``latest`` is the newest stamp.
+    """
+
+    __slots__ = ("latest",)
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.latest = 0
+
+
+#: The stamps of a RIB that does not exist: nothing is ever new in it.
+_NO_STAMPS = _Stamps()
 
 
 class RoutingSimulation:
@@ -69,6 +99,10 @@ class RoutingSimulation:
         self.process_ribs: Dict[ProcessKey, Rib] = {}
         self.local_ribs: Dict[str, Rib] = {}
         self.router_ribs: Dict[str, Rib] = {}
+        self._process_stamps: Dict[ProcessKey, _Stamps] = {}
+        self._local_stamps: Dict[str, _Stamps] = {}
+        self._clock = 0
+        self._marks: Dict[Hashable, int] = {}
         self._ran = False
         self._diverged = False
         self._iterations = 0
@@ -121,23 +155,30 @@ class RoutingSimulation:
     # -- seeding ---------------------------------------------------------------
 
     def _seed(self) -> None:
+        self._clock = 0
+        self._marks = {}
         for key in self.network.processes:
             if self._router_up(key[0]):
                 self.process_ribs[key] = {}
+                self._process_stamps[key] = _Stamps()
         for name, router in self.network.routers.items():
             if not self._router_up(name):
                 continue
             rib: Rib = {}
+            stamps = _Stamps()
             for iface in router.config.interfaces.values():
                 prefix = iface.prefix
                 if iface.shutdown or not self._subnet_up(prefix):
                     continue
                 self._install(
-                    rib, Route(prefix=prefix, protocol="connected", origin_router=name)
+                    rib,
+                    stamps,
+                    Route(prefix=prefix, protocol="connected", origin_router=name),
                 )
             for static in router.config.static_routes:
                 self._install(
                     rib,
+                    stamps,
                     Route(
                         prefix=static.prefix,
                         protocol="static",
@@ -146,6 +187,7 @@ class RoutingSimulation:
                     ),
                 )
             self.local_ribs[name] = rib
+            self._local_stamps[name] = stamps
 
         # Origination: IGP processes originate their covered subnets.
         for key, proc in self.network.processes.items():
@@ -158,8 +200,8 @@ class RoutingSimulation:
                     continue
                 if not self._subnet_up(iface.prefix):
                     continue
-                self._install(
-                    self.process_ribs[key],
+                self._originate(
+                    key,
                     Route(
                         prefix=iface.prefix,
                         protocol=proc.protocol,
@@ -173,8 +215,8 @@ class RoutingSimulation:
             if key not in self.process_ribs or key[1] != "ospf":
                 continue
             if getattr(proc.config, "default_information_originate", False):
-                self._install(
-                    self.process_ribs[key],
+                self._originate(
+                    key,
                     Route(
                         prefix=Prefix(0, 0),
                         protocol="ospf",
@@ -188,8 +230,8 @@ class RoutingSimulation:
             if not self._router_up(key[0]) or not proc.is_bgp:
                 continue
             for statement in proc.config.networks:
-                self._install(
-                    self.process_ribs[key],
+                self._originate(
+                    key,
                     Route(
                         prefix=statement.prefix(),
                         protocol="bgp",
@@ -197,13 +239,42 @@ class RoutingSimulation:
                     ),
                 )
 
-    @staticmethod
-    def _install(rib: Rib, route: Route) -> bool:
-        existing = rib.get(route.prefix)
-        if route.better_than(existing) and route != existing:
-            rib[route.prefix] = route
-            return True
-        return False
+    def _originate(self, key: ProcessKey, route: Route) -> bool:
+        return self._install(self.process_ribs[key], self._process_stamps[key], route)
+
+    def _install(self, rib: Rib, stamps: Optional[_Stamps], route: Route) -> bool:
+        """Install *route* if it beats the entry for its prefix; stamp it.
+
+        Only a strictly better preference key replaces an entry (an equal
+        route has an equal key), so re-offering a route this RIB already
+        saw never changes it.  *stamps* is ``None`` for the router RIBs
+        that selection builds, which nothing reads from.
+        """
+        prefix = route.prefix
+        if not route.better_than(rib.get(prefix)):
+            return False
+        rib[prefix] = route
+        if stamps is not None:
+            self._clock += 1
+            stamps[prefix] = self._clock
+            stamps.latest = self._clock
+        return True
+
+    def _fresh(self, edge: Hashable, rib: Rib, stamps: _Stamps) -> List[Route]:
+        """The routes of *rib* stamped after *edge*'s mark, in *rib*'s order.
+
+        Moves the mark to now, before the edge installs anything, so
+        whatever it installs into its own source is sent next round.
+        """
+        mark = self._marks.get(edge, 0)
+        if stamps.latest <= mark:
+            return []
+        self._marks[edge] = self._clock
+        return [
+            route
+            for route, stamp in zip(rib.values(), stamps.values())
+            if stamp > mark
+        ]
 
     # -- propagation steps -----------------------------------------------------
 
@@ -212,51 +283,67 @@ class RoutingSimulation:
         for key, proc in self.network.processes.items():
             if key not in self.process_ribs:
                 continue
-            router_name = key[0]
-            config = self.network.routers[router_name].config
-            for redist in proc.config.redistributes:
-                for route in list(self._redistribution_source_routes(key, redist)):
-                    moved = route
-                    if redist.route_map is not None:
-                        route_map = config.route_maps.get(redist.route_map)
-                        if route_map is not None:
-                            moved = apply_route_map(
-                                route_map,
-                                config.access_lists,
-                                moved,
-                                prefix_lists=config.prefix_lists,
-                                community_lists=config.community_lists,
-                            )
-                            if moved is None:
-                                continue
-                    moved = replace(
-                        moved,
-                        protocol="bgp" if proc.is_bgp else proc.protocol,
-                        redistributed=True,
-                        via_ibgp=False,
-                        from_rr_client=False,
-                        metric=redist.metric if redist.metric is not None else moved.metric,
-                        tag=redist.tag if redist.tag is not None else moved.tag,
-                    )
-                    # OSPF summary-address: redistributed routes inside a
-                    # configured summary enter as the summary instead.
-                    summaries = getattr(proc.config, "summary_addresses", None)
-                    if summaries:
-                        for summary in summaries:
-                            if summary.contains(moved.prefix) and (
-                                moved.prefix.length > summary.length
-                            ):
-                                moved = replace(moved, prefix=summary)
-                                break
-                    changed |= self._install(self.process_ribs[key], moved)
+            for index, redist in enumerate(proc.config.redistributes):
+                changed |= self._redistribute(key, proc, index, redist)
         return changed
 
-    def _redistribution_source_routes(self, key: ProcessKey, redist) -> Iterable[Route]:
+    def _redistribute(self, key: ProcessKey, proc, index: int, redist) -> bool:
+        routes = self._fresh(
+            ("redistribute", key, index), *self._redistribution_source(key, redist)
+        )
+        if redist.source_protocol in ("connected", "static"):
+            routes = [r for r in routes if r.protocol == redist.source_protocol]
+        if not routes:
+            return False
+        changed = False
+        config = self.network.routers[key[0]].config
+        route_map = (
+            config.route_maps.get(redist.route_map) if redist.route_map is not None else None
+        )
+        # OSPF summary-address: redistributed routes inside a configured
+        # summary enter as the summary instead.
+        summaries = getattr(proc.config, "summary_addresses", None)
+        rib, stamps = self.process_ribs[key], self._process_stamps[key]
+        for route in routes:
+            moved = route
+            if route_map is not None:
+                moved = apply_route_map(
+                    route_map,
+                    config.access_lists,
+                    moved,
+                    prefix_lists=config.prefix_lists,
+                    community_lists=config.community_lists,
+                )
+                if moved is None:
+                    continue
+            moved = replace(
+                moved,
+                protocol="bgp" if proc.is_bgp else proc.protocol,
+                redistributed=True,
+                via_ibgp=False,
+                from_rr_client=False,
+                metric=redist.metric if redist.metric is not None else moved.metric,
+                tag=redist.tag if redist.tag is not None else moved.tag,
+            )
+            if summaries:
+                for summary in summaries:
+                    if summary.contains(moved.prefix) and (
+                        moved.prefix.length > summary.length
+                    ):
+                        moved = replace(moved, prefix=summary)
+                        break
+            changed |= self._install(rib, stamps, moved)
+        return changed
+
+    def _redistribution_source(self, key: ProcessKey, redist) -> Tuple[Rib, _Stamps]:
+        """The RIB a ``redistribute`` statement reads, with its stamps."""
         router_name = key[0]
         source_protocol = redist.source_protocol
         if source_protocol in ("connected", "static"):
-            rib = self.local_ribs.get(router_name, {})
-            return [r for r in rib.values() if r.protocol == source_protocol]
+            return (
+                self.local_ribs.get(router_name, {}),
+                self._local_stamps.get(router_name, _NO_STAMPS),
+            )
         if source_protocol == "rip":
             source_key = (router_name, "rip", None)
         else:
@@ -266,24 +353,28 @@ class RoutingSimulation:
                     if candidate[0] == router_name and candidate[1] == source_protocol:
                         source_key = candidate
                         break
-        return list(self.process_ribs.get(source_key, {}).values())
+        return (
+            self.process_ribs.get(source_key, {}),
+            self._process_stamps.get(source_key, _NO_STAMPS),
+        )
 
     def _igp_exchange_step(self) -> bool:
         changed = False
-        for key_a, key_b, link in self.network.igp_adjacencies:
+        for index, (key_a, key_b, link) in enumerate(self.network.igp_adjacencies):
             if not self._subnet_up(link.subnet):
                 continue
             if key_a not in self.process_ribs or key_b not in self.process_ribs:
                 continue
-            interfaces = {end.router: end.interface for end in link.ends}
-            changed |= self._igp_transfer(key_a, key_b, interfaces)
-            changed |= self._igp_transfer(key_b, key_a, interfaces)
+            changed |= self._igp_transfer(("igp", index, 0), key_a, key_b, link)
+            changed |= self._igp_transfer(("igp", index, 1), key_b, key_a, link)
         return changed
 
-    def _igp_transfer(
-        self, src: ProcessKey, dst: ProcessKey, link_interfaces: Dict[str, str]
-    ) -> bool:
+    def _igp_transfer(self, edge: Hashable, src: ProcessKey, dst: ProcessKey, link) -> bool:
+        routes = self._fresh(edge, self.process_ribs[src], self._process_stamps[src])
+        if not routes:
+            return False
         changed = False
+        link_interfaces = {end.router: end.interface for end in link.ends}
         src_proc = self.network.processes[src]
         dst_proc = self.network.processes[dst]
         src_config = self.network.routers[src[0]].config
@@ -309,26 +400,27 @@ class RoutingSimulation:
             iface = dst_config.interfaces.get(dst_iface)
             if iface is not None and iface.bandwidth_kbit:
                 increment = max(1, 100_000 // iface.bandwidth_kbit)
-        for route in list(self.process_ribs[src].values()):
+        rib, stamps = self.process_ribs[dst], self._process_stamps[dst]
+        for route in routes:
             if any(acl is not None and not acl_permits_route(acl, route) for acl in out_acls):
                 continue
             if any(acl is not None and not acl_permits_route(acl, route) for acl in in_acls):
                 continue
             advanced = route.advanced(via_router=src[0], metric_increment=increment)
-            changed |= self._install(self.process_ribs[dst], advanced)
+            changed |= self._install(rib, stamps, advanced)
         return changed
 
     def _bgp_exchange_step(self) -> bool:
         changed = False
-        for session in self.network.bgp_sessions:
+        for index, session in enumerate(self.network.bgp_sessions):
             if session.remote_key is None:
                 continue
             if session.local not in self.process_ribs or session.remote_key not in self.process_ribs:
                 continue
-            changed |= self._bgp_transfer(session)
+            changed |= self._bgp_transfer(("bgp", index), session)
         return changed
 
-    def _bgp_transfer(self, session: BgpSession) -> bool:
+    def _bgp_transfer(self, edge: Hashable, session: BgpSession) -> bool:
         """Transfer routes remote → local along one configured session.
 
         (Each configured ``neighbor`` statement is one direction of a
@@ -339,8 +431,11 @@ class RoutingSimulation:
         only when it is a reflector — to its clients always, and to
         non-clients when the route was learned *from* a client.
         """
-        changed = False
         src, dst = session.remote_key, session.local
+        routes = self._fresh(edge, self.process_ribs[src], self._process_stamps[src])
+        if not routes:
+            return False
+        changed = False
         is_ebgp = session.is_ebgp
         src_asn, dst_asn = src[2], dst[2]
         dst_config = self.network.routers[dst[0]].config
@@ -383,7 +478,8 @@ class RoutingSimulation:
             if nbr and nbr.prefix_list_in
             else None
         )
-        for route in list(self.process_ribs[src].values()):
+        rib, stamps = self.process_ribs[dst], self._process_stamps[dst]
+        for route in routes:
             if is_ebgp:
                 if dst_asn in route.as_path:
                     continue  # AS-path loop prevention
@@ -422,19 +518,19 @@ class RoutingSimulation:
                 )
                 if moved is None:
                     continue
-            changed |= self._install(self.process_ribs[dst], moved)
+            changed |= self._install(rib, stamps, moved)
         return changed
 
     def _selection_step(self) -> None:
         for name in self.local_ribs:
             best: Rib = {}
             for route in self.local_ribs[name].values():
-                self._install(best, route)
+                self._install(best, None, route)
             for key, rib in self.process_ribs.items():
                 if key[0] != name:
                     continue
                 for route in rib.values():
-                    self._install(best, route)
+                    self._install(best, None, route)
             self.router_ribs[name] = best
 
     # -- driver ------------------------------------------------------------------
@@ -454,6 +550,7 @@ class RoutingSimulation:
         """
         if on_divergence not in ("raise", "degrade"):
             raise ValueError(f"unknown on_divergence policy {on_divergence!r}")
+        self._diverged = False
         self._seed()
         for iteration in range(max_iterations):
             changed = self._redistribution_step()

@@ -7,7 +7,7 @@ calculate a next-hop to reach that subnet."
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from repro.net import Prefix
@@ -78,5 +78,22 @@ class Route:
         return self.preference_key() < other.preference_key()
 
     def advanced(self, via_router: str, metric_increment: int = 1) -> "Route":
-        """The route as seen one IGP hop away."""
-        return replace(self, metric=self.metric + metric_increment, via_router=via_router)
+        """The route as seen one IGP hop away.
+
+        Built with the constructor rather than :func:`dataclasses.replace`,
+        which costs several times more on the simulator's hottest path.
+        """
+        return Route(
+            prefix=self.prefix,
+            protocol=self.protocol,
+            metric=self.metric + metric_increment,
+            tag=self.tag,
+            local_pref=self.local_pref,
+            as_path=self.as_path,
+            communities=self.communities,
+            via_router=via_router,
+            via_ibgp=self.via_ibgp,
+            from_rr_client=self.from_rr_client,
+            redistributed=self.redistributed,
+            origin_router=self.origin_router,
+        )

@@ -33,8 +33,8 @@ process once (initializer), then streams scenarios through the pool; the
 pure-Python simulation holds the GIL, so threads would serialize and
 processes are the only parallelism that pays.  This scenario pool is the
 program's one parallel grain: a scenario is a whole routing fixpoint
-(about a quarter second at 48 routers), so its IPC amortizes, where
-per-file parsing and per-archive threads did not.  The pool never runs
+(about 0.12 s at 48 routers), so its IPC amortizes, where per-file
+parsing and per-archive threads did not.  The pool never runs
 more workers than the usable CPUs.
 """
 

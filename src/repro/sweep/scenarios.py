@@ -127,7 +127,7 @@ def dedupe_scenario_ids(
 ) -> List[Scenario]:
     """Make scenario ids unique, deterministically.
 
-    The ``_safe`` sanitizer is lossy — ``r 1`` and ``r.1`` both map to a
+    The ``_safe`` sanitizer is lossy — ``r 1`` and ``r/1`` both map to a
     token colliding with a literal ``r_1`` — and scenario ids key the
     checkpoint store and the result table, where a collision silently
     overwrites one scenario's verdict with another's.  Colliding ids get

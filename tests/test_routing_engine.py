@@ -6,6 +6,8 @@ from repro.model import Network
 from repro.net import Prefix
 from repro.routing import RoutingSimulation
 
+from tests.routing_reference import FullResendSimulation, state
+
 
 def simulate(configs, **kw):
     net = Network.from_configs(configs)
@@ -613,3 +615,181 @@ class TestEdgeCases:
         for router in CHAIN:
             rib = sim.router_rib(router)
             assert any(r.protocol == "connected" for r in rib.values())
+
+
+P2P = "255.255.255.252"
+
+
+def interface(name, address, mask=P2P, options=""):
+    return f"interface {name}\n ip address {address} {mask}\n{options}!\n"
+
+
+#: One OSPF process covering every 10/8 and 99/8 interface.
+OSPF_ALL = (
+    "router ospf 1\n network 10.0.0.0 0.255.255.255 area 0\n"
+    " network 99.0.0.0 0.255.255.255 area 0\n"
+)
+
+
+class TestSemiNaiveEdges:
+    """Each transfer edge sends only what changed since it last read its
+    source.  These topologies break a simulator whose marks are shared
+    between edges, or whose new routes leave in stamp order rather than
+    the source RIB's order; the reference re-sends everything."""
+
+    def assert_matches_reference(self, configs, *failed_subnets):
+        network = Network.from_configs(configs)
+        for failure in ((),) + tuple((subnet,) for subnet in failed_subnets):
+            for budget in (1, 2, 1000):
+                runs = [
+                    engine(network, failed_subnets=failure).run(
+                        max_iterations=budget, on_divergence="degrade"
+                    )
+                    for engine in (RoutingSimulation, FullResendSimulation)
+                ]
+                assert state(runs[0]) == state(runs[1]), (failure, budget)
+        return RoutingSimulation(network).run()
+
+    def test_parallel_links_keep_one_mark_per_adjacency_direction(self):
+        # r1 and r2 share two links.  r1's inbound distribute-list and
+        # slow bandwidth sit on Serial0 only, so the two directions of
+        # the adjacency filter and cost differently.  The model forms one
+        # adjacency per process pair, on the first link.
+        configs = {
+            "r1": (
+                interface("Serial0", "10.0.0.1", options=" bandwidth 1544\n")
+                + interface("Serial1", "10.0.0.5")
+                + interface("Ethernet0", "10.1.0.1", "255.255.255.0")
+                + OSPF_ALL
+                + " distribute-list 44 in Serial0\n"
+                + "access-list 44 deny 10.2.0.0 0.0.0.255\n"
+                + "access-list 44 permit any\n"
+            ),
+            "r2": (
+                interface("Serial0", "10.0.0.2")
+                + interface("Serial1", "10.0.0.6")
+                + interface("Ethernet0", "10.2.0.1", "255.255.255.0")
+                + interface("Ethernet1", "10.3.0.1", "255.255.255.0")
+                + OSPF_ALL
+            ),
+        }
+        sim = self.assert_matches_reference(configs, "10.0.0.0/30", "10.0.0.4/30")
+        r1_ospf = sim.process_ribs[("r1", "ospf", 1)]
+        assert Prefix("10.2.0.0/24") not in r1_ospf  # filtered on the way in
+        assert r1_ospf[Prefix("10.3.0.0/24")].metric == 64  # 100000 // 1544
+        assert sim.lookup("r2", "10.1.0.9").metric == 1
+
+    def test_adjacencies_sharing_a_link_keep_their_own_marks(self):
+        # Three routers on one Ethernet: three adjacencies, one subnet.
+        lan = "255.255.255.0"
+        configs = {
+            name: (
+                interface("Ethernet0", f"10.9.0.{host}", lan)
+                + interface("Ethernet1", f"10.{host}.0.1", lan)
+                + OSPF_ALL
+            )
+            for name, host in (("a", 1), ("b", 2), ("c", 3))
+        }
+        sim = self.assert_matches_reference(configs)
+        for router in ("b", "c"):
+            route = sim.lookup(router, "10.1.0.9")
+            assert (route.metric, route.via_router) == (1, "a")
+
+    def test_summary_folds_new_routes_in_source_order(self):
+        # r2 redistributes OSPF 1 into OSPF 2 under a 99/8 summary.  In
+        # round 1 r2 learns 99.2/16 over two hops (via r4), then 99.1/16
+        # and 99.3/16 from r1, then 99.2/16 over one hop from r3: the
+        # improvement keeps its early slot in the RIB but takes the
+        # newest stamp.  Round 2 redistributes all three at metric 1;
+        # the first one sent becomes the summary, and in RIB order that
+        # is r3's route, in stamp order r1's.
+        configs = {
+            "r1": (
+                interface("Serial0", "10.0.0.9")
+                + interface("Ethernet0", "99.1.0.1", "255.255.0.0")
+                + interface("Ethernet1", "99.3.0.1", "255.255.0.0")
+                + OSPF_ALL
+            ),
+            "r2": (
+                interface("Serial0", "10.0.0.5")
+                + interface("Serial1", "10.0.0.10")
+                + interface("Serial2", "10.0.0.13")
+                + interface("Serial3", "172.16.0.1")
+                + OSPF_ALL
+                + "router ospf 2\n redistribute ospf 1 subnets\n"
+                " summary-address 99.0.0.0 255.0.0.0\n"
+                " network 172.16.0.0 0.0.0.3 area 0\n"
+            ),
+            "r3": (
+                interface("Serial0", "10.0.0.1")
+                + interface("Serial1", "10.0.0.14")
+                + interface("Ethernet0", "99.2.0.1", "255.255.0.0")
+                + OSPF_ALL
+            ),
+            "r4": interface("Serial0", "10.0.0.2") + interface("Serial1", "10.0.0.6") + OSPF_ALL,
+            "r5": (
+                interface("Serial0", "172.16.0.2")
+                + "router ospf 2\n network 172.16.0.0 0.0.0.3 area 0\n"
+            ),
+        }
+        sim = self.assert_matches_reference(configs, "10.0.0.12/30")
+        folded = sim.process_ribs[("r2", "ospf", 2)]
+        assert [p for p in folded if Prefix("99.0.0.0/8").contains(p)] == [
+            Prefix("99.0.0.0/8")
+        ]
+        assert folded[Prefix("99.0.0.0/8")].origin_router == "r3"
+        assert sim.lookup("r5", "99.3.1.1").prefix == Prefix("99.0.0.0/8")
+
+    def test_source_route_improved_after_it_was_read_is_resent(self):
+        # Adjacencies run r1-r3 (slow into r3), r3-r4, r1-r2, r2-r3.  In
+        # round 1 r3 learns r1's LAN over the slow link (1562), passes it
+        # to r4, then improves it to 2 through r2; r3 -> r4 must re-send
+        # it in round 2.
+        configs = {
+            "r1": (
+                interface("Serial0", "10.0.0.1")
+                + interface("Serial1", "10.0.0.9")
+                + interface("Ethernet0", "10.1.0.1", "255.255.255.0")
+                + OSPF_ALL
+            ),
+            "r2": interface("Serial0", "10.0.0.10") + interface("Serial1", "10.0.0.13") + OSPF_ALL,
+            "r3": (
+                interface("Serial0", "10.0.0.2", options=" bandwidth 64\n")
+                + interface("Serial1", "10.0.0.5")
+                + interface("Serial2", "10.0.0.14")
+                + OSPF_ALL
+            ),
+            "r4": interface("Serial0", "10.0.0.6") + OSPF_ALL,
+        }
+        sim = self.assert_matches_reference(configs, "10.0.0.8/30")
+        partial = RoutingSimulation(Network.from_configs(configs)).run(
+            max_iterations=1, on_divergence="degrade"
+        )
+        assert partial.lookup("r4", "10.1.0.9").metric == 1563  # read before
+        assert sim.lookup("r4", "10.1.0.9").metric == 3  # r1-r2-r3-r4
+
+    def test_parallel_bgp_sessions_keep_their_own_marks(self):
+        # Two EBGP sessions between the same two BGP processes; only the
+        # first filters 20/8, so 20/8 arrives over the second.
+        configs = {
+            "a": (
+                interface("Serial0", "10.0.0.1")
+                + interface("Serial1", "10.0.0.5")
+                + "router bgp 65001\n network 20.0.0.0 mask 255.0.0.0\n"
+                " network 30.0.0.0 mask 255.0.0.0\n"
+                " neighbor 10.0.0.2 remote-as 65002\n"
+                " neighbor 10.0.0.6 remote-as 65002\n"
+            ),
+            "b": (
+                interface("Serial0", "10.0.0.2")
+                + interface("Serial1", "10.0.0.6")
+                + "router bgp 65002\n neighbor 10.0.0.1 remote-as 65001\n"
+                " neighbor 10.0.0.1 distribute-list 7 in\n"
+                " neighbor 10.0.0.5 remote-as 65001\n"
+                "access-list 7 deny 20.0.0.0 0.255.255.255\n"
+                "access-list 7 permit any\n"
+            ),
+        }
+        sim = self.assert_matches_reference(configs)
+        assert sim.can_reach("b", "20.1.2.3")
+        assert sim.can_reach("b", "30.1.2.3")

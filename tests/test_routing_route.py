@@ -1,5 +1,7 @@
 """Route preference and administrative distance tests."""
 
+from dataclasses import MISSING, fields, replace
+
 from repro.routing import ADMIN_DISTANCE, Route
 from repro.net import Prefix
 
@@ -57,6 +59,30 @@ class TestPreference:
         assert hop.metric == 4
         assert hop.via_router == "r9"
         assert hop.prefix == route.prefix
+
+    def test_advanced_carries_every_other_field(self):
+        route = Route(
+            prefix=Prefix("10.0.0.0/24"),
+            protocol="bgp",
+            metric=3,
+            tag=7,
+            local_pref=200,
+            as_path=(65001, 65002),
+            communities=("65000:1",),
+            via_router="r1",
+            via_ibgp=True,
+            from_rr_client=True,
+            redistributed=True,
+            origin_router="r0",
+        )
+        # A field added later must be set above, and so copied by advanced().
+        assert all(
+            getattr(route, field.name) != field.default
+            for field in fields(Route)
+            if field.default is not MISSING
+        )
+        hop = route.advanced(via_router="r9", metric_increment=5)
+        assert hop == replace(route, metric=8, via_router="r9")
 
     def test_routes_are_immutable(self):
         route = Route(prefix=Prefix("10.0.0.0/24"), protocol="ospf")
