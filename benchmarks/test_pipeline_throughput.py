@@ -18,10 +18,11 @@ hitting — not noisy CI hardware.
 import os
 
 from repro.core import compute_instances
-from repro.ingest import ParseCache, StageTimer
+from repro.ingest import ParseCache
 from repro.ios import parse_config
 from repro.model import Network
-from repro.report import format_table
+from repro.obs import span
+from repro.report import format_table, span_row
 
 from benchmarks.conftest import record, record_json
 
@@ -85,14 +86,12 @@ def test_warm_cache_parses_nothing(tmp_path_factory, by_name):
         (archive / name).write_text(text)
     cache = ParseCache(root=os.fspath(tmp_path_factory.mktemp("parse-cache")))
 
-    cold_timer, warm_timer = StageTimer(), StageTimer()
-    cold = Network.from_directory(
-        os.fspath(archive), on_error="skip-block", cache=cache, timer=cold_timer
-    )
-    warm = Network.from_directory(
-        os.fspath(archive), on_error="skip-block", cache=cache, timer=warm_timer
-    )
-    cold_s, warm_s = cold_timer.seconds("parse"), warm_timer.seconds("parse")
+    cold = Network.from_directory(os.fspath(archive), on_error="skip-block", cache=cache)
+    warm = Network.from_directory(os.fspath(archive), on_error="skip-block", cache=cache)
+    (_read, cold_parse), (_read, warm_parse) = cold.ingest_stages, warm.ingest_stages
+    cold_s, warm_s = cold_parse.seconds, warm_parse.seconds
+    warm_parsed = warm_parse.attributes["parsed"]
+    warm_cached = warm_parse.attributes["cached"]
     record(
         "pipeline_throughput_cache",
         format_table(
@@ -101,8 +100,8 @@ def test_warm_cache_parses_nothing(tmp_path_factory, by_name):
                 ("files", len(cold.routers)),
                 ("cold parse s", f"{cold_s:.3f}"),
                 ("warm parse s", f"{warm_s:.3f}"),
-                ("warm files re-parsed", warm_timer.counter("parse", "parsed")),
-                ("warm cache hits", warm_timer.counter("parse", "cached")),
+                ("warm files re-parsed", warm_parsed),
+                ("warm cache hits", warm_cached),
             ],
             title="Pipeline throughput — warm parse cache (net5)",
         ),
@@ -114,12 +113,12 @@ def test_warm_cache_parses_nothing(tmp_path_factory, by_name):
             "files": len(cold.routers),
             "cold_seconds": round(cold_s, 6),
             "warm_seconds": round(warm_s, 6),
-            "warm_parsed": warm_timer.counter("parse", "parsed"),
-            "warm_cached": warm_timer.counter("parse", "cached"),
+            "warm_parsed": warm_parsed,
+            "warm_cached": warm_cached,
         },
     )
-    assert warm_timer.counter("parse", "parsed") == 0
-    assert warm_timer.counter("parse", "cached") == len(by_name["net5"].configs)
+    assert warm_parsed == 0
+    assert warm_cached == len(by_name["net5"].configs)
     assert sorted(cold.routers) == sorted(warm.routers)
     assert [str(d) for d in cold.diagnostics] == [str(d) for d in warm.diagnostics]
 
@@ -133,16 +132,15 @@ def test_analysis_throughput(benchmark, by_name):
     configs = largest.configs
 
     def analyze():
-        timer = StageTimer()
-        network = Network.from_configs(configs, name="throughput", timer=timer)
-        with timer.stage("links") as rec:
-            rec.items = len(network.links)
-        with timer.stage("instances") as rec:
+        network = Network.from_configs(configs, name="throughput")
+        with span("stage:links") as links:
+            links.set(items=len(network.links))
+        with span("stage:instances") as stage:
             instances = compute_instances(network)
-            rec.items = len(instances)
-        return instances, timer
+            stage.set(items=len(instances))
+        return instances, [span_row(s) for s in network.ingest_stages + (links, stage)]
 
-    instances, timer = benchmark.pedantic(analyze, rounds=3, iterations=1)
+    instances, stages = benchmark.pedantic(analyze, rounds=3, iterations=1)
     record(
         "pipeline_throughput_analysis",
         format_table(
@@ -163,7 +161,7 @@ def test_analysis_throughput(benchmark, by_name):
             "routers": len(configs),
             "instances": len(instances),
             "seconds_full_analysis": round(benchmark.stats.stats.mean, 6),
-            "stages": timer.as_dict()["stages"],
+            "stages": stages,
         },
     )
     assert instances

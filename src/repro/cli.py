@@ -70,7 +70,7 @@ from repro.core import (
 from repro.core.filters import analyze_filter_placement
 from repro.core.roles import classify_roles
 from repro.diag import EXIT_ERRORS, PHASE_ANALYSIS
-from repro.ingest import ParseCache, StageTimer
+from repro.ingest import ParseCache
 from repro.model import Network
 from repro.obs import (
     MetricsRegistry,
@@ -88,6 +88,8 @@ from repro.report import (
     format_execution_lines,
     format_status_counts,
     format_table,
+    span_row,
+    stage_row,
 )
 
 
@@ -107,10 +109,29 @@ def _cache_from_args(args: argparse.Namespace) -> Optional[ParseCache]:
     return cache
 
 
+def _checkpoints_from_args(args: argparse.Namespace):
+    """The checkpoint store the command asked for, or ``None``.
+
+    The root is ``--checkpoint-dir``, else ``$REPRO_CHECKPOINT_DIR``,
+    else ``<cache root>/checkpoints`` where the cache root is
+    ``--cache-dir`` or the default cache directory.  ``--no-checkpoint``
+    turns checkpointing off, and ``--resume`` then has nothing to
+    replay, so it is an error.
+    """
+    from repro.exec import CheckpointStore, default_checkpoint_dir  # noqa: PLC0415
+
+    if args.no_checkpoint:
+        if getattr(args, "resume", False):
+            raise SystemExit("error: --resume needs checkpointing (drop --no-checkpoint)")
+        return None
+    return CheckpointStore(
+        root=args.checkpoint_dir or default_checkpoint_dir(args.cache_dir)
+    )
+
+
 def _load(
     args: argparse.Namespace,
     path: Optional[str] = None,
-    timer: Optional[StageTimer] = None,
     default_mode: str = "strict",
 ) -> Network:
     """Load one archive under the command's --strict/--lenient policy.
@@ -128,7 +149,6 @@ def _load(
         on_error=on_error,
         jobs=getattr(args, "jobs", None),
         cache=_cache_from_args(args),
-        timer=timer,
     )
     loaded = getattr(args, "_loaded_networks", None)
     if loaded is None:
@@ -464,9 +484,7 @@ def _corpus_archives(root: str) -> "Tuple[List[str], List[str]]":
     return subdirs, loose
 
 
-def _ingest_archive(
-    args: argparse.Namespace, path: str, cache, timer: StageTimer
-) -> Network:
+def _ingest_archive(args: argparse.Namespace, path: str, cache) -> Network:
     """Ingest one corpus archive.
 
     Unlike :func:`_load` this neither appends to ``_loaded_networks`` nor
@@ -482,7 +500,6 @@ def _ingest_archive(
         on_error=on_error,
         jobs=getattr(args, "jobs", None),
         cache=cache,
-        timer=timer,
     )
 
 
@@ -514,20 +531,10 @@ def _resolve_stage_deadline(args: argparse.Namespace):
 
 def _corpus_executor(args: argparse.Namespace):
     """Build the resilient executor the corpus run asked for."""
-    from repro.exec import (  # noqa: PLC0415
-        AnalysisExecutor,
-        ChaosPlan,
-        CheckpointStore,
-        ExecutorConfig,
-    )
+    from repro.exec import AnalysisExecutor, ChaosPlan, ExecutorConfig  # noqa: PLC0415
 
     stage_deadline, suggestion = _resolve_stage_deadline(args)
-    store = None
-    if not getattr(args, "no_checkpoint", False):
-        checkpoint_dir = getattr(args, "checkpoint_dir", None)
-        store = CheckpointStore(root=checkpoint_dir) if checkpoint_dir else CheckpointStore()
-    if getattr(args, "resume", False) and store is None:
-        raise SystemExit("error: --resume needs checkpointing (drop --no-checkpoint)")
+    store = _checkpoints_from_args(args)
     kwargs = {}
     if bool(getattr(args, "compress", None)):
         from repro.compress import compressed_stage_runners  # noqa: PLC0415
@@ -630,36 +637,36 @@ def cmd_corpus(args: argparse.Namespace) -> int:
     cache = _cache_from_args(args)
 
     def analyze_archive(path: str):
-        timer = StageTimer()
-        network = _ingest_archive(args, path, cache, timer)
+        network = _ingest_archive(args, path, cache)
         name = archive_name(path)
         execution = executor.run_archive(name, network)
-        for result in execution.results:
-            record = timer.record(result.stage, result.seconds, result.items)
-            record.status = result.status
-        stats = timer.as_dict()
-        parse_seconds = timer.seconds("parse")
-        parsed = timer.counter("parse", "parsed")
+        read, parse = network.ingest_stages
+        parsed, cached = parse.attributes["parsed"], parse.attributes["cached"]
+        stages = [span_row(read), span_row(parse)] + [
+            stage_row(result.stage, result.seconds, result.items)
+            for result in execution.results
+        ]
+        seconds = [read.seconds, parse.seconds] + [
+            result.seconds for result in execution.results
+        ]
         entry = {
             "archive": name,
             "routers": len(network),
-            "files": timer.items("read"),
+            "files": read.attributes["items"],
             "parsed": parsed,
-            "cached": timer.counter("parse", "cached"),
+            "cached": cached,
             "quarantined": len(network.quarantined),
             "exit_code": network.diagnostics.exit_code(),
             "status": execution.status,
             "stage_counts": execution.counts,
             "execution": execution.as_dict(),
-            "stages": stats["stages"],
-            "total_seconds": stats["total_seconds"],
+            "stages": stages,
+            "total_seconds": round(sum(seconds), 6),
             # Parsed-only throughput: cache replays are (fast) reads,
             # not parses, and counting them made warm-cache runs look
             # implausibly fast.  Replays are reported as "cached".
             "parsed_per_second": (
-                round(parsed / parse_seconds, 1)
-                if parse_seconds > 0 and parsed
-                else None
+                round(parsed / parse.seconds, 1) if parse.seconds > 0 and parsed else None
             ),
         }
         return entry, network, execution
@@ -831,7 +838,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if not os.path.isdir(args.sweepdir):
         raise SystemExit(f"error: {args.sweepdir} is not a directory")
     from repro.diag import EXIT_DEGRADED  # noqa: PLC0415
-    from repro.exec import ChaosPlan, CheckpointStore, archive_name  # noqa: PLC0415
+    from repro.exec import ChaosPlan, archive_name  # noqa: PLC0415
     from repro.report.sweep import format_sweep_report  # noqa: PLC0415
     from repro.sweep import SweepConfig, run_network_sweep  # noqa: PLC0415
 
@@ -842,15 +849,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             f"(archives are directories; move it into one to analyze it)",
             file=sys.stderr,
         )
-    store = None
-    if not args.no_checkpoint:
-        store = (
-            CheckpointStore(root=args.checkpoint_dir)
-            if args.checkpoint_dir
-            else CheckpointStore()
-        )
-    if args.resume and store is None:
-        raise SystemExit("error: --resume needs checkpointing (drop --no-checkpoint)")
+    store = _checkpoints_from_args(args)
     config = SweepConfig(
         depth=args.depth,
         double_budget=args.double_budget,
@@ -955,20 +954,13 @@ def cmd_serve(args: argparse.Namespace) -> int:
     abandoned) and exits 0.  The bound URL is printed on stdout before
     blocking so scripts launching ``--port 0`` can discover the port.
     """
-    from repro.exec import CheckpointStore  # noqa: PLC0415
     from repro.obs.metrics import get_registry  # noqa: PLC0415
     from repro.serve import ServeConfig, ServeDaemon  # noqa: PLC0415
 
     if not os.path.isdir(args.configdir):
         raise SystemExit(f"error: {args.configdir} is not a directory of config files")
     stage_deadline, _suggestion = _resolve_stage_deadline(args)
-    store = None
-    if not args.no_checkpoint:
-        store = (
-            CheckpointStore(root=args.checkpoint_dir)
-            if args.checkpoint_dir
-            else CheckpointStore()
-        )
+    store = _checkpoints_from_args(args)
     config = ServeConfig(
         corpus=args.configdir,
         host=args.host,
@@ -1270,7 +1262,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--checkpoint-dir",
         default=None,
         metavar="PATH",
-        help="checkpoint store directory (default: <cache-dir>/checkpoints)",
+        help="checkpoint store directory (default: $REPRO_CHECKPOINT_DIR, "
+        "else <cache-dir>/checkpoints)",
     )
     p.add_argument(
         "--no-checkpoint",
@@ -1349,7 +1342,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--checkpoint-dir",
         default=None,
         metavar="PATH",
-        help="checkpoint store directory (default: <cache-dir>/checkpoints)",
+        help="checkpoint store directory (default: $REPRO_CHECKPOINT_DIR, "
+        "else <cache-dir>/checkpoints)",
     )
     p.add_argument(
         "--no-checkpoint",
@@ -1417,7 +1411,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--checkpoint-dir",
         default=None,
         metavar="PATH",
-        help="checkpoint store directory (default: <cache-dir>/checkpoints)",
+        help="checkpoint store directory (default: $REPRO_CHECKPOINT_DIR, "
+        "else <cache-dir>/checkpoints)",
     )
     p.add_argument(
         "--no-checkpoint",

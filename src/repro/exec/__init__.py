@@ -17,7 +17,6 @@ from repro.exec.budget import DeadlineSuggestion, suggest_stage_deadline
 from repro.exec.chaos import CHAOS_ENV, ChaosError, ChaosPlan, ChaosRule, SimulatedKill
 from repro.exec.checkpoint import (
     CHECKPOINT_SCHEMA,
-    CheckpointStats,
     CheckpointStore,
     archive_digest,
     default_checkpoint_dir,
@@ -56,7 +55,6 @@ __all__ = [
     "ChaosError",
     "ChaosPlan",
     "ChaosRule",
-    "CheckpointStats",
     "CheckpointStore",
     "CorpusScheduler",
     "DEFAULT_LADDERS",

@@ -25,9 +25,10 @@ without code changes)::
     SIGKILL would, with whatever checkpoints were already written,
   - ``io-error`` — raise :class:`OSError` from *store writes* instead
     of stage attempts: the clause's first field fnmatch-targets the
-    destination **path**, its second the store kind (``cache`` for
-    :meth:`repro.ingest.cache.ParseCache.put`, ``checkpoint`` for
-    :meth:`repro.exec.checkpoint.CheckpointStore.store`).  Those writes
+    destination **path**, its second the store kind — the prefix of the
+    :mod:`repro.store` core doing the write (``cache`` for
+    :class:`~repro.ingest.cache.ParseCache`, ``checkpoint`` for
+    :class:`~repro.exec.checkpoint.CheckpointStore`).  Those writes
     are best-effort by contract, so the injected error exercises the
     degrade-silently-never-crash paths (``*.write_failures`` metrics);
 * ``action@N`` — only fire on attempt ``N`` (0 = the full-fidelity

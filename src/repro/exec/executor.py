@@ -50,6 +50,7 @@ from repro.exec.stage import (
 from repro.exec.watchdog import run_with_deadline
 from repro.obs.logging import get_logger
 from repro.obs.metrics import get_registry
+from repro.obs.trace import span
 
 _log = get_logger("exec.executor")
 
@@ -309,13 +310,19 @@ class AnalysisExecutor:
     # -- driving -------------------------------------------------------------
 
     def run_archive(self, archive: str, network: Any) -> ArchiveExecution:
-        """Run every analysis stage of one loaded network."""
+        """Run every analysis stage of one loaded network.
+
+        Each stage runs (or replays) inside one ``stage:<name>`` span, so
+        the analysis spans it opens nest under it in the trace.
+        """
         digest = archive_digest(getattr(network, "inventory", None) or [])
         execution = ArchiveExecution(archive=archive, digest=digest)
         ctx = StageContext(network=network, archive=archive)
         metrics = get_registry()
         for stage in ANALYSIS_STAGES:
-            result = self._run_stage(ctx, digest, stage)
+            with span(f"stage:{stage}") as opened:
+                result = self._run_stage(ctx, digest, stage)
+                opened.set(items=result.items, status=result.status)
             execution.results.append(result)
             metrics.counter(f"exec.stage.{result.status}").inc()
             metrics.histogram("exec.stage.seconds", stage=stage).observe(

@@ -27,7 +27,7 @@ import threading
 from dataclasses import dataclass
 from typing import Any, Callable, List, Optional, Sequence
 
-from repro.obs.trace import current_tracer
+from repro.obs.trace import span
 
 
 def archive_name(path: str) -> str:
@@ -64,18 +64,15 @@ class CorpusScheduler:
         self, paths: Sequence[str], worker: Callable[[str], Any]
     ) -> List[ArchiveOutcome]:
         """Run ``worker(path)`` for every archive; outcomes in archive order."""
-        tracer = current_tracer()
         outcomes = []
         for path in paths:
             outcome = ArchiveOutcome(path=path, name=archive_name(path))
             outcomes.append(outcome)
             if self._abort is not None and self._abort.is_set():
                 outcome.skipped = True
-            elif tracer is not None:
-                with tracer.span(f"archive:{outcome.name}"):
-                    outcome.value = worker(path)
             else:
-                outcome.value = worker(path)
+                with span(f"archive:{outcome.name}"):
+                    outcome.value = worker(path)
         return outcomes
 
 

@@ -6,32 +6,33 @@ networks, and the authors ran their tooling over a provider archive of
 each file once, skips work it has already done, and reports where the
 time went.  This package provides those pieces:
 
-* :mod:`repro.ingest.parallel` — the serial parse pass: per-file sinks
-  merged in file order, strict-mode errors re-raised at their file;
+* :mod:`repro.ingest.parse` — the serial parse pass: per-file sinks
+  merged in file order, strict-mode errors re-raised at their file, and
+  the ``stage:parse`` span that times it;
 * :mod:`repro.ingest.cache` — a persistent content-addressed parse cache
   keyed by file bytes + parser version + mode, replaying diagnostics
   faithfully on hits;
-* :mod:`repro.ingest.timer` — per-stage wall-time/item-count
-  instrumentation surfaced by ``repro corpus``.
+* :mod:`repro.ingest.snapshot` — stat-level corpus snapshots for the
+  serve daemon's change detection.
 
 :class:`repro.model.network.Network`'s ``from_directory``/``from_configs``
-constructors drive this pass via their ``cache=`` and ``timer=``
-keywords.
+constructors drive this pass via their ``cache=`` keyword and record
+its ``stage:read``/``stage:parse`` spans as ``Network.ingest_stages``.
 """
 
 from repro.ingest.cache import (
     CACHE_FORMAT,
     CacheEntry,
-    CacheStats,
     ParseCache,
     default_cache_dir,
 )
-from repro.ingest.parallel import (
+from repro.ingest.parse import (
     ON_ERROR_POLICIES,
     ParseOutcome,
     ParseTask,
     parse_many,
     parse_one,
+    parse_stage,
 )
 from repro.ingest.snapshot import (
     CorpusSnapshot,
@@ -41,12 +42,10 @@ from repro.ingest.snapshot import (
     scan_stats,
     snapshot_corpus,
 )
-from repro.ingest.timer import StageRecord, StageTimer
 
 __all__ = [
     "CACHE_FORMAT",
     "CacheEntry",
-    "CacheStats",
     "CorpusSnapshot",
     "FileStat",
     "ON_ERROR_POLICIES",
@@ -54,12 +53,11 @@ __all__ = [
     "ParseOutcome",
     "ParseTask",
     "SnapshotDiff",
-    "StageRecord",
-    "StageTimer",
     "default_cache_dir",
     "diff_snapshots",
     "parse_many",
     "parse_one",
+    "parse_stage",
     "scan_stats",
     "snapshot_corpus",
 ]

@@ -18,8 +18,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple, Union
 
 from repro.diag import PHASE_BUILD, PHASE_READ, DiagnosticSink
 from repro.ingest.cache import ParseCache
-from repro.ingest.parallel import ON_ERROR_POLICIES, ParseTask, parse_many
-from repro.ingest.timer import StageTimer
+from repro.ingest.parse import ON_ERROR_POLICIES, ParseTask, parse_stage
 from repro.obs.logging import get_logger
 from repro.obs.manifest import (
     DISPOSITION_CACHED,
@@ -28,6 +27,7 @@ from repro.obs.manifest import (
     FileRecord,
 )
 from repro.obs.metrics import get_registry
+from repro.obs.trace import Span, span
 
 _log = get_logger("model")
 from repro.ios.config import InterfaceConfig, RouterConfig
@@ -173,8 +173,9 @@ class Network:
 
     Networks built through :meth:`from_configs`/:meth:`from_directory`
     carry the ingestion run's :class:`repro.diag.DiagnosticSink` as
-    ``diagnostics`` and the list of files that could not be ingested at
-    all as ``quarantined``.
+    ``diagnostics``, the list of files that could not be ingested at
+    all as ``quarantined``, and the ingestion's stage spans as
+    ``ingest_stages``.
     """
 
     def __init__(
@@ -186,6 +187,7 @@ class Network:
         quarantined: Optional[Iterable[str]] = None,
         on_duplicate: str = "error",
         inventory: Optional[Iterable[FileRecord]] = None,
+        ingest_stages: Iterable[Span] = (),
     ):
         if on_duplicate not in ("error", "rename"):
             raise ValueError(f"unknown on_duplicate policy: {on_duplicate!r}")
@@ -196,6 +198,11 @@ class Network:
         #: networks built by ``from_configs``/``from_directory`` — the run
         #: manifest's inventory.  Empty for hand-assembled networks.
         self.inventory: List[FileRecord] = list(inventory or [])
+        #: The ``stage:read``/``stage:parse`` spans of the ingestion that
+        #: built this network: wall seconds plus item counts, and on the
+        #: parse stage the parse attempts (``parsed``) and cache replays
+        #: (``cached``).  Timed whether or not a tracer was active.
+        self.ingest_stages: Tuple[Span, ...] = tuple(ingest_stages)
         self.routers: Dict[str, Router] = {}
         for router in routers:
             router_name = router.name
@@ -237,7 +244,6 @@ class Network:
         diagnostics: Optional[DiagnosticSink] = None,
         jobs: Optional[int] = None,
         cache: Union[ParseCache, str, None] = None,
-        timer: Optional[StageTimer] = None,
     ) -> "Network":
         """Build a network from a mapping of router name → config text/model.
 
@@ -249,12 +255,11 @@ class Network:
         network's ``diagnostics``/``quarantined`` describe what was lost.
 
         ``cache`` is a :class:`repro.ingest.ParseCache` (or directory
-        path) that replays previously-parsed files; ``timer`` is a
-        :class:`repro.ingest.StageTimer` that receives the parse-stage
-        timing.  Whatever the cache state, the resulting routers,
-        diagnostics, and quarantine list are identical.  ``jobs`` is
-        still accepted (negative values raise :class:`ValueError`) but no
-        longer changes ingestion, which is one serial pass.
+        path) that replays previously-parsed files.  Whatever the cache
+        state, the resulting routers, diagnostics, and quarantine list
+        are identical.  ``jobs`` is still accepted (negative values raise
+        :class:`ValueError`) but no longer changes ingestion, which is
+        one serial pass.
         """
         if on_error not in ON_ERROR_POLICIES:
             raise ValueError(f"unknown on_error policy: {on_error!r}")
@@ -265,7 +270,8 @@ class Network:
             for router_name, config in entries
             if isinstance(config, str)
         ]
-        outcomes = iter(parse_many(tasks, jobs=jobs, cache=cache, timer=timer))
+        results, parse = parse_stage(tasks, jobs=jobs, cache=cache)
+        outcomes = iter(results)
         routers = []
         quarantined: List[str] = []
         inventory: List[FileRecord] = []
@@ -300,6 +306,7 @@ class Network:
             quarantined=quarantined,
             on_duplicate="error" if on_error == "strict" else "rename",
             inventory=inventory,
+            ingest_stages=(parse,),
         )
 
     @classmethod
@@ -311,7 +318,6 @@ class Network:
         on_error: str = "strict",
         jobs: Optional[int] = None,
         cache: Union[ParseCache, str, None] = None,
-        timer: Optional[StageTimer] = None,
     ) -> "Network":
         """Build a network from a directory of config files (``config1`` ...).
 
@@ -324,17 +330,12 @@ class Network:
         and are renamed with a ``~N`` suffix (plus a warning diagnostic)
         otherwise.
 
-        ``jobs``, ``cache`` and ``timer`` behave as in
-        :meth:`from_configs`; per-file parse diagnostics are folded back
-        in directory order, so the diagnostic stream does not depend on
-        cache hits.
+        ``jobs`` and ``cache`` behave as in :meth:`from_configs`;
+        per-file parse diagnostics are folded back in directory order, so
+        the diagnostic stream does not depend on cache hits.
         """
         if on_error not in ON_ERROR_POLICIES:
             raise ValueError(f"unknown on_error policy: {on_error!r}")
-        if timer is None:
-            # A private timer still forwards stage spans to any active
-            # tracer, so `--trace` sees read/parse stages on every command.
-            timer = StageTimer()
         sink = DiagnosticSink()
         routers: List[Router] = []
         quarantined: List[str] = []
@@ -344,7 +345,7 @@ class Network:
         # merge loop can interleave them with parse diagnostics in file
         # order.
         files: List[Tuple[str, DiagnosticSink, Optional[str], bytes]] = []
-        with timer.stage("read") as read_record:
+        with span("stage:read") as read:
             for entry in sorted(os.listdir(path)):
                 full = os.path.join(path, entry)
                 if not os.path.isfile(full):
@@ -352,13 +353,14 @@ class Network:
                 file_sink = DiagnosticSink()
                 text, raw = _read_config_text(full, entry, file_sink)
                 files.append((entry, file_sink, text, raw))
-            read_record.items = len(files)
+            read.set(items=len(files))
         tasks = [
             ParseTask(source=entry, text=text, on_error=on_error, data=raw)
             for entry, _sink, text, raw in files
             if text is not None
         ]
-        outcomes = iter(parse_many(tasks, jobs=jobs, cache=cache, timer=timer))
+        results, parse = parse_stage(tasks, jobs=jobs, cache=cache)
+        outcomes = iter(results)
         for entry, file_sink, text, raw in files:
             sink.merge(file_sink)
             if text is None:
@@ -400,6 +402,7 @@ class Network:
             quarantined=quarantined,
             on_duplicate="error" if on_error == "strict" else "rename",
             inventory=inventory,
+            ingest_stages=(read, parse),
         )
 
     # -- indexes -----------------------------------------------------------

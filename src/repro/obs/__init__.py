@@ -11,10 +11,11 @@ Four cooperating pieces:
 
 * :mod:`repro.obs.logging` — ``get_logger()`` structured loggers with
   key=value and JSON renderers (``--log-level`` / ``--log-json``);
-* :mod:`repro.obs.metrics` — a process-local registry of counters,
-  gauges, and histograms populated by the pipeline's hot paths;
-* :mod:`repro.obs.trace` — nested spans with attributes, exportable as a
-  Chrome-trace file (``--trace out.json``);
+* :mod:`repro.obs.metrics` — a process-local registry of counters and
+  histograms populated by the pipeline's hot paths;
+* :mod:`repro.obs.trace` — nested spans with attributes, opened through
+  one :func:`~repro.obs.trace.span` API and exportable as a Chrome-trace
+  file (``--trace out.json``);
 * :mod:`repro.obs.manifest` — the run manifest (``--run-report r.json``):
   input inventory with SHA-256 and cache disposition, metrics snapshot,
   span tree, diagnostics summary, and exit code.
@@ -36,19 +37,17 @@ from repro.obs.manifest import (
 )
 from repro.obs.metrics import (
     Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
     get_registry,
     use_registry,
 )
-from repro.obs.trace import Span, Tracer, activate_tracer, current_tracer, traced
+from repro.obs.trace import Span, Tracer, activate_tracer, current_tracer, span, traced
 
 __all__ = [
     "MANIFEST_SCHEMA",
     "Counter",
     "FileRecord",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "Span",
@@ -61,6 +60,7 @@ __all__ = [
     "get_logger",
     "get_registry",
     "normalize_manifest",
+    "span",
     "traced",
     "use_registry",
     "write_manifest",

@@ -28,7 +28,7 @@ Schema (``repro-run-report/1``)::
     }
 
 Determinism: everything except ``environment``, ``timing``, ``spans``,
-and the gauge/histogram metrics is identical between ``--jobs 1`` and
+and the histogram metrics is identical between ``--jobs 1`` and
 ``--jobs 8`` runs over the same input — :func:`normalize_manifest`
 extracts exactly that comparable core (it is what the CI gate diffs).
 """
@@ -174,7 +174,7 @@ def normalize_manifest(manifest: Dict[str, Any]) -> Dict[str, Any]:
     """The deterministic core of a manifest.
 
     Strips everything that may legitimately differ between two runs over
-    identical input — wall-clock timings, span durations, worker gauges,
+    identical input — wall-clock timings, span durations, histograms,
     host environment — leaving the parts that MUST agree: the command,
     the exit code, the per-archive inventory (paths, sizes, SHA-256s,
     dispositions), the diagnostics summary, and the counter metrics.

@@ -1,16 +1,14 @@
-"""A process-local metrics registry: counters, gauges, histograms.
+"""A process-local metrics registry: counters and histograms.
 
 The pipeline's hot paths (parsing, cache lookups, quarantine
 decisions, analysis passes) record what happened here; the CLI snapshots
-the registry into the run manifest.  Three instrument kinds:
+the registry into the run manifest.  Two instrument kinds:
 
 * :class:`Counter` — monotone event counts (``cache.hits``,
   ``ingest.files.quarantined``).  Counters are the **deterministic**
   slice of a run's metrics: recorded only in the parent process, in
   file and scenario order, they are identical for ``--jobs 1`` and
   ``--jobs 8`` runs over the same input.
-* :class:`Gauge` — point-in-time values (a queue depth, a worker
-  count).  May legitimately differ between runs.
 * :class:`Histogram` — distributions, in practice wall/CPU timings
   (``analysis.instances.seconds``).  Never deterministic.
 
@@ -47,28 +45,6 @@ class Counter:
             raise ValueError(f"counters only go up, got {amount}")
         with self._lock:
             self.value += amount
-
-
-class Gauge:
-    """A point-in-time value (last write wins)."""
-
-    __slots__ = ("value", "_lock")
-
-    def __init__(self) -> None:
-        self.value: float = 0
-        self._lock = threading.Lock()
-
-    def set(self, value: float) -> None:
-        with self._lock:
-            self.value = value
-
-    def inc(self, amount: float = 1) -> None:
-        with self._lock:
-            self.value += amount
-
-    def dec(self, amount: float = 1) -> None:
-        with self._lock:
-            self.value -= amount
 
 
 class Histogram:
@@ -115,7 +91,6 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._counters: Dict[str, Counter] = {}
-        self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
         self._lock = threading.Lock()
 
@@ -125,13 +100,6 @@ class MetricsRegistry:
             if key not in self._counters:
                 self._counters[key] = Counter()
             return self._counters[key]
-
-    def gauge(self, name: str, **labels: str) -> Gauge:
-        key = _metric_key(name, labels)
-        with self._lock:
-            if key not in self._gauges:
-                self._gauges[key] = Gauge()
-            return self._gauges[key]
 
     def histogram(self, name: str, **labels: str) -> Histogram:
         key = _metric_key(name, labels)
@@ -147,7 +115,6 @@ class MetricsRegistry:
                 "counters": {
                     key: self._counters[key].value for key in sorted(self._counters)
                 },
-                "gauges": {key: self._gauges[key].value for key in sorted(self._gauges)},
                 "histograms": {
                     key: self._histograms[key].as_dict()
                     for key in sorted(self._histograms)
@@ -157,7 +124,7 @@ class MetricsRegistry:
     def __repr__(self) -> str:
         return (
             f"MetricsRegistry(counters={len(self._counters)}, "
-            f"gauges={len(self._gauges)}, histograms={len(self._histograms)})"
+            f"histograms={len(self._histograms)})"
         )
 
 
@@ -205,7 +172,6 @@ def use_registry(registry: Optional[MetricsRegistry] = None) -> Iterator[Metrics
 
 __all__ = [
     "Counter",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "get_registry",

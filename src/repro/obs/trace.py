@@ -1,14 +1,17 @@
 """Span-based tracing with Chrome-trace export.
 
 A :class:`Tracer` records a tree of :class:`Span` objects — named,
-attributed, nested wall-clock intervals — for one run.  It subsumes the
-flat ``StageTimer`` of the ingestion pipeline: stage records forward into
-the active tracer as spans (see :mod:`repro.ingest.timer`), and analysis
-entry points open their own spans via the :func:`traced` decorator, so a
-single ``--trace out.json`` file shows parsing, cache replay, link
-inference, and every analysis pass on one timeline.  Load ``out.json``
-into ``chrome://tracing`` / Perfetto, or read the same tree from the run
-manifest's ``spans`` section.
+attributed, nested wall-clock intervals — for one run.  There is one
+span API: :func:`span` opens a span in this thread's active tracer, or
+a detached (still timed) one when tracing is off, so callers never
+branch on whether a tracer exists.  Ingestion opens ``stage:read`` and
+``stage:parse``, the executor one ``stage:<name>`` per analysis stage,
+the corpus scheduler one ``archive:<name>`` per archive, and analysis
+entry points their own spans via the :func:`traced` decorator — so a
+single ``--trace out.json`` file shows reading, parsing, cache replay,
+link inference, and every analysis pass on one timeline, each nested
+where it ran.  Load ``out.json`` into ``chrome://tracing`` / Perfetto,
+or read the same tree from the run manifest's ``spans`` section.
 
 The tracer is single-process by design: the sweep's worker processes
 report their outcomes back to the parent, and the parent's merge loop
@@ -69,12 +72,6 @@ class Tracer:
     def _now(self) -> float:
         return time.perf_counter() - self._epoch
 
-    def _attach(self, span: Span) -> None:
-        if self._stack:
-            self._stack[-1].children.append(span)
-        else:
-            self.roots.append(span)
-
     @contextmanager
     def span(self, name: str, **attributes: Any) -> Iterator[Span]:
         """Open a nested span around a ``with`` block.
@@ -83,25 +80,13 @@ class Tracer:
         block to attach results (counts, dispositions) as attributes.
         """
         span = Span(name=name, start=self._now(), attributes=dict(attributes))
-        self._attach(span)
+        (self._stack[-1].children if self._stack else self.roots).append(span)
         self._stack.append(span)
         try:
             yield span
         finally:
             span.end = self._now()
             self._stack.pop()
-
-    def add_complete(self, name: str, seconds: float, **attributes: Any) -> Span:
-        """Record an already-measured interval as a child of the open span."""
-        end = self._now()
-        span = Span(
-            name=name,
-            start=max(0.0, end - seconds),
-            end=end,
-            attributes=dict(attributes),
-        )
-        self._attach(span)
-        return span
 
     # -- export ------------------------------------------------------------
 
@@ -137,9 +122,9 @@ class Tracer:
         return f"Tracer(roots={len(self.roots)}, open={len(self._stack)})"
 
 
-# The active tracer, if any.  Deep pipeline code (stage timers, analysis
+# The active tracer, if any.  Deep pipeline code (stage spans, analysis
 # decorators) looks it up here rather than having a tracer threaded through
-# every signature; when no tracer is active, tracing is a no-op.
+# every signature; when no tracer is active, spans are detached.
 #
 # The activation stack is **thread-local**: a Tracer's span stack is not
 # safe for concurrent pushes, so a thread only ever traces into a tracer
@@ -178,12 +163,34 @@ def activate_tracer(tracer: Optional[Tracer]) -> Iterator[Optional[Tracer]]:
         _TRACERS.stack = tuple(stack)
 
 
+@contextmanager
+def span(name: str, **attributes: Any) -> Iterator[Span]:
+    """Open a span around a ``with`` block in this thread's active tracer.
+
+    With no active tracer the span is *detached*: timed the same way
+    (``span.seconds`` is valid after the block) and carrying the same
+    attributes, but part of no tree.  Callers that report a stage's
+    time read it from the span either way.
+    """
+    tracer = current_tracer()
+    if tracer is not None:
+        with tracer.span(name, **attributes) as opened:
+            yield opened
+        return
+    start = time.perf_counter()
+    detached = Span(name=name, start=0.0, attributes=dict(attributes))
+    try:
+        yield detached
+    finally:
+        detached.end = time.perf_counter() - start
+
+
 def traced(name: str, metric: Optional[str] = None) -> Callable:
     """Instrument an analysis entry point: histogram + counter + span.
 
     Every call records ``<metric>.seconds`` (histogram) and
-    ``<metric>.calls`` (counter) in the active metrics registry, and opens
-    a ``<name>`` span when a tracer is active.  *metric* defaults to
+    ``<metric>.calls`` (counter) in the active metrics registry, and
+    runs inside a ``<name>`` :func:`span`.  *metric* defaults to
     ``analysis.<name>``.
     """
     metric_base = metric if metric is not None else f"analysis.{name}"
@@ -193,17 +200,11 @@ def traced(name: str, metric: Optional[str] = None) -> Callable:
         def wrapper(*args: Any, **kwargs: Any) -> Any:
             from repro.obs.metrics import get_registry  # noqa: PLC0415 — cycle-free, lazy
 
-            registry = get_registry()
-            tracer = current_tracer()
-            start = time.perf_counter()
-            if tracer is not None:
-                with tracer.span(name):
-                    result = func(*args, **kwargs)
-            else:
+            with span(name) as opened:
                 result = func(*args, **kwargs)
-            elapsed = time.perf_counter() - start
+            registry = get_registry()
             registry.counter(f"{metric_base}.calls").inc()
-            registry.histogram(f"{metric_base}.seconds").observe(elapsed)
+            registry.histogram(f"{metric_base}.seconds").observe(opened.seconds)
             return result
 
         return wrapper
@@ -216,5 +217,6 @@ __all__ = [
     "Tracer",
     "activate_tracer",
     "current_tracer",
+    "span",
     "traced",
 ]

@@ -1,6 +1,6 @@
 """Paper-style table and distribution formatting for benches and examples."""
 
-from repro.report.corpus import normalize_corpus_payload
+from repro.report.corpus import normalize_corpus_payload, span_row, stage_row
 from repro.report.design_report import generate_design_report
 from repro.report.diagnostics import format_diagnostics
 from repro.report.execution import format_execution_lines, format_status_counts
@@ -22,4 +22,6 @@ __all__ = [
     "normalize_corpus_payload",
     "normalize_shared_payload",
     "normalize_sweep_payload",
+    "span_row",
+    "stage_row",
 ]

@@ -17,6 +17,30 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional
 
 from repro.obs.manifest import normalize_execution
+from repro.obs.trace import Span
+
+
+def stage_row(
+    name: str, seconds: float, items: int, counters: Optional[Dict[str, int]] = None
+) -> Dict[str, Any]:
+    """One ``stages`` row of a corpus payload: wall seconds, item count,
+    items per second, and any counters (``parsed``/``cached`` on the
+    parse row).  ``--stage-deadline auto`` reads the same shape from the
+    throughput benchmark's results (:mod:`repro.exec.budget`)."""
+    row: Dict[str, Any] = {"name": name, "seconds": round(seconds, 6), "items": items}
+    if items and seconds > 0:
+        row["items_per_second"] = round(items / seconds, 1)
+    if counters:
+        row["counters"] = dict(counters)
+    return row
+
+
+def span_row(stage: Span) -> Dict[str, Any]:
+    """The :func:`stage_row` of a ``stage:<name>`` span: its ``items``
+    attribute is the item count, every other attribute a counter."""
+    counters = dict(stage.attributes)
+    items = counters.pop("items", 0)
+    return stage_row(stage.name.split(":", 1)[-1], stage.seconds, items, counters)
 
 
 def _normalize_stage(stage: Dict[str, Any]) -> Dict[str, Any]:
@@ -90,4 +114,4 @@ def normalize_corpus_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
     return normalized
 
 
-__all__ = ["normalize_corpus_payload"]
+__all__ = ["normalize_corpus_payload", "span_row", "stage_row"]

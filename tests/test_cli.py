@@ -379,3 +379,60 @@ class TestCorpus:
         code = main(["corpus", "--no-cache", os.fspath(tmp_path / "corpus")])
         assert code == 2
         capsys.readouterr()
+
+
+class TestCheckpointRoot:
+    """Checkpoints live at --checkpoint-dir, else $REPRO_CHECKPOINT_DIR,
+    else <--cache-dir or the default cache dir>/checkpoints."""
+
+    @pytest.fixture()
+    def archive(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("REPRO_CHECKPOINT_DIR", raising=False)
+        monkeypatch.setenv("REPRO_CACHE_DIR", os.fspath(tmp_path / "default"))
+        configs, _meta = build_example_networks()
+        d = tmp_path / "archive"
+        d.mkdir()
+        for name, text in configs.items():
+            (d / name).write_text(text)
+        return os.fspath(d)
+
+    @staticmethod
+    def _entries(root):
+        return [
+            name
+            for _dirpath, _dirnames, names in os.walk(root)
+            for name in names
+            if name.endswith(".json")
+        ]
+
+    @pytest.mark.parametrize("command", ["corpus", "sweep"])
+    def test_checkpoints_follow_cache_dir(self, archive, tmp_path, capsys, command):
+        cache = tmp_path / "cache"
+        assert main([command, "--json", "--cache-dir", os.fspath(cache), archive]) == 0
+        capsys.readouterr()
+        assert self._entries(cache / "checkpoints")
+        assert not (tmp_path / "default").exists()
+
+    def test_default_cache_dir_holds_checkpoints(self, archive, tmp_path, capsys):
+        assert main(["corpus", "--json", archive]) == 0
+        capsys.readouterr()
+        assert self._entries(tmp_path / "default" / "checkpoints")
+
+    def test_env_then_flag_take_precedence(self, archive, tmp_path, capsys, monkeypatch):
+        cache = tmp_path / "cache"
+        monkeypatch.setenv("REPRO_CHECKPOINT_DIR", os.fspath(tmp_path / "env"))
+        assert main(["corpus", "--json", "--cache-dir", os.fspath(cache), archive]) == 0
+        assert self._entries(tmp_path / "env")
+        flag = tmp_path / "flag"
+        assert main(
+            ["corpus", "--json", "--cache-dir", os.fspath(cache),
+             "--checkpoint-dir", os.fspath(flag), archive]
+        ) == 0
+        capsys.readouterr()
+        assert self._entries(flag)
+        assert not (cache / "checkpoints").exists()
+
+    @pytest.mark.parametrize("command", ["corpus", "sweep"])
+    def test_resume_without_checkpoints_is_an_error(self, archive, capsys, command):
+        with pytest.raises(SystemExit, match="--resume needs checkpointing"):
+            main([command, "--no-checkpoint", "--resume", archive])

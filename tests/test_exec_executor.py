@@ -167,7 +167,7 @@ class TestCheckpointsAndResume:
         assert store2.stats.stores == 0
         assert all(r.from_checkpoint for r in execution.results)
         counters = registry.snapshot()["counters"]
-        assert counters["exec.checkpoint.hits"] == len(ANALYSIS_STAGES)
+        assert counters["checkpoint.hits"] == len(ANALYSIS_STAGES)
 
     def test_unfinished_stages_are_not_checkpointed(self, network, tmp_path):
         store = CheckpointStore(root=os.fspath(tmp_path))

@@ -327,6 +327,6 @@ class TestConcurrentCheckpointWriters:
         stats = store.stats.as_dict()
         assert stats["stores"] == 80
         assert stats["hits"] == 80
-        assert stats["invalidated"] == 0
+        assert stats["evictions"] == 0
         # No temp droppings left behind by the atomic-replace protocol.
-        assert all(".tmp-" not in path for path in store.entries())
+        assert all(".tmp-" not in path for path in store.disk.entries())

@@ -1,4 +1,4 @@
-"""The ingestion engine: stage timing, parse cache, the serial parse pass."""
+"""The ingestion engine: parse cache key contract, the serial parse pass."""
 
 import os
 import pickle
@@ -10,9 +10,9 @@ from repro.ingest import (
     CacheEntry,
     ParseCache,
     ParseTask,
-    StageTimer,
     parse_many,
     parse_one,
+    parse_stage,
 )
 from repro.ios.parser import ConfigParseError
 from repro.junos.blocks import JunosSyntaxError
@@ -35,51 +35,6 @@ JUNOS_UNBALANCED = """\
 system {
     host-name j1;
 """
-
-
-class TestStageTimer:
-    def test_stage_records_time_and_items(self):
-        timer = StageTimer()
-        with timer.stage("parse") as record:
-            record.items = 42
-        assert timer.items("parse") == 42
-        assert timer.seconds("parse") >= 0
-        assert len(timer) == 1
-
-    def test_stage_records_on_exception(self):
-        timer = StageTimer()
-        with pytest.raises(RuntimeError):
-            with timer.stage("parse"):
-                raise RuntimeError("boom")
-        assert len(timer) == 1  # the stage is still on the books
-
-    def test_repeated_stage_names_aggregate(self):
-        timer = StageTimer()
-        timer.record("parse", 1.0, items=10)
-        timer.record("parse", 2.0, items=5)
-        timer.record("links", 0.5, items=3)
-        assert timer.seconds("parse") == pytest.approx(3.0)
-        assert timer.items("parse") == 15
-        assert timer.stage_names() == ["parse", "links"]
-
-    def test_counters_aggregate(self):
-        timer = StageTimer()
-        timer.record("parse", 1.0, counters={"cached": 3})
-        timer.record("parse", 1.0, counters={"cached": 4, "parsed": 1})
-        assert timer.counter("parse", "cached") == 7
-        assert timer.counter("parse", "parsed") == 1
-        assert timer.counter("parse", "missing") == 0
-
-    def test_as_dict_shape(self):
-        timer = StageTimer()
-        timer.record("parse", 2.0, items=10, counters={"cached": 2})
-        data = timer.as_dict()
-        assert data["total_seconds"] == pytest.approx(2.0)
-        (stage,) = data["stages"]
-        assert stage["name"] == "parse"
-        assert stage["items"] == 10
-        assert stage["items_per_second"] == pytest.approx(5.0)
-        assert stage["counters"] == {"cached": 2}
 
 
 class TestParseOne:
@@ -159,36 +114,14 @@ class TestParseCache:
         monkeypatch.setattr(dialect, "PARSER_VERSION", "next-version")
         assert cache.key(b"abc", "strict") != before
 
-    def test_corrupt_entry_degrades_to_miss_and_evicts(self, tmp_path):
-        cache = ParseCache(root=str(tmp_path))
-        key = cache.key(b"abc", "strict")
-        cache.put(key, CacheEntry(None, (), True))
-        path = cache._path(key)
-        with open(path, "wb") as handle:
-            handle.write(b"not a pickle")
-        assert cache.get(key) is None
-        assert cache.stats.evictions == 1
-        assert not os.path.exists(path)
-
     def test_non_entry_pickle_is_rejected(self, tmp_path):
         cache = ParseCache(root=str(tmp_path))
         key = cache.key(b"abc", "strict")
-        os.makedirs(os.path.dirname(cache._path(key)), exist_ok=True)
-        with open(cache._path(key), "wb") as handle:
+        os.makedirs(os.path.dirname(cache.disk.path(key)), exist_ok=True)
+        with open(cache.disk.path(key), "wb") as handle:
             pickle.dump({"not": "an entry"}, handle)
         assert cache.get(key) is None
         assert cache.stats.evictions == 1
-
-    def test_unwritable_root_degrades_gracefully(self, tmp_path):
-        # A root that cannot be a directory (it's under a regular file):
-        # put() must fail soft, never raise into the pipeline.
-        blocker = tmp_path / "blocker"
-        blocker.write_text("in the way")
-        cache = ParseCache(root=str(blocker / "cache"))
-        key = cache.key(b"abc", "strict")
-        assert cache.put(key, CacheEntry(None, (), True)) is False
-        assert cache.stats.stores == 0
-        assert cache.get(key) is None
 
     def test_coerce(self, tmp_path):
         assert ParseCache.coerce(None) is None
@@ -197,27 +130,6 @@ class TestParseCache:
         coerced = ParseCache.coerce(str(tmp_path))
         assert isinstance(coerced, ParseCache)
         assert coerced.root == str(tmp_path)
-
-    def test_write_failures_are_counted_and_metered(self, tmp_path, monkeypatch):
-        from repro.obs.metrics import MetricsRegistry, use_registry
-
-        monkeypatch.setenv("REPRO_CHAOS", "*:cache=io-error")
-        registry = MetricsRegistry()
-        with use_registry(registry):
-            cache = ParseCache(root=str(tmp_path))
-            key = cache.key(b"abc", "strict")
-            assert cache.put(key, CacheEntry(None, (), True)) is False
-            assert cache.put(key, CacheEntry(None, (), True)) is False
-            assert cache.get(key) is None  # degraded to a plain miss
-        assert cache.stats.write_failures == 2
-        assert cache.stats.as_dict()["write_failures"] == 2
-        counters = registry.snapshot()["counters"]
-        assert counters.get("cache.write_failures") == 2
-        # Chaos cleared: the very same cache instance writes again.
-        monkeypatch.delenv("REPRO_CHAOS")
-        with use_registry(MetricsRegistry()):
-            assert cache.put(key, CacheEntry(None, (), True)) is True
-            assert cache.get(key) is not None
 
 
 class TestParseMany:
@@ -230,7 +142,7 @@ class TestParseMany:
         assert [o.source for o in outcomes] == [f"f{i}" for i in range(6)]
         assert [o.config.hostname for o in outcomes] == [f"r{i}" for i in range(6)]
 
-    def test_parallel_outcomes_match_serial(self):
+    def test_jobs_value_does_not_change_outcomes(self):
         tasks = self._tasks(8)
         serial = parse_many(tasks, jobs=1)
         parallel = parse_many(tasks, jobs=4)
@@ -242,12 +154,10 @@ class TestParseMany:
     def test_cache_hits_skip_parsing(self, tmp_path):
         cache = ParseCache(root=str(tmp_path))
         tasks = self._tasks(4)
-        timer_cold, timer_warm = StageTimer(), StageTimer()
-        cold = parse_many(tasks, jobs=1, cache=cache, timer=timer_cold)
-        warm = parse_many(tasks, jobs=1, cache=cache, timer=timer_warm)
-        assert timer_cold.counter("parse", "parsed") == 4
-        assert timer_warm.counter("parse", "parsed") == 0
-        assert timer_warm.counter("parse", "cached") == 4
+        cold, cold_stage = parse_stage(tasks, jobs=1, cache=cache)
+        warm, warm_stage = parse_stage(tasks, jobs=1, cache=cache)
+        assert cold_stage.attributes == {"items": 4, "parsed": 4, "cached": 0}
+        assert warm_stage.attributes == {"items": 4, "parsed": 0, "cached": 4}
         assert all(o.cached for o in warm)
         assert [o.config.hostname for o in cold] == [
             o.config.hostname for o in warm
@@ -306,8 +216,8 @@ class TestColdIngestStore:
         assert all(path.startswith("objects" + os.sep) for path in written)
 
 
-class TestWorkerSinkIsolation:
-    def test_worker_sink_never_leaks_between_tasks(self):
+class TestPerFileSinks:
+    def test_file_sink_never_leaks_between_tasks(self):
         # Each outcome carries only its own file's diagnostics.
         tasks = [
             ParseTask("good", IOS_OK, "skip-block"),
@@ -326,7 +236,7 @@ class TestWorkerSinkIsolation:
         for outcome in parse_many(tasks, jobs=1):
             merged.merge(outcome.diagnostics)
         shared = DiagnosticSink()
-        from repro.ingest.parallel import _parse_with_policy
+        from repro.ingest.parse import _parse_with_policy
 
         _parse_with_policy(IOS_BAD, "a", "skip-file", shared)
         _parse_with_policy(IOS_OK, "b", "skip-block", shared)

@@ -14,13 +14,12 @@ from repro.obs.logging import (
 )
 from repro.obs.metrics import (
     Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
     get_registry,
     use_registry,
 )
-from repro.obs.trace import Tracer, activate_tracer, current_tracer, traced
+from repro.obs.trace import Tracer, activate_tracer, current_tracer, span, traced
 
 
 class TestMetricsPrimitives:
@@ -33,13 +32,6 @@ class TestMetricsPrimitives:
     def test_counter_rejects_negative(self):
         with pytest.raises(ValueError):
             Counter().inc(-1)
-
-    def test_gauge_set_inc_dec(self):
-        gauge = Gauge()
-        gauge.set(8)
-        gauge.dec(3)
-        gauge.inc(1)
-        assert gauge.value == 6
 
     def test_histogram_summary(self):
         histogram = Histogram()
@@ -69,7 +61,6 @@ class TestRegistry:
         registry = MetricsRegistry()
         registry.counter("b").inc()
         registry.counter("a").inc()
-        registry.gauge("g").set(1)
         registry.histogram("h").observe(0.5)
         snapshot = registry.snapshot()
         assert list(snapshot["counters"]) == ["a", "b"]
@@ -107,7 +98,8 @@ class TestTracer:
     def test_chrome_trace_events(self):
         tracer = Tracer()
         with tracer.span("a"):
-            tracer.add_complete("b", 0.01, items=2)
+            with tracer.span("b", items=2):
+                pass
         trace = tracer.chrome_trace()
         names = [event["name"] for event in trace["traceEvents"]]
         assert names == ["a", "b"]
@@ -127,6 +119,37 @@ class TestTracer:
         with activate_tracer(None) as active:
             assert active is None
             assert current_tracer() is None
+
+
+class TestSpanApi:
+    def test_span_nests_in_the_active_tracer(self):
+        tracer = Tracer()
+        with activate_tracer(tracer):
+            with span("outer") as outer:
+                with span("inner", items=2) as inner:
+                    inner.set(cached=1)
+        assert tracer.roots == [outer]
+        assert outer.children == [inner]
+        assert inner.attributes == {"items": 2, "cached": 1}
+
+    def test_detached_span_is_timed_without_a_tracer(self):
+        assert current_tracer() is None
+        with span("stage:read", items=0) as detached:
+            detached.set(items=7)
+        assert detached.end is not None and detached.seconds >= 0
+        assert detached.attributes == {"items": 7}
+        assert detached.children == []
+
+    def test_span_is_timed_when_the_block_raises(self):
+        tracer = Tracer()
+        with pytest.raises(RuntimeError):
+            with activate_tracer(tracer), span("stage:parse"):
+                raise RuntimeError("boom")
+        with pytest.raises(RuntimeError):
+            with span("stage:parse") as detached:
+                raise RuntimeError("boom")
+        assert tracer.roots[0].end is not None
+        assert detached.end is not None
 
 
 class TestTracedDecorator:
@@ -245,16 +268,56 @@ class TestPipelineMetrics:
         assert snapshot["counters"]["analysis.instances.calls"] == 1
         assert snapshot["histograms"]["analysis.instances.seconds"]["count"] == 1
 
-    def test_stage_timer_forwards_to_tracer(self):
-        from repro.ingest import StageTimer
+    @pytest.mark.parametrize("flags", [[], ["--stage-deadline", "60"]], ids=["inline", "watchdog"])
+    def test_corpus_stage_spans_contain_their_analysis_spans(self, tmp_path, capsys, flags):
+        from repro.cli import main
+        from repro.exec import ANALYSIS_STAGES
+        from repro.synth.templates.enterprise import build_enterprise
+        from repro.synth.templates.example_fig1 import build_example_networks
 
-        tracer = Tracer()
-        timer = StageTimer()
-        with activate_tracer(tracer):
-            with timer.stage("read") as record:
-                record.items = 7
-            timer.record("parse", 0.5, items=3, counters={"cached": 1})
-        names = [span.name for span in tracer.roots]
-        assert names == ["stage:read", "stage:parse"]
-        assert tracer.roots[0].attributes["items"] == 7
-        assert tracer.roots[1].attributes == {"items": 3, "cached": 1}
+        corpus = tmp_path / "corpus"
+        for archive, (configs, _meta) in (
+            ("ent", build_enterprise("ent", 1, 8, seed=3)),
+            ("fig1", build_example_networks()),
+        ):
+            (corpus / archive).mkdir(parents=True)
+            for name, text in configs.items():
+                (corpus / archive / name).write_text(text)
+        report = tmp_path / "report.json"
+        code = main(
+            ["corpus", str(corpus), "--no-cache", "--no-checkpoint",
+             "--run-report", str(report), *flags]
+        )
+        capsys.readouterr()
+        assert code == 0
+        (run,) = json.loads(report.read_text())["spans"]
+        archives = run["children"]
+        assert [a["name"] for a in archives] == ["archive:ent", "archive:fig1"]
+        analysis = {"instances", "pathways", "address_space", "reachability", "survivability"}
+
+        def end(node):
+            return node["start"] + node["seconds"]
+
+        def descendants(node):
+            for child in node.get("children", []):
+                yield child
+                yield from descendants(child)
+
+        slack = 2e-6  # start/seconds are rounded to the microsecond
+        for archive in archives:
+            stages = archive["children"]
+            assert [s["name"] for s in stages] == ["stage:read", "stage:parse"] + [
+                f"stage:{stage}" for stage in ANALYSIS_STAGES
+            ]
+            for before, after in zip(stages, stages[1:]):
+                assert end(before) <= after["start"] + slack  # siblings never overlap
+            seen = set()
+            for stage in stages:
+                name = stage["name"].split(":", 1)[1]
+                for node in descendants(stage):
+                    assert stage["start"] - slack <= node["start"]
+                    assert end(node) <= end(stage) + slack
+                top = {child["name"] for child in stage.get("children", [])}
+                assert top <= {name}  # each analysis span sits in its own stage
+                seen |= top
+            assert seen == analysis

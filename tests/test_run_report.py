@@ -126,8 +126,8 @@ class TestJobsIndependence:
         out8 = capsys.readouterr().out
         assert code1 == code8
         assert out1 == out8  # analysis output is byte-identical
-        # Worker counts live in gauges, timings in histograms/spans — all
-        # stripped by normalize_manifest; what remains must be identical.
+        # Timings live in histograms and spans — both stripped by
+        # normalize_manifest; what remains must be identical.
         assert normalize_manifest(serial) == normalize_manifest(parallel)
 
     def test_normalize_strips_nondeterministic_sections(self, archive_dir, tmp_path, capsys):

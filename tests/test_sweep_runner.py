@@ -265,7 +265,7 @@ class TestCheckpointResume:
         )
         assert not any(
             f"{SCENARIO_STAGE_PREFIX}{victim}.json" in path
-            for path in store.entries()
+            for path in store.disk.entries()
         )
         # A resumed run re-executes the failed scenario, clean this time.
         resumed = run_network_sweep(

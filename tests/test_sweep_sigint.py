@@ -125,7 +125,7 @@ def test_sigint_leaves_valid_checkpoints_and_resume_is_identical(
 
     # The store itself accepts the directory wholesale (no evictions
     # needed): its entry census equals the file census.
-    assert len(CheckpointStore(root=ckpt).entries()) == len(files)
+    assert len(CheckpointStore(root=ckpt).disk.entries()) == len(files)
 
     # Resumed run (chaos cleared) vs uninterrupted reference run.
     resumed = _run_json(
