@@ -68,6 +68,7 @@ from repro.core import (
     route_pathway,
 )
 from repro.core.filters import analyze_filter_placement
+from repro.core.pathways import ROUTER_RIB
 from repro.core.roles import classify_roles
 from repro.diag import EXIT_ERRORS, PHASE_ANALYSIS
 from repro.ingest import ParseCache
@@ -215,6 +216,8 @@ def cmd_pathway(args: argparse.Namespace) -> int:
     print(f"route pathway of {args.router}:")
     for node, depth in sorted(pathway.layers.items(), key=lambda kv: kv[1]):
         label = pathway.graph.nodes.get(node, {}).get("label", str(node))
+        if node == ROUTER_RIB:
+            label = f"{label} ({args.router})"
         print(f"  depth {depth}: {label}")
     external = pathway.external_depth()
     if external is None:
@@ -1095,15 +1098,15 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_const",
         const=True,
         default=None,
-        help="collapse equivalent routers before the pathway analysis "
-        "(certified-identical output, one pathway per equivalence class)",
+        help="also build the compression plan (router equivalence classes) "
+        "in the pathways stage; output and pathway work equal --no-compress",
     )
     compress_group.add_argument(
         "--no-compress",
         dest="compress",
         action="store_const",
         const=False,
-        help="force the direct per-router pathway analysis (default)",
+        help="skip the compression plan (default); output is the same",
     )
     archive = [mode, ingest, obs]
 

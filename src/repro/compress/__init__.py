@@ -2,24 +2,29 @@
 
 The paper analyzes ~500-router networks whose operators think in terms
 of a handful of router *roles*; *Control Plane Compression* (SIGCOMM
-2018) shows such role symmetries can be exploited mechanically: collapse
-equivalent routers into a quotient network, analyze that, and expand the
-results back to concrete-router granularity.  This package does exactly
-that for the per-router analyses of this repository:
+2018) shows such role symmetries can be found mechanically.  This
+package groups equivalent routers into classes and certifies that one
+pathway per class, expanded to every member, equals the direct
+analysis:
 
 * :mod:`repro.compress.signature` — the equivalence signature (role,
   process set, policy digest, degree profile) plus Weisfeiler-Lehman
   color refinement over the link topology;
 * :mod:`repro.compress.plan` — :func:`build_compression_plan`, grouping
   routers into :class:`EquivalenceClass`\\ es;
-* :mod:`repro.compress.quotient` — the quotient :class:`Network` with
-  multiplicity-weighted links;
 * :mod:`repro.compress.analysis` — direct vs. compressed analysis
   producing identical normalized payloads, with ``expanded_from``
   provenance on every expanded result;
 * :mod:`repro.compress.certify` — the certification contract:
-  quotient-then-expand must equal direct analysis byte-for-byte after
+  plan-then-expand must equal direct analysis byte-for-byte after
   normalization, with a ``KNOWN_GAPS`` escape hatch that ships empty.
+
+``--compress`` buys no speed: the direct pathway stage already
+runs one search per attachment signature
+(:func:`repro.core.pathways.route_pathways`), so the flag only adds the
+plan to the run.  Deleting the flag and ``ExecutorConfig.runners`` waits
+for a change to the benchmark, whose pod-compress workload passes
+``--compress`` and requires the plan's span.
 """
 
 from repro.compress.analysis import (
@@ -34,7 +39,6 @@ from repro.compress.payload import (
     payload_digest,
 )
 from repro.compress.plan import CompressionPlan, EquivalenceClass, build_compression_plan
-from repro.compress.quotient import QuotientSummary, build_quotient
 from repro.compress.signature import local_signature, signature_colors
 
 __all__ = [
@@ -42,12 +46,10 @@ __all__ = [
     "CertificationResult",
     "CompressionPlan",
     "EquivalenceClass",
-    "QuotientSummary",
     "analyze_compressed",
     "analyze_direct",
     "build_analysis_payload",
     "build_compression_plan",
-    "build_quotient",
     "certify_compression",
     "compressed_stage_runners",
     "local_signature",

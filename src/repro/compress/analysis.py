@@ -1,25 +1,22 @@
 """Direct vs. compressed analysis pipelines.
 
 ``analyze_direct`` runs the five per-network analyses the way the
-executor does — the pathway stage iterates every router.  That loop is
-the super-linear hot spot: each :func:`~repro.core.pathways.route_pathway`
-call rebuilds the process-membership index, so the stage costs
-O(routers × processes) — quadratic on designs where most routers run a
-routing process.
+executor does: :func:`~repro.core.pathways.route_pathways` gives every
+router its pathway at one search per attachment signature.
 
 ``analyze_compressed`` computes one pathway per equivalence class
 representative and expands it to every member with ``expanded_from``
-provenance, turning the stage into O(classes × processes) + one linear
-planning pass.  The linear-time analyses (links, instances, process
-graph, address space, survivability) are shared verbatim between the two
-pipelines — they are already cheap, and reusing them is what makes the
-certification diff meaningful rather than vacuous.
+provenance.  Both pipelines share the other analyses (instances, process
+graph, address space, survivability) verbatim, so the certification
+diff in :mod:`repro.compress.certify` compares two independent ways of
+fanning pathways out to routers: by attachment signature and by
+compression plan.
 
-``compressed_stage_runners`` adapts the same substitution to the
-resilient executor: only the ``pathways`` stage runner changes, and it
-reports the same item count (routers, not classes) and the same
-``truncated`` detail, so normalized corpus payloads are byte-identical
-between ``--compress`` and direct runs.
+``compressed_stage_runners`` is the executor table ``--compress``
+selects: its ``pathways`` runner builds the plan, counts the routers
+the plan folds away under ``analysis.pathways.expanded`` and then runs
+the direct runner, so ``--compress`` output and pathway work equal
+``--no-compress``; the plan is the only addition.
 """
 
 from __future__ import annotations
@@ -28,14 +25,13 @@ from typing import Any, Callable, Dict, List, Optional
 
 from repro.compress.payload import build_analysis_payload, pathway_payload
 from repro.compress.plan import CompressionPlan, build_compression_plan
-from repro.compress.quotient import build_quotient
 from repro.core.address_space import extract_address_space
 from repro.core.instances import (
     RoutingInstance,
     build_instance_graph,
     compute_instances,
 )
-from repro.core.pathways import route_pathway
+from repro.core.pathways import route_pathway, route_pathways
 from repro.core.process_graph import build_process_graph
 from repro.core.survivability import analyze_survivability
 from repro.model.network import Network
@@ -54,20 +50,15 @@ def analyze_direct(
     max_depth: Optional[int] = None,
     instances: Optional[List[RoutingInstance]] = None,
 ) -> Dict[str, Any]:
-    """The reference pipeline: one pathway per concrete router."""
+    """The reference pipeline: every router's pathway, as the executor runs it."""
     if instances is None:
         instances = compute_instances(network)
-    instance_graph = build_instance_graph(network, instances)
-    pathways: Dict[str, Dict[str, Any]] = {}
-    for router in sorted(network.routers):
-        pathway = route_pathway(
-            network,
-            router,
-            instances=instances,
-            instance_graph=instance_graph,
-            max_depth=max_depth,
-        )
-        pathways[router] = pathway_payload(pathway)
+    pathways = {
+        router: pathway_payload(pathway)
+        for router, pathway in route_pathways(
+            network, instances=instances, max_depth=max_depth
+        ).items()
+    }
     process_graph, address_blocks, survivability = _shared_analyses(network, instances)
     return build_analysis_payload(
         network,
@@ -88,15 +79,14 @@ def analyze_compressed(
     """The compressed pipeline: one pathway per equivalence class.
 
     Every expanded pathway carries ``expanded_from: <class id>``; the
-    top-level ``compression`` block records the plan, the quotient link
-    multiplicities, and the per-class membership — everything the
-    normalizer strips before the certification diff.
+    top-level ``compression`` block records the plan and the per-class
+    membership — everything the normalizer strips before the
+    certification diff.
     """
     if instances is None:
         instances = compute_instances(network)
     if plan is None:
         plan = build_compression_plan(network, instances=instances)
-    quotient = build_quotient(network, plan)
     instance_graph = build_instance_graph(network, instances)
     pathways: Dict[str, Dict[str, Any]] = {}
     for cls in plan.classes:
@@ -112,7 +102,7 @@ def analyze_compressed(
             pathways[member] = dict(class_payload, expanded_from=cls.class_id)
     pathways = {router: pathways[router] for router in sorted(pathways)}
     process_graph, address_blocks, survivability = _shared_analyses(network, instances)
-    compression = quotient.as_dict()
+    compression = plan.as_dict()
     compression["class_members"] = {
         cls.class_id: {
             "members": list(cls.members),
@@ -121,10 +111,6 @@ def analyze_compressed(
             "instance_ids": list(cls.instance_ids),
         }
         for cls in plan.classes
-    }
-    compression["link_multiplicity"] = {
-        "|".join(classes): count
-        for classes, count in quotient.link_multiplicity.items()
     }
     return build_analysis_payload(
         network,
@@ -137,40 +123,21 @@ def analyze_compressed(
     )
 
 
-def _run_pathways_compressed(ctx, params: Dict[str, Any]):
-    """Drop-in replacement for the executor's ``pathways`` stage runner.
-
-    Reports the same item count (concrete routers) and the same
-    ``truncated`` marker as the direct runner: class representatives
-    cover every router and the truncation flag is class-invariant, so
-    the OR over representatives equals the OR over routers.  The saved
-    per-member calls are accounted under ``analysis.pathways.expanded``.
-    """
-    instances = ctx.instances()
-    plan = build_compression_plan(ctx.network, instances=instances)
-    instance_graph = build_instance_graph(ctx.network, instances)
-    truncated = False
-    for cls in plan.classes:
-        pathway = route_pathway(
-            ctx.network,
-            cls.representative,
-            instances=instances,
-            instance_graph=instance_graph,
-            **params,
-        )
-        truncated = truncated or pathway.truncated
-    expanded = plan.n_routers - plan.n_classes
-    if expanded > 0:
-        get_registry().counter("analysis.pathways.expanded").inc(expanded)
-    return None, len(ctx.network.routers), "truncated" if truncated else ""
-
-
 def compressed_stage_runners() -> Dict[str, Callable]:
     """The executor stage-runner table with compression enabled."""
     from repro.exec.executor import STAGE_RUNNERS  # noqa: PLC0415 — keep exec optional
 
+    run_pathways = STAGE_RUNNERS["pathways"]
+
+    def run_pathways_compressed(ctx, params: Dict[str, Any]):
+        plan = build_compression_plan(ctx.network, instances=ctx.instances())
+        expanded = plan.n_routers - plan.n_classes
+        if expanded > 0:
+            get_registry().counter("analysis.pathways.expanded").inc(expanded)
+        return run_pathways(ctx, params)
+
     runners = dict(STAGE_RUNNERS)
-    runners["pathways"] = _run_pathways_compressed
+    runners["pathways"] = run_pathways_compressed
     return runners
 
 

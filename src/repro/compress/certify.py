@@ -1,4 +1,4 @@
-"""The certification contract: quotient-then-expand equals direct.
+"""The certification contract: plan-then-expand equals direct.
 
 Compression is only trustworthy if it is *provably* lossless on the
 designs we care about.  :func:`certify_compression` runs both pipelines
@@ -24,14 +24,14 @@ from repro.compress.payload import normalize_analysis_payload, payload_digest
 from repro.compress.plan import CompressionPlan, build_compression_plan
 from repro.model.network import Network
 
-#: Network name -> reason the quotient pipeline is allowed to diverge.
+#: Network name -> reason the compressed pipeline is allowed to diverge.
 #: Empty by design; adding an entry requires a documented justification.
 KNOWN_GAPS: Dict[str, str] = {}
 
 
 @dataclass
 class CertificationResult:
-    """Outcome of one quotient-vs-direct certification run."""
+    """Outcome of one compressed-vs-direct certification run."""
 
     network: str
     identical: bool

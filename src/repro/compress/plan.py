@@ -12,10 +12,11 @@ The class construction runs three refinement layers:
 Layer 3 is what makes pathway expansion *exact* rather than heuristic: a
 route pathway (§3.3) depends only on the router's set of routing
 instances plus the shared instance graph — the router name appears in
-nothing but the RIB label.  Two routers with the same instance-id set
-therefore have identical pathways by construction.  WL alone cannot
-guarantee that: two isomorphic-but-disconnected pods (separate OSPF
-instances) would color identically yet live in different instances.
+nothing but :attr:`RoutePathway.router`.  Two routers with the same
+instance-id set therefore have identical pathways by construction.  WL
+alone cannot guarantee that: two isomorphic-but-disconnected pods
+(separate OSPF instances) would color identically yet live in different
+instances.
 """
 
 from __future__ import annotations

@@ -31,7 +31,7 @@ from repro.core.filters import FilterPlacement, analyze_filter_placement
 from repro.core.instances import RoutingInstance, build_instance_graph, compute_instances
 from repro.core.missing import find_suspect_external_interfaces
 from repro.core.packet_reach import Flow, FlowVerdict, PacketReachability
-from repro.core.pathways import route_pathway
+from repro.core.pathways import route_pathway, route_pathways
 from repro.core.process_graph import (
     EXTERNAL_NODE,
     NodeKind,
@@ -81,5 +81,6 @@ __all__ = [
     "local_rib_node",
     "process_node",
     "route_pathway",
+    "route_pathways",
     "router_rib_node",
 ]

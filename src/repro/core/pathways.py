@@ -4,17 +4,27 @@ For any router, the route pathway graph shows where the routes used by that
 router come from: starting at the router RIB, a breadth-first search walks
 *backwards* along route flow through the routing instance model, recording
 the instances the search passes through.
+
+The search reads only the router's *attachment signature* — the instance
+ids of its processes, in ``processes_on`` order — plus the instance graph
+and the depth bound.  :func:`route_pathways` therefore runs one search per
+signature and hands the result to every router that shares it.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple, Union
 
 import networkx as nx
 
-from repro.core.instances import RoutingInstance, compute_instances, instance_of
+from repro.core.instances import (
+    RoutingInstance,
+    build_instance_graph,
+    compute_instances,
+    instance_of,
+)
 from repro.core.process_graph import EXTERNAL_NODE
 from repro.model.network import Network
 from repro.obs.trace import traced
@@ -31,7 +41,9 @@ class RoutePathway:
     """The result of a pathway search for one router.
 
     ``graph`` is a directed graph with edges pointing along route flow
-    (source instance → consumer), rooted at the ``ROUTER_RIB`` node.
+    (source instance → consumer), rooted at the ``ROUTER_RIB`` node.  No
+    node label names the router, so routers with one attachment signature
+    can share the graph.
     ``layers`` maps each node to its BFS depth from the router RIB — the
     "number of layers of routing protocols and redistributions" §5.1 counts
     for net5's router 3.
@@ -91,13 +103,11 @@ def route_pathway(
     if instances is None:
         instances = compute_instances(network)
     if instance_graph is None:
-        from repro.core.instances import build_instance_graph  # noqa: PLC0415
-
         instance_graph = build_instance_graph(network, instances)
     membership = instance_of(instances)
 
     pathway = nx.DiGraph()
-    pathway.add_node(ROUTER_RIB, label=f"Router RIB ({router})")
+    pathway.add_node(ROUTER_RIB, label="Router RIB")
     layers: Dict[PathwayNode, int] = {ROUTER_RIB: 0}
     queue: deque = deque()
 
@@ -142,3 +152,42 @@ def route_pathway(
         policies=policies,
         truncated=truncated,
     )
+
+
+def route_pathways(
+    network: Network,
+    instances: Optional[List[RoutingInstance]] = None,
+    instance_graph: Optional[nx.MultiDiGraph] = None,
+    max_depth: Optional[int] = None,
+) -> Dict[str, RoutePathway]:
+    """Every router's route pathway, one search per attachment signature.
+
+    Routers whose processes belong to the same sequence of instances get
+    the same pathway, so :func:`route_pathway` runs once per distinct
+    sequence and each member receives the shared result under its own
+    name (the graph, layers and policies are shared, not copied).  Keys
+    are in sorted router order.
+    """
+    if instances is None:
+        instances = compute_instances(network)
+    if instance_graph is None:
+        instance_graph = build_instance_graph(network, instances)
+    membership = instance_of(instances)
+    shared: Dict[Tuple[int, ...], RoutePathway] = {}
+    pathways: Dict[str, RoutePathway] = {}
+    for router in sorted(network.routers):
+        signature = tuple(
+            membership[proc.key].instance_id for proc in network.processes_on(router)
+        )
+        if signature not in shared:
+            # A module-global lookup: a wrapper set on the module
+            # attribute sees every search.
+            shared[signature] = route_pathway(
+                network,
+                router,
+                instances=instances,
+                instance_graph=instance_graph,
+                max_depth=max_depth,
+            )
+        pathways[router] = replace(shared[signature], router=router)
+    return pathways

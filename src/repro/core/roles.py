@@ -67,7 +67,7 @@ def classify_router_roles(network: Network) -> Dict[str, RouterRole]:
 
     Unlike :func:`classify_roles` (the Table 1 census over *instances*),
     this classifies individual *routers* — the bucketing key the
-    ``repro.compress`` quotient construction starts from.  Complexity is
+    ``repro.compress`` plan construction starts from.  Complexity is
     O(processes + sessions + interfaces); nothing here iterates processes
     per router.
     """

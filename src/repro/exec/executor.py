@@ -155,18 +155,11 @@ def _run_instances(ctx: StageContext, params: Dict[str, Any]):
 
 
 def _run_pathways(ctx: StageContext, params: Dict[str, Any]):
-    from repro.core.instances import build_instance_graph  # noqa: PLC0415
-    from repro.core.pathways import route_pathway  # noqa: PLC0415
+    from repro.core.pathways import route_pathways  # noqa: PLC0415
 
-    instances = ctx.instances()
-    graph = build_instance_graph(ctx.network, instances)
-    truncated = False
-    for router in sorted(ctx.network.routers):
-        pathway = route_pathway(
-            ctx.network, router, instances=instances, instance_graph=graph, **params
-        )
-        truncated = truncated or pathway.truncated
-    return None, len(ctx.network.routers), "truncated" if truncated else ""
+    pathways = route_pathways(ctx.network, instances=ctx.instances(), **params)
+    truncated = any(pathway.truncated for pathway in pathways.values())
+    return None, len(pathways), "truncated" if truncated else ""
 
 
 def _run_address_space(ctx: StageContext, params: Dict[str, Any]):

@@ -125,11 +125,10 @@ def build_generation_payload(
     diff: Optional[Dict[str, Any]] = None,
 ) -> Dict[str, Any]:
     """The JSON document a complete generation serves."""
-    from repro.core.instances import build_instance_graph, compute_instances
-    from repro.core.pathways import route_pathway
+    from repro.core.instances import compute_instances
+    from repro.core.pathways import route_pathways
 
     instances = compute_instances(network)
-    graph = build_instance_graph(network, instances)
     instance_rows = [
         {
             "id": instance.instance_id,
@@ -141,16 +140,14 @@ def build_generation_payload(
             instances, key=lambda i: (-i.size, i.instance_id)
         )
     ]
-    pathways: Dict[str, Any] = {}
-    for router in sorted(network.routers):
-        pathway = route_pathway(
-            network, router, instances=instances, instance_graph=graph
-        )
-        pathways[router] = {
+    pathways = {
+        router: {
             "external_depth": pathway.external_depth(),
             "layers": len(pathway.layers),
             "truncated": pathway.truncated,
         }
+        for router, pathway in route_pathways(network, instances=instances).items()
+    }
     diagnostics = [
         {
             "severity": diagnostic.severity,

@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, FrozenSet, List, Optional
 
 from repro.core.address_space import extract_address_space, mentioned_subnets
-from repro.core.instances import build_instance_graph, compute_instances
-from repro.core.pathways import ROUTER_RIB, route_pathway
+from repro.core.instances import compute_instances
+from repro.core.pathways import ROUTER_RIB, route_pathways
 from repro.core.process_graph import EXTERNAL_NODE
 from repro.core.survivability import analyze_survivability
 from repro.model.network import Network
@@ -90,7 +90,6 @@ def analysis_summary(
     stages = {result.stage: result.status for result in execution.results}
 
     instances = compute_instances(network)
-    graph = build_instance_graph(network, instances)
 
     instance_entries = []
     for instance in instances:
@@ -123,10 +122,9 @@ def analysis_summary(
         return isinstance(node, int) and node in decoy_instance_ids
 
     pathways: Dict[str, Any] = {}
-    for router in sorted(network.routers):
+    for router, pathway in route_pathways(network, instances=instances).items():
         if router in decoy_routers:
             continue
-        pathway = route_pathway(network, router, instances=instances, instance_graph=graph)
         pathways[router] = {
             "nodes": sorted(
                 (_node_key(n) for n in pathway.graph.nodes if not _is_decoy_node(n)),

@@ -13,7 +13,7 @@ policy (same packet-filter clauses, same ACL numbers per position), the
 wiring inside each pod is isomorphic, and only addresses differ.  The
 compression planner should therefore collapse a 100k-router fabric to a
 handful of equivalence classes — which is the point: this template
-emits the 10k–100k-router corpora the quotient pipeline is benchmarked
+emits the 10k–100k-router corpora the compression plan is benchmarked
 and certified against.
 
 Unlike the other templates this one takes no random flavor pass — the

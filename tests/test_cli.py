@@ -46,6 +46,21 @@ class TestPathway:
         assert "depth 0" in out
         assert "External World" in out
 
+    def test_pathway_output_is_pinned(self, config_dir, capsys):
+        # The RIB node's label is router-free so routers can share one
+        # search; the command itself names the router on the RIB line.
+        assert main(["pathway", config_dir, "R1"]) == 0
+        assert capsys.readouterr().out == (
+            "route pathway of R1:\n"
+            "  depth 0: Router RIB (R1)\n"
+            "  depth 1: instance 1 ospf\n"
+            "  depth 2: instance 2 BGP AS 64780\n"
+            "  depth 3: instance 3 ospf\n"
+            "  depth 3: instance 4 BGP AS 12762\n"
+            "  depth 4: External World\n"
+            "external routes arrive after 4 hops\n"
+        )
+
     def test_unknown_router(self, config_dir):
         with pytest.raises(SystemExit):
             main(["pathway", config_dir, "R99"])

@@ -1,4 +1,4 @@
-"""Certification: quotient-then-expand equals direct, byte for byte.
+"""Certification: plan-then-expand equals direct, byte for byte.
 
 The contract (ISSUE: topology compression): on every design template the
 compressed pipeline's normalized payload must serialize to exactly the
@@ -17,9 +17,12 @@ from repro.compress import (
     analyze_direct,
     build_compression_plan,
     certify_compression,
+    compressed_stage_runners,
     normalize_analysis_payload,
 )
+from repro.exec import AnalysisExecutor, ExecutorConfig
 from repro.model import Network
+from repro.obs.metrics import use_registry
 from repro.synth.templates.backbone import build_backbone
 from repro.synth.templates.enterprise import build_enterprise
 from repro.synth.templates.example_fig1 import build_example_networks
@@ -51,7 +54,7 @@ def test_certifies_on_template(name, configs):
     network = Network.from_configs(configs, name=name)
     result = certify_compression(network)
     assert result.identical, (
-        f"{name}: quotient-then-expand diverged from direct analysis "
+        f"{name}: plan-then-expand diverged from direct analysis "
         f"at {result.divergence}"
     )
     assert result.waived is None
@@ -95,3 +98,38 @@ def test_normalized_payloads_compare_equal_as_json():
     assert json.dumps(direct, sort_keys=True) == json.dumps(
         compressed, sort_keys=True
     )
+
+
+def test_compress_runner_adds_only_the_plan():
+    # --compress changes neither the stage results nor the pathway work:
+    # both runs make one search per attachment signature, and the only
+    # extra counter is the plan's analysis.pathways.expanded.
+    configs = build_pods("pod", 9, 40, access_per_pod=4)[0]
+    plan = build_compression_plan(Network.from_configs(configs, name="pod-run"))
+    results, counters = {}, {}
+    for tag, config in (
+        ("direct", ExecutorConfig()),
+        ("compress", ExecutorConfig(runners=compressed_stage_runners())),
+    ):
+        network = Network.from_configs(configs, name="pod-run")
+        with use_registry() as registry:
+            execution = AnalysisExecutor(config).run_archive("pod-run", network)
+        results[tag] = [
+            (r.stage, r.status, r.items, r.detail) for r in execution.results
+        ]
+        counters[tag] = registry.snapshot()["counters"]
+    expanded = counters["compress"].pop("analysis.pathways.expanded")
+    assert expanded == plan.n_routers - plan.n_classes
+    assert results["compress"] == results["direct"]
+    assert counters["compress"] == counters["direct"]
+    assert counters["direct"]["analysis.pathways.calls"] == 2
+
+
+def test_compression_block_is_the_plan_and_its_members():
+    configs = build_pods("pod", 8, 40, access_per_pod=4)[0]
+    network = Network.from_configs(configs, name="pod-block")
+    plan = build_compression_plan(network)
+    compression = analyze_compressed(network, plan=plan)["compression"]
+    class_members = compression.pop("class_members")
+    assert compression == plan.as_dict()
+    assert sorted(class_members) == [cls.class_id for cls in plan.classes]

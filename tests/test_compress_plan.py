@@ -1,8 +1,8 @@
-"""Compression-plan construction: determinism, exactness, quotient shape."""
+"""Compression-plan construction: determinism, exactness, class shape."""
 
 import random
 
-from repro.compress import build_compression_plan, build_quotient
+from repro.compress import build_compression_plan
 from repro.compress.signature import local_signature, signature_colors
 from repro.model import Network
 from repro.synth.templates.pods import build_pods
@@ -64,14 +64,3 @@ def test_wl_colors_split_topologically_distinct_routers():
     access = "pod-p0-acc0"
     assert colors[core] != colors[access]
 
-
-def test_quotient_preserves_link_mass():
-    network, _ = _pod_network()
-    summary = build_quotient(network)
-    assert summary.n_concrete_links == len(network.links)
-    assert summary.n_quotient_links <= summary.n_concrete_links
-    assert len(summary.quotient) == summary.plan.n_classes
-    # Multiplicity keys reference real class ids.
-    class_ids = {cls.class_id for cls in summary.plan.classes}
-    for key in summary.link_multiplicity:
-        assert set(key) <= class_ids

@@ -2,10 +2,13 @@
 
 import pytest
 
-from repro.core import compute_instances, route_pathway
-from repro.core.pathways import ROUTER_RIB
+from repro.core import build_instance_graph, compute_instances, route_pathway
+from repro.core import pathways as pathways_module
+from repro.core.instances import instance_of
+from repro.core.pathways import ROUTER_RIB, route_pathways
 from repro.model import Network
 from repro.synth.templates.example_fig1 import build_example_networks
+from tests.test_compress_certify import CASES
 
 
 @pytest.fixture(scope="module")
@@ -200,3 +203,66 @@ class TestBoundedDepth:
             net, "R1", instances=instances, instance_graph=graph, max_depth=100
         )
         assert not capped.truncated
+
+
+def _shape(pathway):
+    """Everything a pathway search produces, in insertion order."""
+    return {
+        "layers": list(pathway.layers.items()),
+        "policies": list(pathway.policies),
+        "truncated": pathway.truncated,
+        "external_depth": pathway.external_depth(),
+        "nodes": list(pathway.graph.nodes(data="label")),
+        "edges": list(pathway.graph.edges(data="kind")),
+    }
+
+
+class TestRoutePathways:
+    """One search per attachment signature equals one search per router."""
+
+    @pytest.mark.parametrize("max_depth", [None, 2])
+    @pytest.mark.parametrize("name,configs", CASES, ids=[c[0] for c in CASES])
+    def test_matches_a_fresh_search_per_router(self, name, configs, max_depth, monkeypatch):
+        network = Network.from_configs(configs, name=name)
+        instances = compute_instances(network)
+        graph = build_instance_graph(network, instances)
+        membership = instance_of(instances)
+        signatures = {
+            tuple(membership[proc.key].instance_id for proc in network.processes_on(router))
+            for router in network.routers
+        }
+
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return route_pathway(*args, **kwargs)
+
+        # route_pathways must reach the search through the module
+        # attribute: wrappers installed there see every search it runs.
+        monkeypatch.setattr(pathways_module, "route_pathway", counted)
+        shared = route_pathways(
+            network, instances=instances, instance_graph=graph, max_depth=max_depth
+        )
+
+        assert len(calls) == len(signatures)
+        assert list(shared) == sorted(network.routers)
+        for router, pathway in shared.items():
+            assert pathway.router == router
+            fresh = route_pathway(
+                network, router, instances=instances, instance_graph=graph,
+                max_depth=max_depth,
+            )
+            assert _shape(pathway) == _shape(fresh), router
+
+    def test_builds_instances_and_graph_when_not_given(self, fig1):
+        net, _ = fig1
+        shared = route_pathways(net)
+        assert {router: _shape(p) for router, p in shared.items()} == {
+            router: _shape(route_pathway(net, router)) for router in sorted(net.routers)
+        }
+
+    def test_rib_label_does_not_name_the_router(self, fig1):
+        net, _ = fig1
+        pathway = route_pathway(net, "R1")
+        assert pathway.graph.nodes[ROUTER_RIB]["label"] == "Router RIB"
