@@ -3,7 +3,7 @@
 On a pod fabric of ``10,000 × scale`` routers, the direct analysis must
 run exactly one pathway search per attachment signature (the instance
 ids of a router's processes, in order) — two on this template at every
-size — and its normalized payload must equal the compressed analysis's
+size — and its canonical payload must equal the compressed analysis's
 byte for byte.  Both wall times are recorded, not gated, under
 ``benchmarks/results/compression_quotient.json`` so the README's quoted
 numbers are regenerable.
@@ -11,8 +11,8 @@ numbers are regenerable.
 
 import time
 
-from repro.compress import analyze_compressed, analyze_direct
-from repro.compress.payload import normalize_analysis_payload, payload_digest
+from repro.compress import analysis_payload, analyze_compressed
+from repro.compress.payload import canonicalize, payload_digest
 from repro.compress.plan import build_compression_plan
 from repro.core.instances import compute_instances, instance_of
 from repro.model import Network
@@ -57,13 +57,13 @@ def test_direct_analysis_searches_once_per_signature():
     network = fresh()
     with use_registry() as registry:
         start = time.perf_counter()
-        direct = analyze_direct(network)
+        direct = analysis_payload(network)
         direct_seconds = time.perf_counter() - start
     searches = registry.snapshot()["counters"]["analysis.pathways.calls"]
     signatures = len(_attachment_signatures(network))
 
-    digest_direct = payload_digest(normalize_analysis_payload(direct))
-    digest_compressed = payload_digest(normalize_analysis_payload(compressed))
+    digest_direct = payload_digest(canonicalize(direct))
+    digest_compressed = payload_digest(canonicalize(compressed))
 
     plan = build_compression_plan(Network.from_configs(configs, name="pod-bench"))
     payload = {
@@ -85,7 +85,7 @@ def test_direct_analysis_searches_once_per_signature():
         f"(ratio {plan.ratio:.0f}x), attachment signatures {signatures}\n"
         f"direct {direct_seconds:.2f}s ({searches} pathway searches), "
         f"compressed {compressed_seconds:.2f}s\n"
-        f"normalized payloads byte-identical: {digest_direct == digest_compressed} "
+        f"canonical payloads byte-identical: {digest_direct == digest_compressed} "
         f"({digest_direct[:16]}…)",
     )
     assert digest_direct == digest_compressed

@@ -279,6 +279,8 @@ def cmd_share(args: argparse.Namespace) -> int:
         share_corpus,
     )
 
+    if args.diff_out and not args.certify:
+        raise SystemExit("error: --diff-out needs --certify")
     if not os.path.isdir(args.configdir):
         raise SystemExit(f"error: {args.configdir} is not a directory")
     mapping_path = args.mapping or default_mapping_path(args.outdir)
@@ -1175,7 +1177,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--diff-out",
         default=None,
-        help="write the decoy-stripped certification diff as JSON",
+        help="write the certificate (with the decoy-stripped diff on divergence) "
+        "as JSON; needs --certify",
     )
     p.add_argument("--json", action="store_true", help="machine-readable output")
     p.set_defaults(func=cmd_share)

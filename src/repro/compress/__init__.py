@@ -12,12 +12,13 @@ analysis:
   color refinement over the link topology;
 * :mod:`repro.compress.plan` — :func:`build_compression_plan`, grouping
   routers into :class:`EquivalenceClass`\\ es;
-* :mod:`repro.compress.analysis` — direct vs. compressed analysis
-  producing identical normalized payloads, with ``expanded_from``
-  provenance on every expanded result;
-* :mod:`repro.compress.certify` — the certification contract:
-  plan-then-expand must equal direct analysis byte-for-byte after
-  normalization, with a ``KNOWN_GAPS`` escape hatch that ships empty.
+* :mod:`repro.compress.payload` — the one analysis payload both
+  certification gates compare (this one and ``repro share --certify``),
+  its :func:`canonicalize` and :func:`certify`;
+* :mod:`repro.compress.analysis` — the compressed pipeline, with
+  ``expanded_from`` provenance on every expanded pathway, and
+  :func:`certify_compression`: plan-then-expand must equal direct
+  analysis in every canonical section.
 
 ``--compress`` buys no speed: the direct pathway stage already
 runs one search per attachment signature
@@ -29,31 +30,31 @@ for a change to the benchmark, whose pod-compress workload passes
 
 from repro.compress.analysis import (
     analyze_compressed,
-    analyze_direct,
+    certify_compression,
     compressed_stage_runners,
 )
-from repro.compress.certify import KNOWN_GAPS, CertificationResult, certify_compression
 from repro.compress.payload import (
-    build_analysis_payload,
-    normalize_analysis_payload,
+    Certificate,
+    analysis_payload,
+    canonicalize,
+    certify,
     payload_digest,
 )
 from repro.compress.plan import CompressionPlan, EquivalenceClass, build_compression_plan
 from repro.compress.signature import local_signature, signature_colors
 
 __all__ = [
-    "KNOWN_GAPS",
-    "CertificationResult",
+    "Certificate",
     "CompressionPlan",
     "EquivalenceClass",
+    "analysis_payload",
     "analyze_compressed",
-    "analyze_direct",
-    "build_analysis_payload",
     "build_compression_plan",
+    "canonicalize",
+    "certify",
     "certify_compression",
     "compressed_stage_runners",
     "local_signature",
-    "normalize_analysis_payload",
     "payload_digest",
     "signature_colors",
 ]

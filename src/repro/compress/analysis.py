@@ -1,16 +1,13 @@
-"""Direct vs. compressed analysis pipelines.
-
-``analyze_direct`` runs the five per-network analyses the way the
-executor does: :func:`~repro.core.pathways.route_pathways` gives every
-router its pathway at one search per attachment signature.
+"""The compressed pipeline and its certification against direct analysis.
 
 ``analyze_compressed`` computes one pathway per equivalence class
-representative and expands it to every member with ``expanded_from``
-provenance.  Both pipelines share the other analyses (instances, process
-graph, address space, survivability) verbatim, so the certification
-diff in :mod:`repro.compress.certify` compares two independent ways of
-fanning pathways out to routers: by attachment signature and by
-compression plan.
+representative, hands it to every member and builds the
+:func:`~repro.compress.payload.analysis_payload` from those pathways,
+with ``expanded_from`` provenance on every pathway and the plan in a
+top-level ``compression`` block.  ``certify_compression`` compares it
+with the direct payload, whose pathways
+:func:`~repro.core.pathways.route_pathways` fans out by attachment
+signature: two independent ways of giving routers their pathways.
 
 ``compressed_stage_runners`` is the executor table ``--compress``
 selects: its ``pathways`` runner builds the plan, counts the routers
@@ -21,53 +18,15 @@ the direct runner, so ``--compress`` output and pathway work equal
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.compress.payload import build_analysis_payload, pathway_payload
+from repro.compress.payload import Certificate, analysis_payload, certify
 from repro.compress.plan import CompressionPlan, build_compression_plan
-from repro.core.address_space import extract_address_space
-from repro.core.instances import (
-    RoutingInstance,
-    build_instance_graph,
-    compute_instances,
-)
-from repro.core.pathways import route_pathway, route_pathways
-from repro.core.process_graph import build_process_graph
-from repro.core.survivability import analyze_survivability
+from repro.core.instances import RoutingInstance, build_instance_graph, compute_instances
+from repro.core.pathways import RoutePathway, route_pathway
 from repro.model.network import Network
 from repro.obs.metrics import get_registry
-
-
-def _shared_analyses(network: Network, instances: List[RoutingInstance]):
-    process_graph = build_process_graph(network)
-    address_blocks = extract_address_space(network)
-    survivability = analyze_survivability(network, instances=instances)
-    return process_graph, address_blocks, survivability
-
-
-def analyze_direct(
-    network: Network,
-    max_depth: Optional[int] = None,
-    instances: Optional[List[RoutingInstance]] = None,
-) -> Dict[str, Any]:
-    """The reference pipeline: every router's pathway, as the executor runs it."""
-    if instances is None:
-        instances = compute_instances(network)
-    pathways = {
-        router: pathway_payload(pathway)
-        for router, pathway in route_pathways(
-            network, instances=instances, max_depth=max_depth
-        ).items()
-    }
-    process_graph, address_blocks, survivability = _shared_analyses(network, instances)
-    return build_analysis_payload(
-        network,
-        instances=instances,
-        process_graph=process_graph,
-        pathways=pathways,
-        address_blocks=address_blocks,
-        survivability=survivability,
-    )
 
 
 def analyze_compressed(
@@ -80,15 +39,15 @@ def analyze_compressed(
 
     Every expanded pathway carries ``expanded_from: <class id>``; the
     top-level ``compression`` block records the plan and the per-class
-    membership — everything the normalizer strips before the
-    certification diff.
+    membership — the provenance
+    :func:`~repro.compress.payload.canonicalize` drops.
     """
     if instances is None:
         instances = compute_instances(network)
     if plan is None:
         plan = build_compression_plan(network, instances=instances)
     instance_graph = build_instance_graph(network, instances)
-    pathways: Dict[str, Dict[str, Any]] = {}
+    pathways: Dict[str, RoutePathway] = {}
     for cls in plan.classes:
         pathway = route_pathway(
             network,
@@ -97,13 +56,13 @@ def analyze_compressed(
             instance_graph=instance_graph,
             max_depth=max_depth,
         )
-        class_payload = pathway_payload(pathway)
         for member in cls.members:
-            pathways[member] = dict(class_payload, expanded_from=cls.class_id)
-    pathways = {router: pathways[router] for router in sorted(pathways)}
-    process_graph, address_blocks, survivability = _shared_analyses(network, instances)
-    compression = plan.as_dict()
-    compression["class_members"] = {
+            pathways[member] = replace(pathway, router=member)
+    payload = analysis_payload(network, instances=instances, pathways=pathways)
+    for router, entry in payload["pathways"].items():
+        entry["expanded_from"] = plan.router_class[router]
+    payload["compression"] = plan.as_dict()
+    payload["compression"]["class_members"] = {
         cls.class_id: {
             "members": list(cls.members),
             "representative": cls.representative,
@@ -112,14 +71,18 @@ def analyze_compressed(
         }
         for cls in plan.classes
     }
-    return build_analysis_payload(
-        network,
-        instances=instances,
-        process_graph=process_graph,
-        pathways=pathways,
-        address_blocks=address_blocks,
-        survivability=survivability,
-        compression=compression,
+    return payload
+
+
+def certify_compression(
+    network: Network,
+    max_depth: Optional[int] = None,
+    plan: Optional[CompressionPlan] = None,
+) -> Certificate:
+    """Prove (or refute) that plan-then-expand equals direct analysis."""
+    return certify(
+        analysis_payload(network, max_depth=max_depth),
+        analyze_compressed(network, max_depth=max_depth, plan=plan),
     )
 
 
@@ -141,4 +104,4 @@ def compressed_stage_runners() -> Dict[str, Callable]:
     return runners
 
 
-__all__ = ["analyze_compressed", "analyze_direct", "compressed_stage_runners"]
+__all__ = ["analyze_compressed", "certify_compression", "compressed_stage_runners"]

@@ -1,166 +1,269 @@
-"""Canonical analysis payloads for the certification diff.
+"""The one analysis payload, its canonical form, and the certifier.
 
-The certification contract (see :mod:`repro.compress.certify`) compares
-*normalized payload bytes*: the direct and compressed pipelines each
-produce the dict built here, the ``compression`` provenance block and
-per-pathway ``expanded_from`` markers are stripped, and the JSON
-serializations (sorted keys) must be byte-identical.
+Both certification gates compare this payload: ``certify_compression``
+(plan-then-expand against direct analysis) and ``repro share
+--certify`` (original against shared under the trusted-party mapping).
+:func:`analysis_payload` builds it from the four §3 result families:
 
-Everything in the payload is canonically ordered — router lists sorted,
-pathway policies and edges sorted, instance members sorted — so the
-payload is a function of the *network*, not of traversal order.  The
-pathway payload deliberately contains no router-specific node labels
-(the RIB label embeds the router name); the router appears only as the
-payload key, which is what lets one class-level pathway expand verbatim
-to every member.
+* ``instances`` — ``id`` (``i:<n>``), ``protocol``, ``processes``
+  (``[router, protocol, process id]``; the id is the ASN for BGP) and
+  ``external`` (adjacent to another network);
+* ``pathways`` — per router: ``layers`` (node → BFS depth), ``edges``
+  (``[source, target, kind]``), ``policies`` (``[source, target, route
+  map]``) and ``truncated``, with nodes keyed ``i:<n>``, ``rib`` and
+  ``external``;
+* ``address_tree`` — ``prefix`` and its ``subnets``;
+* ``survivability`` — articulation routers, bridge links, instance
+  couplings (``a``, ``b``, ``routers``, ``mechanisms``), static-route
+  conflicts and ``truncated``.
+
+The payload carries no field computable from another of its fields
+(instance size and ASN, pathway depth and nodes, block utilization and
+coupling redundancy all are), so no gate can compare a field another
+gate ignores.  :func:`canonicalize` renames, re-indexes and re-sorts
+and drops only the compression provenance; :func:`certify` compares two
+canonical payloads section by section.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any, Dict, List, Optional
+from dataclasses import dataclass, field
+from typing import Any, Dict, List, Optional, Tuple
 
+from repro.core.address_space import extract_address_space
 from repro.core.instances import (
     RoutingInstance,
+    compute_instances,
     find_external_adjacent_instances,
 )
-from repro.core.pathways import RoutePathway
-from repro.core.process_graph import NodeKind
-from repro.core.survivability import SurvivabilityReport
+from repro.core.pathways import ROUTER_RIB, RoutePathway, route_pathways
+from repro.core.process_graph import EXTERNAL_NODE
+from repro.core.survivability import analyze_survivability
 from repro.model.network import Network
 
 
+def _ref(node: Any) -> str:
+    """The payload key of a pathway node or instance id."""
+    if node == ROUTER_RIB:
+        return "rib"
+    if node == EXTERNAL_NODE:
+        return "external"
+    return f"i:{node}"
+
+
 def pathway_payload(pathway: RoutePathway) -> Dict[str, Any]:
-    """The canonical, router-label-free payload of one route pathway."""
-    external_depth = pathway.external_depth()
+    """One router's pathway; no field names the router, so one search's
+    payload serves every router of its attachment signature."""
     return {
-        "layers": {str(node): depth for node, depth in pathway.layers.items()},
-        "instances": pathway.instances,
-        "policies": sorted(
-            [str(source), str(node), route_map]
-            for source, node, route_map in pathway.policies
-        ),
+        "layers": {_ref(node): depth for node, depth in pathway.layers.items()},
         "edges": sorted(
-            [str(u), str(v), str(data.get("kind", ""))]
-            for u, v, data in pathway.graph.edges(data=True)
+            [_ref(source), _ref(target), data["kind"]]
+            for source, target, data in pathway.graph.edges(data=True)
         ),
-        "depth": pathway.depth,
-        "external_depth": external_depth,
-        "reaches_external": pathway.reaches_external,
+        "policies": sorted(
+            [_ref(source), _ref(target), route_map]
+            for source, target, route_map in pathway.policies
+        ),
         "truncated": pathway.truncated,
     }
 
 
-def instances_payload(
-    network: Network, instances: List[RoutingInstance]
-) -> List[Dict[str, Any]]:
-    external = find_external_adjacent_instances(network, instances)
-    return [
-        {
-            "id": instance.instance_id,
-            "protocol": instance.protocol,
-            "size": instance.size,
-            "routers": sorted(instance.routers),
-            "asn": instance.asn,
-            "external": instance.instance_id in external,
-        }
-        for instance in instances
-    ]
-
-
-def process_graph_payload(graph) -> Dict[str, Any]:
-    by_kind: Dict[str, int] = {}
-    for _u, _v, data in graph.edges(data=True):
-        kind = str(data.get("kind", ""))
-        by_kind[kind] = by_kind.get(kind, 0) + 1
-    nodes_by_kind: Dict[str, int] = {}
-    for _node, data in graph.nodes(data=True):
-        kind = data.get("kind")
-        kind = kind.value if isinstance(kind, NodeKind) else str(kind)
-        nodes_by_kind[kind] = nodes_by_kind.get(kind, 0) + 1
-    return {
-        "nodes": graph.number_of_nodes(),
-        "edges": graph.number_of_edges(),
-        "nodes_by_kind": dict(sorted(nodes_by_kind.items())),
-        "edges_by_kind": dict(sorted(by_kind.items())),
-        "truncated": bool(graph.graph.get("truncated", False)),
-    }
-
-
-def survivability_payload(report: SurvivabilityReport) -> Dict[str, Any]:
-    return {
-        "articulation_routers": list(report.articulation_routers),
-        "bridge_links": [str(subnet) for subnet in report.bridge_links],
-        "couplings": [
-            {
-                "instance_a": coupling.instance_a,
-                "instance_b": coupling.instance_b,
-                "routers": sorted(coupling.routers),
-                "mechanisms": sorted(coupling.mechanisms),
-                "redundancy": coupling.redundancy,
-            }
-            for coupling in report.couplings
-        ],
-        "static_route_conflicts": {
-            str(prefix): list(routers)
-            for prefix, routers in report.static_route_conflicts.items()
-        },
-        "truncated": report.truncated,
-    }
-
-
-def address_space_payload(blocks) -> List[Dict[str, Any]]:
-    return [
-        {
-            "prefix": str(block.prefix),
-            "subnets": len(block.subnets),
-            "utilization": round(block.utilization, 6),
-        }
-        for block in blocks
-    ]
-
-
-def build_analysis_payload(
+def analysis_payload(
     network: Network,
-    *,
-    instances: List[RoutingInstance],
-    process_graph,
-    pathways: Dict[str, Dict[str, Any]],
-    address_blocks,
-    survivability: SurvivabilityReport,
-    compression: Optional[Dict[str, Any]] = None,
+    instances: Optional[List[RoutingInstance]] = None,
+    pathways: Optional[Dict[str, RoutePathway]] = None,
+    max_depth: Optional[int] = None,
 ) -> Dict[str, Any]:
-    """Assemble the full per-network analysis payload."""
-    payload: Dict[str, Any] = {
-        "network": network.name,
-        "routers": len(network),
-        "links": len(network.links),
-        "instances": instances_payload(network, instances),
-        "process_graph": process_graph_payload(process_graph),
-        "pathways": pathways,
-        "address_space": address_space_payload(address_blocks),
-        "survivability": survivability_payload(survivability),
-    }
-    if compression is not None:
-        payload["compression"] = compression
-    return payload
+    """The analysis payload of *network* (see the module docstring).
 
-
-def normalize_analysis_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
-    """Strip compression provenance, leaving the comparable core.
-
-    Removes the top-level ``compression`` block and every per-pathway
-    ``expanded_from`` marker — the only fields the compressed pipeline
-    is allowed to add.  Everything else must match the direct pipeline
-    byte-for-byte.
+    *pathways* defaults to :func:`~repro.core.pathways.route_pathways`
+    at *max_depth*; the compressed pipeline passes its class-expanded
+    pathways instead.
     """
-    normalized = json.loads(json.dumps(payload))
-    normalized.pop("compression", None)
-    for pathway in normalized.get("pathways", {}).values():
-        if isinstance(pathway, dict):
-            pathway.pop("expanded_from", None)
-    return normalized
+    if instances is None:
+        instances = compute_instances(network)
+    if pathways is None:
+        pathways = route_pathways(network, instances=instances, max_depth=max_depth)
+    external = find_external_adjacent_instances(network, instances)
+    report = analyze_survivability(network, instances=instances)
+    return {
+        "instances": [
+            {
+                "id": _ref(instance.instance_id),
+                "protocol": instance.protocol,
+                "processes": sorted((list(key) for key in instance.processes), key=repr),
+                "external": instance.instance_id in external,
+            }
+            for instance in instances
+        ],
+        "pathways": {router: pathway_payload(pathways[router]) for router in sorted(pathways)},
+        "address_tree": [
+            {
+                "prefix": str(block.prefix),
+                "subnets": sorted(str(subnet) for subnet in block.subnets),
+            }
+            for block in extract_address_space(network)
+        ],
+        "survivability": {
+            "articulation_routers": sorted(report.articulation_routers),
+            "bridge_links": sorted(str(link) for link in report.bridge_links),
+            "couplings": [
+                {
+                    "a": _ref(coupling.instance_a),
+                    "b": _ref(coupling.instance_b),
+                    "routers": sorted(coupling.routers),
+                    "mechanisms": sorted(coupling.mechanisms),
+                }
+                for coupling in report.couplings
+            ],
+            "static_route_conflicts": {
+                str(prefix): sorted(routers)
+                for prefix, routers in report.static_route_conflicts.items()
+            },
+            "truncated": report.truncated,
+        },
+    }
+
+
+def _same(value: Any) -> Any:
+    return value
+
+
+def _json(value: Any) -> str:
+    return json.dumps(value, sort_keys=True)
+
+
+def canonicalize(payload: Dict[str, Any], rename: Optional[Any] = None) -> Dict[str, Any]:
+    """The form two payloads must share to be equivalent.
+
+    *rename* (``name``, ``asn`` and ``prefix`` methods; see
+    :class:`repro.share.mapping.Renamer`) rewrites router and route-map
+    names, BGP process ASNs and prefixes.  Instances are then re-indexed
+    ``i#<n>`` in the order of their id-free descriptors — instance
+    numbering follows sorted process keys, which renaming permutes — and
+    every reference follows; a reference that matches no instance stays
+    as it is, so a dangling one keeps diverging.  Everything renaming or
+    re-indexing reorders is re-sorted.  The compression provenance
+    (``compression``, per-pathway ``expanded_from``) is dropped; every
+    other key, known or not, is kept for the comparison.
+    """
+    name = rename.name if rename is not None else _same
+    asn = rename.asn if rename is not None else _same
+    prefix = rename.prefix if rename is not None else _same
+    result = json.loads(json.dumps(payload))
+    result.pop("compression", None)
+
+    instances = result["instances"]
+    for entry in instances:
+        entry["processes"] = sorted(
+            (
+                [name(router), protocol, asn(pid) if protocol == "bgp" else pid]
+                for router, protocol, pid in entry["processes"]
+            ),
+            key=repr,
+        )
+    instances.sort(key=lambda entry: _json({k: v for k, v in entry.items() if k != "id"}))
+    index = {entry["id"]: f"i#{n}" for n, entry in enumerate(instances)}
+
+    def ref(node: str) -> str:
+        return index.get(node, node)
+
+    for entry in instances:
+        entry["id"] = ref(entry["id"])
+
+    pathways = {}
+    for router, entry in result["pathways"].items():
+        entry.pop("expanded_from", None)
+        entry["layers"] = dict(sorted((ref(n), depth) for n, depth in entry["layers"].items()))
+        entry["edges"] = sorted([ref(a), ref(b), kind] for a, b, kind in entry["edges"])
+        entry["policies"] = sorted(
+            [ref(a), ref(b), name(route_map)] for a, b, route_map in entry["policies"]
+        )
+        pathways[name(router)] = entry
+    result["pathways"] = dict(sorted(pathways.items()))
+
+    for block in result["address_tree"]:
+        block["prefix"] = prefix(block["prefix"])
+        block["subnets"] = sorted(prefix(subnet) for subnet in block["subnets"])
+    result["address_tree"].sort(key=_json)
+
+    surv = result["survivability"]
+    surv["articulation_routers"] = sorted(name(r) for r in surv["articulation_routers"])
+    surv["bridge_links"] = sorted(prefix(link) for link in surv["bridge_links"])
+    for coupling in surv["couplings"]:
+        # An unordered pair: which end is ``a`` followed the numbering
+        # the re-index replaced.
+        coupling["a"], coupling["b"] = sorted([ref(coupling["a"]), ref(coupling["b"])])
+        coupling["routers"] = sorted(name(r) for r in coupling["routers"])
+        coupling["mechanisms"] = sorted(coupling["mechanisms"])
+    surv["couplings"].sort(key=_json)
+    surv["static_route_conflicts"] = dict(
+        sorted(
+            (prefix(key), sorted(name(r) for r in routers))
+            for key, routers in surv["static_route_conflicts"].items()
+        )
+    )
+    return result
+
+
+@dataclass
+class Certificate:
+    """Two canonical payloads compared: a verdict per top-level section,
+    the first divergence, and each divergent section on both sides."""
+
+    sections: Dict[str, bool]
+    #: Dotted path of the first difference, in section order; None when ok.
+    divergence: Optional[str] = None
+    #: Divergent section -> its canonical value on each side.
+    diff: Dict[str, Tuple[Any, Any]] = field(default_factory=dict)
+
+    @property
+    def ok(self) -> bool:
+        return all(self.sections.values())
+
+
+def _first_divergence(a: Any, b: Any, path: str) -> Optional[str]:
+    """Dotted path of the first structural difference, depth-first."""
+    if type(a) is not type(b):
+        return path
+    if isinstance(a, dict):
+        for key in sorted(set(a) | set(b), key=str):
+            here = f"{path}.{key}"
+            if key not in a or key not in b:
+                return here
+            found = _first_divergence(a[key], b[key], here)
+            if found is not None:
+                return found
+        return None
+    if isinstance(a, list):
+        if len(a) != len(b):
+            return f"{path}[len {len(a)}!={len(b)}]"
+        for i, (x, y) in enumerate(zip(a, b)):
+            found = _first_divergence(x, y, f"{path}[{i}]")
+            if found is not None:
+                return found
+        return None
+    return None if a == b else path
+
+
+def certify(
+    a: Dict[str, Any], b: Dict[str, Any], rename: Optional[Any] = None
+) -> Certificate:
+    """Canonicalize *a* (renamed through *rename*) and *b*, then compare
+    every top-level section either side has, in payload order."""
+    left, right = canonicalize(a, rename), canonicalize(b)
+    certificate = Certificate(sections={})
+    for section in dict.fromkeys([*left, *right]):
+        values = (left.get(section), right.get(section))
+        matched = section in left and section in right and values[0] == values[1]
+        certificate.sections[section] = matched
+        if not matched:
+            certificate.diff[section] = values
+            if certificate.divergence is None:
+                certificate.divergence = _first_divergence(*values, section) or section
+    return certificate
 
 
 def payload_digest(payload: Dict[str, Any]) -> str:
@@ -170,12 +273,10 @@ def payload_digest(payload: Dict[str, Any]) -> str:
 
 
 __all__ = [
-    "address_space_payload",
-    "build_analysis_payload",
-    "instances_payload",
-    "normalize_analysis_payload",
+    "Certificate",
+    "analysis_payload",
+    "canonicalize",
+    "certify",
     "pathway_payload",
     "payload_digest",
-    "process_graph_payload",
-    "survivability_payload",
 ]

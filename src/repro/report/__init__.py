@@ -5,7 +5,6 @@ from repro.report.design_report import generate_design_report
 from repro.report.diagnostics import format_diagnostics
 from repro.report.execution import format_execution_lines, format_status_counts
 from repro.report.manifest import format_run_report
-from repro.report.share import normalize_shared_payload
 from repro.report.sweep import format_sweep_report, normalize_sweep_payload
 from repro.report.tables import format_cdf, format_histogram, format_table
 
@@ -20,7 +19,6 @@ __all__ = [
     "format_table",
     "generate_design_report",
     "normalize_corpus_payload",
-    "normalize_shared_payload",
     "normalize_sweep_payload",
     "span_row",
     "stage_row",

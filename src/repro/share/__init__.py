@@ -9,17 +9,18 @@ workflow as a certified pipeline:
   names) with one per-run key and optionally expand each archive with
   NetCloak-style decoy routers, admissibility-checked by a salt probe;
 * :mod:`repro.share.mapping` — the trusted-party file (key, renames,
-  decoy inventory), kept strictly outside the shared tree;
+  decoy inventory), kept strictly outside the shared tree, and the
+  :class:`Renamer` that maps original names, ASNs and prefixes to their
+  shared form;
 * :mod:`repro.share.decoys` — decoy synthesis from the
   :mod:`repro.synth` templates, role-stamped via :mod:`repro.compress`;
 * :mod:`repro.share.certify` — the invariance gate: full-executor
-  analysis of both corpora, decoy-stripped, compared isomorphic under
-  the mapping (``repro share --certify``).
+  analysis of both corpora as :mod:`repro.compress.payload` payloads,
+  decoy-stripped, certified equal under the mapping (``repro share
+  --certify``).
 """
 
 from repro.share.certify import (
-    CERTIFIED_SECTIONS,
-    ArchiveCertificate,
     ShareCertification,
     analysis_summary,
     certify_archive,
@@ -28,6 +29,7 @@ from repro.share.certify import (
 from repro.share.decoys import DECOY_TEMPLATES, DecoySet, synthesize_decoys
 from repro.share.mapping import (
     SHARE_MAPPING_SCHEMA,
+    Renamer,
     ShareMapping,
     default_mapping_path,
     ensure_mapping_outside,
@@ -43,11 +45,10 @@ from repro.share.pipeline import (
 )
 
 __all__ = [
-    "CERTIFIED_SECTIONS",
     "DECOY_TEMPLATES",
     "SHARE_MAPPING_SCHEMA",
-    "ArchiveCertificate",
     "DecoySet",
+    "Renamer",
     "ShareCertification",
     "ShareError",
     "ShareMapping",

@@ -17,6 +17,9 @@ import os
 from dataclasses import dataclass, field
 from typing import Any, Dict
 
+from repro.anonymize import PrefixPreservingAnonymizer
+from repro.net import Prefix
+
 SHARE_MAPPING_SCHEMA = "repro-share-mapping/1"
 
 
@@ -84,6 +87,47 @@ class ShareMapping:
             return cls.from_dict(json.load(handle))
 
 
+class Renamer:
+    """The original → shared renaming of one mapping, at the name, ASN
+    and prefix positions :func:`repro.compress.payload.canonicalize`
+    rewrites.
+
+    Addresses are renamed by re-running the keyed prefix-preserving
+    anonymizer — the first *L* output bits depend only on the first *L*
+    input bits, so anonymizing a prefix's network address and re-masking
+    reproduces exactly what the shared files contain, whatever host bits
+    the original carried.
+    """
+
+    def __init__(self, mapping: ShareMapping):
+        self._names = mapping.names
+        self._asns = mapping.asns
+        self._ip = PrefixPreservingAnonymizer(key=mapping.key)
+
+    def name(self, value: str) -> str:
+        mapped = self._names.get(value)
+        if mapped is not None:
+            return mapped
+        # Lenient ingestion renames duplicate hostnames "name~N"; the
+        # mapping knows the base name only.
+        base, tilde, suffix = value.rpartition("~")
+        if tilde and suffix.isdigit() and base in self._names:
+            return self._names[base] + "~" + suffix
+        return value
+
+    def asn(self, value: Any) -> Any:
+        mapped = self._asns.get(str(value))
+        return int(mapped) if mapped is not None else value
+
+    def prefix(self, value: str) -> str:
+        try:
+            original = Prefix(value)
+        except ValueError:
+            return value
+        anonymized = self._ip.anonymize_int(original.network.value)
+        return str(Prefix(anonymized, original.length))
+
+
 def default_mapping_path(outdir: str) -> str:
     """Where the mapping lands when the caller does not say: next to the
     output directory, never inside it."""
@@ -104,6 +148,7 @@ def ensure_mapping_outside(outdir: str, mapping_path: str) -> None:
 
 __all__ = [
     "SHARE_MAPPING_SCHEMA",
+    "Renamer",
     "ShareMapping",
     "default_mapping_path",
     "ensure_mapping_outside",

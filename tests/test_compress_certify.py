@@ -1,10 +1,8 @@
 """Certification: plan-then-expand equals direct, byte for byte.
 
-The contract (ISSUE: topology compression): on every design template the
-compressed pipeline's normalized payload must serialize to exactly the
-same canonical JSON as the direct pipeline's.  ``KNOWN_GAPS`` is the
-only escape hatch and it must stay empty — a template that stops
-certifying is a regression, not a waiver.
+The contract: on every design template the compressed pipeline's
+canonical payload must serialize to exactly the same JSON as the direct
+pipeline's, and a plan that is not exact must fail the gate.
 """
 
 import json
@@ -12,14 +10,16 @@ import json
 import pytest
 
 from repro.compress import (
-    KNOWN_GAPS,
+    CompressionPlan,
+    EquivalenceClass,
+    analysis_payload,
     analyze_compressed,
-    analyze_direct,
     build_compression_plan,
+    canonicalize,
     certify_compression,
     compressed_stage_runners,
-    normalize_analysis_payload,
 )
+from repro.core.instances import compute_instances, instance_of
 from repro.exec import AnalysisExecutor, ExecutorConfig
 from repro.model import Network
 from repro.obs.metrics import use_registry
@@ -53,25 +53,68 @@ CASES = list(_template_cases())
 def test_certifies_on_template(name, configs):
     network = Network.from_configs(configs, name=name)
     result = certify_compression(network)
-    assert result.identical, (
+    assert result.ok, (
         f"{name}: plan-then-expand diverged from direct analysis "
         f"at {result.divergence}"
     )
-    assert result.waived is None
-    assert result.passed
-
-
-def test_known_gaps_ships_empty():
-    # The escape hatch exists for future templates with a documented
-    # divergence; nothing may hide in it silently.
-    assert KNOWN_GAPS == {}
+    assert list(result.sections) == [
+        "instances",
+        "pathways",
+        "address_tree",
+        "survivability",
+    ]
+    assert result.divergence is None and result.diff == {}
 
 
 def test_certification_also_holds_under_max_depth():
     configs = build_pods("pod", 7, 40, access_per_pod=4)[0]
     network = Network.from_configs(configs, name="pod-depth")
     result = certify_compression(network, max_depth=2)
-    assert result.identical, result.divergence
+    assert result.ok, result.divergence
+
+
+def _attachment_signature(network, router):
+    membership = instance_of(compute_instances(network))
+    return tuple(membership[proc.key].instance_id for proc in network.processes_on(router))
+
+
+def test_plan_mixing_attachment_signatures_fails():
+    # Fold a class of plain fabric routers into the class of a border
+    # (which also runs EBGP): every folded router now gets the border's
+    # pathway, and the gate must say where.
+    configs = build_pods("pod", 8, 40, access_per_pod=4)[0]
+    network = Network.from_configs(configs, name="pod-bad-plan")
+    plan = build_compression_plan(network)
+    by_ids = {}
+    for cls in plan.classes:
+        by_ids.setdefault(cls.instance_ids, cls)
+    keep, fold = (by_ids[ids] for ids in sorted(by_ids, key=len, reverse=True)[:2])
+    assert _attachment_signature(network, keep.representative) != (
+        _attachment_signature(network, fold.representative)
+    )
+    merged = EquivalenceClass(
+        class_id=keep.class_id,
+        members=keep.members + fold.members,
+        representative=keep.representative,
+        role=keep.role,
+        instance_ids=keep.instance_ids,
+    )
+    bad = CompressionPlan(
+        network=plan.network,
+        classes=[merged] + [c for c in plan.classes if c not in (keep, fold)],
+        router_class={**plan.router_class, **dict.fromkeys(fold.members, keep.class_id)},
+    )
+    result = certify_compression(network, plan=bad)
+    assert not result.ok
+    assert result.sections == {
+        "instances": True,
+        "pathways": False,
+        "address_tree": True,
+        "survivability": True,
+    }
+    assert result.divergence.startswith(f"pathways.{min(fold.members)}.")
+    direct, compressed = result.diff["pathways"]
+    assert direct[min(fold.members)] != compressed[min(fold.members)]
 
 
 def test_expanded_payloads_carry_provenance():
@@ -82,19 +125,18 @@ def test_expanded_payloads_carry_provenance():
     assert payload["compression"]["classes"] == plan.n_classes
     for router, pathway in payload["pathways"].items():
         assert pathway["expanded_from"] == plan.router_class[router]
-    # Normalization strips exactly the provenance, nothing else.
-    normalized = normalize_analysis_payload(payload)
-    assert "compression" not in normalized
-    assert all(
-        "expanded_from" not in p for p in normalized["pathways"].values()
-    )
+    # Canonicalization strips exactly the provenance, nothing else.
+    canonical = canonicalize(payload)
+    assert "compression" not in canonical
+    assert all("expanded_from" not in p for p in canonical["pathways"].values())
+    assert canonical == canonicalize(analysis_payload(network))
 
 
 def test_normalized_payloads_compare_equal_as_json():
     configs = build_net5(scale=0.04, name="net5-json")[0]
     network = Network.from_configs(configs, name="net5-json")
-    direct = normalize_analysis_payload(analyze_direct(network))
-    compressed = normalize_analysis_payload(analyze_compressed(network))
+    direct = canonicalize(analysis_payload(network))
+    compressed = canonicalize(analyze_compressed(network))
     assert json.dumps(direct, sort_keys=True) == json.dumps(
         compressed, sort_keys=True
     )

@@ -115,6 +115,12 @@ class TestCertifyDivergence:
         diverged = payload["archives"]["net"]
         assert any(not matched for matched in diverged["sections"].values())
         assert diverged["diff"]
+        # The path names the first divergent section, in section order,
+        # and leads to a value that differs between the two sides.
+        first = next(name for name, ok in diverged["sections"].items() if not ok)
+        assert diverged["divergence"].startswith(first)
+        assert set(diverged["diff"][first]) == {"original", "shared"}
+        assert diverged["diff"][first]["original"] != diverged["diff"][first]["shared"]
 
 
 class TestShareCli:
@@ -160,15 +166,16 @@ class TestShareCli:
         diff_out = str(tmp_path / "diff.json")
 
         import repro.share as share_module
-        from repro.share import ArchiveCertificate, ShareCertification
+        from repro.compress import Certificate
+        from repro.share import ShareCertification
 
         def divergent(*_args, **_kwargs):
-            broken = ArchiveCertificate(
-                archive="net",
+            broken = Certificate(
                 sections={"instances": False},
-                diff={"instances": {"original": [], "shared": ["i#0"]}},
+                divergence="instances[len 0!=1]",
+                diff={"instances": ([], ["i#0"])},
             )
-            return ShareCertification(archives=[broken])
+            return ShareCertification(archives={"net": broken})
 
         monkeypatch.setattr(share_module, "certify_share", divergent)
         code = main(
@@ -179,6 +186,24 @@ class TestShareCli:
             payload = json.load(handle)
         assert payload["ok"] is False
         assert payload["archives"]["net"]["sections"]["instances"] is False
+        assert payload["archives"]["net"]["divergence"] == "instances[len 0!=1]"
+        assert payload["archives"]["net"]["diff"]["instances"] == {
+            "original": [],
+            "shared": ["i#0"],
+        }
+
+    def test_cli_diff_out_needs_certify(self, tmp_path):
+        # Without --certify there is no certificate to write: refuse
+        # before anything is shared rather than silently skip the file.
+        root, out = str(tmp_path / "corpus"), str(tmp_path / "shared")
+        configs, _spec = TEMPLATE_BUILDS["enterprise"]()
+        _write_archive(root, "net", configs)
+        diff_out = str(tmp_path / "diff.json")
+        with pytest.raises(SystemExit, match="--diff-out needs --certify"):
+            main(["share", root, out, "--key", "k", "--diff-out", diff_out])
+        assert not os.path.exists(diff_out)
+        assert not os.path.exists(out)
+        assert not os.path.exists(out + ".mapping.json")
 
     def test_cli_rejects_mapping_inside_outdir(self, tmp_path):
         root, out = str(tmp_path / "corpus"), str(tmp_path / "shared")
