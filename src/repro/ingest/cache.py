@@ -4,10 +4,13 @@ Archive analysis is re-run constantly — after every collection cycle,
 after every tooling change, for every CLI command — but the configuration
 files themselves rarely change.  This cache keys each file by the SHA-256
 of its **bytes** plus the parser version and parse mode, and stores the
-parsed :class:`~repro.ios.config.RouterConfig` together with every
-:class:`~repro.diag.Diagnostic` the parse emitted.  A hit therefore
-replays lenient-mode results *faithfully*: same config, same diagnostics,
-same quarantine decision as a cold parse.
+parsed :class:`~repro.ios.config.RouterConfig` together with the parse's
+compact diagnostic stream: the explicit :class:`~repro.diag.Diagnostic`
+rows plus :class:`~repro.diag.UnmodeledRun` entries over the config's
+``unmodeled_stanzas``, so each unmodeled stanza's text is stored once
+(in ``unmodeled_lines``) and its info row is built only when read.  A
+hit therefore replays lenient-mode results *faithfully*: same config,
+same diagnostics, same quarantine decision as a cold parse.
 
 The key contract (see ARCHITECTURE.md):
 
@@ -36,7 +39,7 @@ import pickle
 from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
-from repro.diag import Diagnostic
+from repro.diag import StreamEntry
 from repro.ios.config import RouterConfig
 from repro.store import Store, StoreStats
 
@@ -58,10 +61,10 @@ def default_cache_dir() -> str:
 @dataclass
 class CacheEntry:
     """One cached parse result: the config (or ``None`` when the file was
-    quarantined) plus the diagnostics the parse emitted."""
+    quarantined) plus the parse's compact diagnostic stream."""
 
     config: Optional[RouterConfig]
-    diagnostics: Tuple[Diagnostic, ...] = ()
+    diagnostics: Tuple[StreamEntry, ...] = ()
     quarantined: bool = False
 
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple, Union
 
-from repro.diag import PHASE_PARSE, Diagnostic, DiagnosticSink
+from repro.diag import PHASE_PARSE, DiagnosticSink, StreamEntry
 from repro.ingest.cache import CacheEntry, ParseCache
 from repro.ios.config import RouterConfig
 from repro.obs.logging import get_logger
@@ -71,11 +71,16 @@ class ParseOutcome:
     * ``quarantined`` — the file was dropped under ``skip-file``/
       ``skip-block`` policy (``diagnostics`` names the reason);
     * ``error`` set — a strict-mode failure for the caller to re-raise.
+
+    ``diagnostics`` is the parse's compact stream
+    (:meth:`~repro.diag.DiagnosticSink.compact`): explicit rows plus
+    :class:`~repro.diag.UnmodeledRun` entries over the config's
+    ``unmodeled_stanzas``; merge it into a sink to read the rows.
     """
 
     source: str
     config: Optional[RouterConfig] = None
-    diagnostics: Tuple[Diagnostic, ...] = ()
+    diagnostics: Tuple[StreamEntry, ...] = ()
     quarantined: bool = False
     error: Optional[BaseException] = None
     cached: bool = False
@@ -119,12 +124,12 @@ def parse_one(task: ParseTask) -> ParseOutcome:
         config = _parse_with_policy(task.text, task.source, task.on_error, sink)
     except Exception as exc:  # noqa: BLE001 — re-raised by the caller, in order
         return ParseOutcome(
-            source=task.source, diagnostics=tuple(sink.diagnostics), error=exc
+            source=task.source, diagnostics=sink.compact(), error=exc
         )
     return ParseOutcome(
         source=task.source,
         config=config,
-        diagnostics=tuple(sink.diagnostics),
+        diagnostics=sink.compact(),
         quarantined=config is None,
     )
 
@@ -156,7 +161,7 @@ def parse_many(
                 outcomes[index] = ParseOutcome(
                     source=task.source,
                     config=entry.config,
-                    diagnostics=tuple(entry.diagnostics),
+                    diagnostics=entry.diagnostics,
                     quarantined=entry.quarantined,
                     cached=True,
                 )

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.net import IPv4Address, Prefix, classful_prefix
 
@@ -552,6 +552,14 @@ class RouterConfig:
     unmodeled_lines: List[str] = field(default_factory=list)
     line_count: int = 0
     command_count: int = 0
+    #: One ``(line_number, head_line)`` record per stanza a parse with a
+    #: diagnostic sink kept in ``unmodeled_lines`` without modeling it;
+    #: ``head_line`` is the very string held there.  The stanzas' info
+    #: rows are built from these (:class:`repro.diag.UnmodeledRun`).
+    #: Provenance, not configuration: left out of ``==``.
+    unmodeled_stanzas: Sequence[Tuple[int, str]] = field(
+        default=(), compare=False, repr=False
+    )
 
     def routing_processes(self) -> List[object]:
         """All routing processes in declaration-independent order."""

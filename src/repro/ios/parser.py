@@ -13,7 +13,13 @@ Hot-path structure (see ARCHITECTURE.md "Performance envelope"):
   are retained straight from the stream without word-splitting or
   :class:`ConfigBlock` construction;
 * dispatch is a dict lookup on the interned head keyword
-  (:data:`_TOP_DISPATCH`), not a cascade of ``words[0] ==`` comparisons.
+  (:data:`_TOP_DISPATCH`), not a cascade of ``words[0] ==`` comparisons;
+* with a diagnostic sink, an unmodeled stanza is recorded once, as
+  ``(line_number, head_line)`` in :attr:`RouterConfig.unmodeled_stanzas`
+  (``head_line`` is the string already in ``unmodeled_lines``), in a run
+  the sink opened for this parse; its info row ("unmodeled command: X")
+  is built only when a consumer reads the sink (:mod:`repro.diag`).
+  A config without unmodeled stanzas keeps the shared empty tuple.
 
 Two error-handling modes:
 
@@ -50,7 +56,7 @@ from repro.ios.config import (
     RouterConfig,
     StaticRoute,
 )
-from repro.ios.lexer import Stanza, lex_config
+from repro.ios.lexer import Stanza, Token, lex_config
 from repro.net import IPv4Address, Prefix
 from repro.net.ipv4 import AddressError
 
@@ -83,9 +89,11 @@ def parse_config(
 ) -> RouterConfig:
     """Parse one router's configuration file.
 
-    ``mode`` selects error handling (see module docstring); in lenient mode
-    skipped blocks and unmodeled commands are reported into ``sink``, with
-    ``source`` as the diagnostics' file name.
+    ``mode`` selects error handling (see module docstring).  With a
+    ``sink``, lenient-mode skipped blocks and, in either mode, unmodeled
+    commands are reported into it, with ``source`` as the diagnostics'
+    file name; the unmodeled-command rows are deferred (see
+    :meth:`repro.diag.DiagnosticSink.open_unmodeled`).
     """
     if mode not in ("strict", "lenient"):
         raise ValueError(f"unknown parse mode: {mode!r}")
@@ -103,13 +111,7 @@ def parse_config(
             # Unmodeled stanza: retained verbatim, never split or
             # materialized.
             if sink is not None:
-                sink.info(
-                    PHASE_PARSE,
-                    f"unmodeled command: {head}",
-                    file=source,
-                    line_number=head_token[0],
-                    line=head_line,
-                )
+                _record_unmodeled(config, head_token, sink, source)
             for token in tokens:
                 unmodeled.append(token[2])
             continue
@@ -140,6 +142,19 @@ def parse_config(
 # dispatch
 
 
+def _record_unmodeled(
+    config: RouterConfig,
+    head_token: Token,
+    sink: DiagnosticSink,
+    source: Optional[str],
+) -> None:
+    """Record an unmodeled stanza's head in the run its info row stands in."""
+    stanzas = config.unmodeled_stanzas
+    if not stanzas:
+        stanzas = config.unmodeled_stanzas = sink.open_unmodeled(source)
+    stanzas.append((head_token[0], head_token[2]))
+
+
 def _retain_stanza(
     config: RouterConfig,
     tokens: Stanza,
@@ -147,15 +162,8 @@ def _retain_stanza(
     source: Optional[str],
 ) -> None:
     """Keep an unmodeled stanza's text so nothing is silently dropped."""
-    head_token = tokens[0]
     if sink is not None:
-        sink.info(
-            PHASE_PARSE,
-            f"unmodeled command: {head_token[2].split(None, 1)[0]}",
-            file=source,
-            line_number=head_token[0],
-            line=head_token[2],
-        )
+        _record_unmodeled(config, tokens[0], sink, source)
     for token in tokens:
         config.unmodeled_lines.append(token[2])
 

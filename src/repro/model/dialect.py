@@ -25,7 +25,10 @@ from repro.ios.parser import parse_config as parse_ios_config
 #: tokenizer for JunOS (observable output is unchanged by design, but the
 #: hot paths are new — a clean break keeps stale entries from ever
 #: meeting the new code).
-PARSER_VERSION = "2004.2"
+#: 2004.3: the IOS front end records each unmodeled stanza once
+#: (``RouterConfig.unmodeled_stanzas``) instead of emitting its info row,
+#: so cache entries carry a compact diagnostic stream.
+PARSER_VERSION = "2004.3"
 
 _JUNOS_HINT_RE = re.compile(
     r"^\s*(system|interfaces|protocols|routing-options|policy-options|firewall)\s*\{",

@@ -148,16 +148,19 @@ def build_generation_payload(
         }
         for router, pathway in route_pathways(network, instances=instances).items()
     }
+    # From the rows' fields: no Diagnostic is built per unmodeled stanza.
     diagnostics = [
         {
-            "severity": diagnostic.severity,
-            "phase": diagnostic.phase,
-            "message": diagnostic.message,
-            "file": diagnostic.file,
-            "router": diagnostic.router,
-            "line_number": diagnostic.line_number,
+            "severity": severity,
+            "phase": phase,
+            "message": message,
+            "file": file,
+            "router": router,
+            "line_number": line_number,
         }
-        for diagnostic in network.diagnostics
+        for severity, phase, message, file, router, line_number, _line in (
+            network.diagnostics.rows()
+        )
     ]
     return {
         "schema": GENERATION_SCHEMA,

@@ -14,6 +14,7 @@ from repro.diag import (
     WARNING,
     Diagnostic,
     DiagnosticSink,
+    UnmodeledRun,
 )
 from repro.report import format_diagnostics
 
@@ -95,13 +96,6 @@ class TestDiagnosticSink:
         sink.warning(PHASE_READ, "c", file="R1")
         assert len(sink.for_file("R1")) == 2
 
-    def test_extend(self):
-        a = DiagnosticSink()
-        a.error(PHASE_PARSE, "x")
-        b = DiagnosticSink()
-        b.extend(a)
-        assert b.has_errors
-
     def test_summary_text(self):
         sink = DiagnosticSink()
         sink.error(PHASE_PARSE, "x")
@@ -126,6 +120,13 @@ class TestMerge:
     def test_merge_returns_self(self):
         target, other = DiagnosticSink(), DiagnosticSink()
         assert target.merge(other) is target
+
+    def test_merge_sink_carries_errors(self):
+        a = DiagnosticSink()
+        a.error(PHASE_PARSE, "x")
+        b = DiagnosticSink()
+        b.merge(a)
+        assert b.has_errors
 
     def test_merge_preserves_submission_order(self):
         a, b, c = self._worker_sinks()
@@ -190,6 +191,25 @@ class TestMerge:
     def test_merge_rejects_non_diagnostics(self):
         with pytest.raises(TypeError):
             DiagnosticSink().merge(["not a diagnostic"])
+        with pytest.raises(TypeError):
+            DiagnosticSink().merge([([(3, "ntp server 1.2.3.4")], 0, 1, "f")])
+
+    def test_merge_accepts_unmodeled_runs(self):
+        stanzas = [(3, "ntp server 1.2.3.4"), (5, "line vty 0 4")]
+        stream = (
+            UnmodeledRun(stanzas, 0, 1, "f"),
+            Diagnostic(ERROR, PHASE_PARSE, "skipped block", file="f", line_number=4),
+            UnmodeledRun(stanzas, 1, 2, "f"),
+        )
+        sink = DiagnosticSink().merge(stream)
+        assert sink.compact() == stream
+        assert [str(d) for d in sink] == [
+            "info: f:3: [parse] unmodeled command: ntp | 'ntp server 1.2.3.4'",
+            "error: f:4: [parse] skipped block",
+            "info: f:5: [parse] unmodeled command: line | 'line vty 0 4'",
+        ]
+        assert len(sink) == 3
+        assert sink.counts() == {ERROR: 1, WARNING: 0, INFO: 2}
 
     def test_merge_empty_is_noop(self):
         sink = DiagnosticSink()
@@ -203,6 +223,53 @@ class TestMerge:
         before = list(a.diagnostics)
         DiagnosticSink().merge(a)
         assert a.diagnostics == before
+
+
+class TestUnmodeledRuns:
+    """Deferred unmodeled-stanza rows: recorded once, built when read."""
+
+    def test_open_run_keeps_its_place_around_explicit_rows(self):
+        sink = DiagnosticSink()
+        sink.warning(PHASE_READ, "before", file="f")
+        stanzas = sink.open_unmodeled("f")
+        stanzas.append((2, "ntp server 1.2.3.4"))
+        sink.error(PHASE_PARSE, "between", file="f", line_number=3)
+        stanzas.append((4, "snmp-server location lab"))
+        sink.info(PHASE_BUILD, "after", file="f")
+        assert [d.message for d in sink] == [
+            "before",
+            "unmodeled command: ntp",
+            "between",
+            "unmodeled command: snmp-server",
+            "after",
+        ]
+        assert [type(entry) for entry in sink.compact()] == [
+            Diagnostic, UnmodeledRun, Diagnostic, UnmodeledRun, Diagnostic
+        ]
+
+    def test_rows_equal_eager_ones(self):
+        deferred = DiagnosticSink()
+        deferred.open_unmodeled("R1").append((7, "  banner motd ^C hi ^C"))
+        eager = Diagnostic(
+            INFO,
+            PHASE_PARSE,
+            "unmodeled command: banner",
+            file="R1",
+            line_number=7,
+            line="  banner motd ^C hi ^C",
+        )
+        assert deferred.diagnostics == [eager]
+        assert deferred.by_severity(INFO) == [eager]
+        assert deferred.for_file("R1") == [eager]
+        assert deferred.for_file("R2") == []
+
+    def test_runs_never_raise_the_exit_code(self):
+        sink = DiagnosticSink()
+        sink.open_unmodeled("f").extend([(1, "ntp a"), (2, "ntp b")])
+        assert len(sink) == 2
+        assert sink.counts() == {ERROR: 0, WARNING: 0, INFO: 2}
+        assert sink.exit_code() == EXIT_CLEAN
+        assert sink.summary() == "0 error(s), 0 warning(s), 2 info"
 
 
 class TestFormatDiagnostics:

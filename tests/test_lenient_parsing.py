@@ -3,7 +3,8 @@
 import pytest
 
 import repro.model.dialect as dialect_module
-from repro.diag import DiagnosticSink, ERROR, INFO, WARNING
+from repro.diag import Diagnostic, DiagnosticSink, ERROR, INFO, WARNING
+from repro.ingest import ParseCache
 from repro.ios.parser import ConfigParseError, parse_config
 from repro.junos import parse_junos_config
 from repro.junos.blocks import JunosSyntaxError
@@ -239,3 +240,196 @@ class TestDirectoryHardening:
         monkeypatch.setattr(dialect_module, "parse_any_config", counting)
         Network.from_directory(str(tmp_path))
         assert sorted(calls) == ["config0", "config1", "config2"]
+
+
+UNMODELED_AROUND_BAD_BLOCK = """\
+hostname r1
+!
+service timestamps debug uptime
+snmp-server community public RO
+ip http server
+!
+interface Ethernet0
+ ip address 10.0.0.1 255.255.255.0
+!
+interface Ethernet1
+ ip address 999.0.0.1 255.255.255.0
+!
+ntp server 10.9.9.9
+ip domain-name example.net
+!
+line vty 0 4
+ login
+"""
+
+UNMODELED_AROUND_ISIS = """\
+hostname r2
+!
+logging buffered 4096
+ip http server
+!
+router isis
+ net 49.0001.0000.0000.0001.00
+ is-type level-2-only
+!
+ip domain-name example.net
+!
+router ospf 1
+ network 10.0.0.0 0.0.0.255 area 0
+!
+banner motd ^C hi ^C
+"""
+
+CLEAN_WITH_UNMODELED = """\
+hostname ra
+!
+service password-encryption
+!
+interface Loopback0
+ ip address 10.1.1.1 255.255.255.255
+!
+ip classless
+"""
+
+FAILS_MID_FILE = """\
+hostname rb
+!
+snmp-server location lab
+ip http server
+!
+interface Serial0
+ ip address 10.2.0.1 255.255.255.252
+!
+interface Serial1
+ ip address 10.2.0.999 255.255.255.252
+!
+ntp server 10.9.9.9
+"""
+
+AFTER_FAILURE = """\
+hostname rc
+!
+clock timezone UTC 0
+"""
+
+THREE_FILES = {"A": CLEAN_WITH_UNMODELED, "B": FAILS_MID_FILE, "C": AFTER_FAILURE}
+
+# Streams recorded from the parser that emitted one info row per
+# unmodeled stanza as it went: deferring the rows must not move them.
+STREAM_CASES = {
+    "around-skipped-block": (
+        "skip-block",
+        {"R1": UNMODELED_AROUND_BAD_BLOCK},
+        [
+            "info: R1:3: [parse] unmodeled command: service | 'service timestamps debug uptime'",
+            "info: R1:4: [parse] unmodeled command: snmp-server | 'snmp-server community public RO'",
+            "info: R1:5: [parse] unmodeled command: ip | 'ip http server'",
+            "error: R1:11: [parse] skipped block: octet out of range in '999.0.0.1' "
+            "(line 11: 'ip address 999.0.0.1 255.255.255.0') | 'ip address 999.0.0.1 255.255.255.0'",
+            "info: R1:13: [parse] unmodeled command: ntp | 'ntp server 10.9.9.9'",
+            "info: R1:14: [parse] unmodeled command: ip | 'ip domain-name example.net'",
+            "info: R1:16: [parse] unmodeled command: line | 'line vty 0 4'",
+        ],
+    ),
+    "around-router-isis": (
+        "skip-block",
+        {"R2": UNMODELED_AROUND_ISIS},
+        [
+            "info: R2:3: [parse] unmodeled command: logging | 'logging buffered 4096'",
+            "info: R2:4: [parse] unmodeled command: ip | 'ip http server'",
+            "info: R2:6: [parse] unmodeled routing protocol: isis | 'router isis'",
+            "info: R2:10: [parse] unmodeled command: ip | 'ip domain-name example.net'",
+            "info: R2:15: [parse] unmodeled command: banner | 'banner motd ^C hi ^C'",
+        ],
+    ),
+    "strict-failure-mid-file": (
+        "strict",
+        THREE_FILES,
+        [
+            "info: A:3: [parse] unmodeled command: service | 'service password-encryption'",
+            "info: A:8: [parse] unmodeled command: ip | 'ip classless'",
+            "info: B:3: [parse] unmodeled command: snmp-server | 'snmp-server location lab'",
+            "info: B:4: [parse] unmodeled command: ip | 'ip http server'",
+        ],
+    ),
+    "skip-file-quarantine": (
+        "skip-file",
+        THREE_FILES,
+        [
+            "info: A:3: [parse] unmodeled command: service | 'service password-encryption'",
+            "info: A:8: [parse] unmodeled command: ip | 'ip classless'",
+            "info: B:3: [parse] unmodeled command: snmp-server | 'snmp-server location lab'",
+            "info: B:4: [parse] unmodeled command: ip | 'ip http server'",
+            "error: B:10: [parse] quarantined unparseable file: octet out of range in "
+            "'10.2.0.999' (line 10: 'ip address 10.2.0.999 255.255.255.252') "
+            "| 'ip address 10.2.0.999 255.255.255.252'",
+            "info: C:3: [parse] unmodeled command: clock | 'clock timezone UTC 0'",
+        ],
+    ),
+}
+
+
+class TestDeferredUnmodeledRows:
+    """Unmodeled stanzas are recorded once and their rows built on read."""
+
+    @pytest.mark.parametrize("case", sorted(STREAM_CASES))
+    def test_stream_order_cold_and_replayed(self, case, tmp_path):
+        on_error, configs, expected = STREAM_CASES[case]
+        cache = ParseCache(root=str(tmp_path))
+        for temperature in ("cold", "warm"):
+            sink = DiagnosticSink()
+            if on_error == "strict":
+                with pytest.raises(ConfigParseError):
+                    Network.from_configs(
+                        configs, on_error=on_error, diagnostics=sink, cache=cache
+                    )
+            else:
+                Network.from_configs(
+                    configs, on_error=on_error, diagnostics=sink, cache=cache
+                )
+            assert [str(d) for d in sink] == expected, temperature
+            assert len(sink) == len(expected)
+        # The warm pass replayed every file but a strict failure's.
+        strict_failures = 1 if on_error == "strict" else 0
+        assert cache.stats.hits == len(configs) - strict_failures
+
+    def test_unmodeled_rows_are_built_only_when_read(self, monkeypatch):
+        built = []
+        post_init = Diagnostic.__post_init__
+
+        def counting(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(Diagnostic, "__post_init__", counting)
+        stanzas = 50
+        text = "hostname r1\n" + "".join(
+            f"snmp-server host 10.0.0.{n} public\n" for n in range(stanzas)
+        )
+        sink = DiagnosticSink()
+        config = parse_config(text, mode="lenient", sink=sink, source="R1")
+        assert sink.counts() == {ERROR: 0, WARNING: 0, INFO: stanzas}
+        assert sink.exit_code() == 0
+        assert len(sink) == stanzas
+        assert built == []
+        # The record holds the very string kept in unmodeled_lines.
+        assert [line for _n, line in config.unmodeled_stanzas] == config.unmodeled_lines
+        assert all(
+            record[1] is line
+            for record, line in zip(config.unmodeled_stanzas, config.unmodeled_lines)
+        )
+        rows = list(sink)
+        assert len(built) == stanzas
+        assert rows[0].message == "unmodeled command: snmp-server"
+        assert rows[-1].line_number == stanzas + 1
+
+    def test_modeled_only_config_shares_the_empty_record(self):
+        first = parse_config("hostname a\n", mode="lenient", sink=DiagnosticSink())
+        second = parse_config("hostname b\n", mode="lenient", sink=DiagnosticSink())
+        assert first.unmodeled_stanzas == ()
+        assert first.unmodeled_stanzas is second.unmodeled_stanzas
+
+    def test_no_records_without_a_sink(self):
+        config = parse_config("hostname r1\nntp server 10.9.9.9\n")
+        assert config.unmodeled_lines == ["ntp server 10.9.9.9"]
+        assert config.unmodeled_stanzas == ()

@@ -11,6 +11,7 @@ from repro.exec.checkpoint import CheckpointStore
 from repro.exec.executor import AnalysisExecutor, ExecutorConfig
 from repro.ingest.cache import ParseCache
 from repro.ingest.snapshot import snapshot_corpus
+from repro.model import Network
 from repro.serve.generation import (
     GENERATION_SCHEMA,
     build_generation_payload,
@@ -155,3 +156,27 @@ def test_build_payload_sorts_instances_deterministically(corpus):
     )
     sizes = [row["routers"] for row in payload["instances"]]
     assert sizes == sorted(sizes, reverse=True)
+
+
+def test_diagnostic_rows_are_the_sink_rows(corpus):
+    # Unmodeled stanzas on both sides of a skipped block: the rows built
+    # from the records must be the sink's own rows, in its order.
+    with open(os.path.join(corpus, "RX"), "w") as handle:
+        handle.write(
+            "hostname rx\nntp server 10.9.9.9\n!\ninterface Ethernet0\n"
+            " ip address 999.0.0.1 255.255.255.0\n!\nline vty 0 4\n login\n"
+        )
+    network = Network.from_directory(corpus, on_error="skip-block")
+    expected = [
+        {
+            "severity": d.severity,
+            "phase": d.phase,
+            "message": d.message,
+            "file": d.file,
+            "router": d.router,
+            "line_number": d.line_number,
+        }
+        for d in network.diagnostics
+    ]
+    assert any(row["severity"] == "error" for row in expected)
+    assert run_once(corpus).payload["diagnostics"] == expected
