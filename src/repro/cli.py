@@ -56,7 +56,7 @@ import json
 import os
 import sys
 import time
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from repro.anonymize import Anonymizer
 from repro.core import (
@@ -72,6 +72,7 @@ from repro.core.pathways import ROUTER_RIB
 from repro.core.roles import classify_roles
 from repro.diag import EXIT_ERRORS, PHASE_ANALYSIS
 from repro.ingest import ParseCache
+from repro.ingest.archive import archive_name, discover_archives, read_archive
 from repro.model import Network
 from repro.obs import (
     MetricsRegistry,
@@ -80,6 +81,7 @@ from repro.obs import (
     archive_entry,
     build_manifest,
     configure_logging,
+    span,
     use_registry,
     write_manifest,
 )
@@ -240,30 +242,28 @@ def cmd_anonymize(args: argparse.Namespace) -> int:
     os.makedirs(args.outdir, exist_ok=True)
     key = args.key.encode("utf-8") if args.key else os.urandom(16)
     anonymizer = Anonymizer(key=key)
-    entries = sorted(
-        entry
-        for entry in os.listdir(args.configdir)
-        if os.path.isfile(os.path.join(args.configdir, entry))
-    )
     files = {}
-    for entry in entries:
-        with open(os.path.join(args.configdir, entry)) as handle:
-            text = handle.read()
+    for file in read_archive(args.configdir):
+        if file.text is None:
+            # Quarantined on read, as ingestion does: binary droppings
+            # are not configs, so there is nothing to anonymize.
+            print(f"anonymize: skipped non-text file {file.name!r}", file=sys.stderr)
+            continue
         # Output files carry the pseudo-name of their stem: a file named
         # after its router would otherwise leak the hostname the content
         # anonymization just scrubbed.
-        stem, ext = os.path.splitext(entry)
+        stem, ext = os.path.splitext(file.name)
         out_name = anonymizer.hash_name(stem) + ext
-        files[entry] = out_name
+        files[file.name] = out_name
         with open(os.path.join(args.outdir, out_name), "w") as handle:
-            handle.write(anonymizer.anonymize_config(text))
+            handle.write(anonymizer.anonymize_config(file.text))
     exported = anonymizer.export_mapping()
     exported["files"] = files
     exported["key"] = key.hex()
     with open(mapping_path, "w") as handle:
         json.dump(exported, handle, indent=2, sort_keys=True)
         handle.write("\n")
-    print(f"anonymized {len(entries)} files into {args.outdir}")
+    print(f"anonymized {len(files)} files into {args.outdir}")
     print(f"trusted-party mapping: {mapping_path} (do not share)")
     return 0
 
@@ -299,6 +299,9 @@ def cmd_share(args: argparse.Namespace) -> int:
         result = share_corpus(args.configdir, args.outdir, options)
     except ShareError as exc:
         raise SystemExit(f"error: {exc}")
+    for record in result.archives:
+        for name in record.skipped:
+            print(f"share: skipped non-text file {name!r} in {record.original!r}", file=sys.stderr)
     result.mapping.write(mapping_path)
     summary = result.summary()
     code = 0
@@ -465,49 +468,6 @@ def cmd_lint(args: argparse.Namespace) -> int:
     return network.diagnostics.exit_code()
 
 
-def _corpus_archives(root: str) -> "Tuple[List[str], List[str]]":
-    """``(archives, ignored)`` under ``root``.
-
-    Subdirectories are the archives (the paper's layout: one directory
-    per network); a flat directory of config files is itself one archive.
-    A *mixed* directory — loose files beside archive subdirectories — is
-    almost always misplaced data, so the loose files are returned as
-    ``ignored`` and named in a diagnostic instead of being silently
-    dropped (move them into an archive directory to analyze them).
-    """
-    entries = sorted(os.listdir(root))
-    subdirs = [
-        os.path.join(root, entry)
-        for entry in entries
-        if os.path.isdir(os.path.join(root, entry))
-    ]
-    if not subdirs:
-        return [root], []
-    loose = [
-        entry for entry in entries if os.path.isfile(os.path.join(root, entry))
-    ]
-    return subdirs, loose
-
-
-def _ingest_archive(args: argparse.Namespace, path: str, cache) -> Network:
-    """Ingest one corpus archive.
-
-    Unlike :func:`_load` this neither appends to ``_loaded_networks`` nor
-    prints the ingestion summary; ``cmd_corpus`` does both in archive
-    order after the scheduler returns.
-    """
-    if not os.path.isdir(path):
-        raise SystemExit(f"error: {path} is not a directory of config files")
-    mode = getattr(args, "mode", None) or "lenient"
-    on_error = "skip-block" if mode == "lenient" else "strict"
-    return Network.from_directory(
-        path,
-        on_error=on_error,
-        jobs=getattr(args, "jobs", None),
-        cache=cache,
-    )
-
-
 def _resolve_stage_deadline(args: argparse.Namespace):
     """``(seconds, suggestion)`` from ``--stage-deadline`` (both optional).
 
@@ -555,13 +515,31 @@ def _corpus_executor(args: argparse.Namespace):
         chaos=ChaosPlan.from_env(),
         **kwargs,
     )
-    args._exec_config = config
-    args._exec_suggestion = suggestion
-    return AnalysisExecutor(config)
+    return AnalysisExecutor(config), suggestion
+
+
+def _execution_block(config, suggestion) -> dict:
+    """The corpus run's ``execution`` block, for ``--json`` and the run
+    manifest alike; ``stage_deadline_source`` says where the deadline
+    came from (the ``auto`` suggestion, or the command line)."""
+    store = config.checkpoints
+    return {
+        "stage_deadline": config.stage_deadline,
+        "stage_deadline_source": (
+            suggestion.as_dict()
+            if suggestion is not None
+            else ({"source": "cli"} if config.stage_deadline else None)
+        ),
+        "soft_deadline": config.soft_deadline,
+        "run_deadline": config.run_deadline,
+        "resume": config.resume,
+        "fail_fast": config.fail_fast,
+        "checkpoints": store.stats.as_dict() if store is not None else None,
+    }
 
 
 def _skipped_corpus_entry(name: str):
-    """The report entry for an archive the scheduler never started.
+    """The report entry for an archive the run never started.
 
     ``--fail-fast`` aborts must not make archives vanish from the report:
     every archive the corpus contains is listed, the unstarted ones with
@@ -606,6 +584,36 @@ def _skipped_corpus_entry(name: str):
     return entry, execution
 
 
+def _corpus_entry(name: str, network: Network, execution) -> dict:
+    """The report entry for one ingested and analyzed archive."""
+    read, parse = network.ingest_stages
+    parsed, cached = parse.attributes["parsed"], parse.attributes["cached"]
+    stages = [span_row(read), span_row(parse)] + [
+        stage_row(result.stage, result.seconds, result.items) for result in execution.results
+    ]
+    seconds = [read.seconds, parse.seconds] + [result.seconds for result in execution.results]
+    return {
+        "archive": name,
+        "routers": len(network),
+        "files": read.attributes["items"],
+        "parsed": parsed,
+        "cached": cached,
+        "quarantined": len(network.quarantined),
+        "exit_code": network.diagnostics.exit_code(),
+        "status": execution.status,
+        "stage_counts": execution.counts,
+        "execution": execution.as_dict(),
+        "stages": stages,
+        "total_seconds": round(sum(seconds), 6),
+        # Parsed-only throughput: cache replays are (fast) reads, not
+        # parses, and counting them made warm-cache runs look
+        # implausibly fast.  Replays are reported as "cached".
+        "parsed_per_second": (
+            round(parsed / parse.seconds, 1) if parse.seconds > 0 and parsed else None
+        ),
+    }
+
+
 def cmd_corpus(args: argparse.Namespace) -> int:
     """Batch-analyze a directory of archives under the resilient executor.
 
@@ -613,8 +621,11 @@ def cmd_corpus(args: argparse.Namespace) -> int:
     one command: every subdirectory of ``corpusdir`` is ingested
     (cached), then every analysis stage runs inside the
     :mod:`repro.exec` barrier (per-stage deadlines, degradation ladders,
-    checkpoint/resume).  Archives run one at a time, in corpus order.
-    Output is a per-network table (or ``--json``).
+    checkpoint/resume).  Archives run one at a time, in corpus order,
+    each inside one ``archive:<name>`` span; once the executor aborts
+    (``--fail-fast``), the archives not yet started are listed as
+    skipped, never dropped.  An exception stops the run before any later
+    archive starts.  Output is a per-network table (or ``--json``).
 
     Exit code contract: 0 all archives clean; 1 ingestion warnings only;
     2 ingestion errors; 3 the run *completed* but at least one analysis
@@ -625,9 +636,8 @@ def cmd_corpus(args: argparse.Namespace) -> int:
     if not os.path.isdir(args.corpusdir):
         raise SystemExit(f"error: {args.corpusdir} is not a directory")
     from repro.diag import EXIT_CLEAN, EXIT_DEGRADED  # noqa: PLC0415
-    from repro.exec import CorpusScheduler, archive_name  # noqa: PLC0415
 
-    archives, ignored = _corpus_archives(args.corpusdir)
+    archives, ignored = discover_archives(args.corpusdir)
     for loose in ignored:
         print(
             f"corpus: ignoring loose file {loose!r} at the corpus root "
@@ -638,67 +648,22 @@ def cmd_corpus(args: argparse.Namespace) -> int:
     if archive_jobs is not None and archive_jobs < 0:
         raise SystemExit(f"error: archive-jobs must be >= 0, got {archive_jobs}")
 
-    executor = _corpus_executor(args)
+    executor, suggestion = _corpus_executor(args)
     cache = _cache_from_args(args)
-
-    def analyze_archive(path: str):
-        network = _ingest_archive(args, path, cache)
-        name = archive_name(path)
-        execution = executor.run_archive(name, network)
-        read, parse = network.ingest_stages
-        parsed, cached = parse.attributes["parsed"], parse.attributes["cached"]
-        stages = [span_row(read), span_row(parse)] + [
-            stage_row(result.stage, result.seconds, result.items)
-            for result in execution.results
-        ]
-        seconds = [read.seconds, parse.seconds] + [
-            result.seconds for result in execution.results
-        ]
-        entry = {
-            "archive": name,
-            "routers": len(network),
-            "files": read.attributes["items"],
-            "parsed": parsed,
-            "cached": cached,
-            "quarantined": len(network.quarantined),
-            "exit_code": network.diagnostics.exit_code(),
-            "status": execution.status,
-            "stage_counts": execution.counts,
-            "execution": execution.as_dict(),
-            "stages": stages,
-            "total_seconds": round(sum(seconds), 6),
-            # Parsed-only throughput: cache replays are (fast) reads,
-            # not parses, and counting them made warm-cache runs look
-            # implausibly fast.  Replays are reported as "cached".
-            "parsed_per_second": (
-                round(parsed / parse.seconds, 1) if parse.seconds > 0 and parsed else None
-            ),
-        }
-        return entry, network, execution
-
-    outcomes = CorpusScheduler(abort=executor.abort_event).run(archives, analyze_archive)
-
-    # Merge in archive order: the report, the loaded-network list
-    # (exit-code folding, run manifest), and the ingestion summaries.
     executions = args._executions = {}
-    loaded = args._loaded_networks = []
     report: List[dict] = []
     archives_skipped = 0
-    for outcome in outcomes:
-        if outcome.skipped:
-            entry, execution = _skipped_corpus_entry(outcome.name)
+    for path in archives:
+        name = archive_name(path)
+        if executor.aborted:
+            entry, execution = _skipped_corpus_entry(name)
             archives_skipped += 1
         else:
-            entry, network, execution = outcome.value
-            loaded.append((outcome.path, network))
-            if len(network.diagnostics) or network.quarantined:
-                print(
-                    f"ingestion: {network.diagnostics.summary()}, "
-                    f"{len(network.quarantined)} file(s) quarantined "
-                    f"(run `repro lint` for details)",
-                    file=sys.stderr,
-                )
-        executions[outcome.path] = execution
+            with span(f"archive:{name}"):
+                network = _load(args, path, default_mode="lenient")
+                execution = executor.run_archive(name, network)
+            entry = _corpus_entry(name, network, execution)
+        executions[path] = execution
         report.append(entry)
 
     code = EXIT_CLEAN
@@ -707,8 +672,7 @@ def cmd_corpus(args: argparse.Namespace) -> int:
     if any(entry["status"] != "ok" for entry in report):
         code = max(code, EXIT_DEGRADED)
 
-    store = args._exec_config.checkpoints
-    suggestion = args._exec_suggestion
+    execution_block = args._corpus_execution = _execution_block(executor.config, suggestion)
     stage_totals: dict = {}
     for entry in report:
         for status, count in entry["stage_counts"].items():
@@ -718,15 +682,7 @@ def cmd_corpus(args: argparse.Namespace) -> int:
         "corpus": args.corpusdir,
         "ignored_files": ignored,
         "cache": cache.stats.as_dict() if cache is not None else None,
-        "execution": {
-            "stage_deadline": args._exec_config.stage_deadline,
-            "stage_deadline_source": suggestion.as_dict() if suggestion else None,
-            "soft_deadline": args._exec_config.soft_deadline,
-            "run_deadline": args._exec_config.run_deadline,
-            "resume": args._exec_config.resume,
-            "fail_fast": args._exec_config.fail_fast,
-            "checkpoints": store.stats.as_dict() if store is not None else None,
-        },
+        "execution": execution_block,
         "compress": bool(getattr(args, "compress", None)),
         "archives": report,
         "totals": {
@@ -812,9 +768,7 @@ def cmd_corpus(args: argparse.Namespace) -> int:
     detail_lines = [
         line
         for path, execution in executions.items()
-        for line in format_execution_lines(
-            os.path.basename(path.rstrip(os.sep)) or path, execution
-        )
+        for line in format_execution_lines(archive_name(path), execution)
     ]
     if detail_lines:
         print("stage incidents:")
@@ -843,11 +797,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if not os.path.isdir(args.sweepdir):
         raise SystemExit(f"error: {args.sweepdir} is not a directory")
     from repro.diag import EXIT_DEGRADED  # noqa: PLC0415
-    from repro.exec import ChaosPlan, archive_name  # noqa: PLC0415
+    from repro.exec import ChaosPlan  # noqa: PLC0415
     from repro.report.sweep import format_sweep_report  # noqa: PLC0415
     from repro.sweep import SweepConfig, run_network_sweep  # noqa: PLC0415
 
-    archives, ignored = _corpus_archives(args.sweepdir)
+    archives, ignored = discover_archives(args.sweepdir)
     for loose in ignored:
         print(
             f"sweep: ignoring loose file {loose!r} at the corpus root "
@@ -1503,26 +1457,9 @@ def _emit_run_report(
     share_summary = getattr(args, "_share_summary", None)
     if share_summary is not None:
         environment["share"] = share_summary
-    exec_config = getattr(args, "_exec_config", None)
-    if exec_config is not None:
-        suggestion = getattr(args, "_exec_suggestion", None)
-        environment["execution"] = {
-            "stage_deadline": exec_config.stage_deadline,
-            "stage_deadline_source": (
-                suggestion.as_dict()
-                if suggestion is not None
-                else ({"source": "cli"} if exec_config.stage_deadline else None)
-            ),
-            "soft_deadline": exec_config.soft_deadline,
-            "run_deadline": exec_config.run_deadline,
-            "resume": exec_config.resume,
-            "fail_fast": exec_config.fail_fast,
-            "checkpoints": (
-                exec_config.checkpoints.stats.as_dict()
-                if exec_config.checkpoints is not None
-                else None
-            ),
-        }
+    execution = getattr(args, "_corpus_execution", None)
+    if execution is not None:
+        environment["execution"] = execution
     manifest = build_manifest(
         command=args.command,
         argv=list(argv) if argv is not None else sys.argv[1:],

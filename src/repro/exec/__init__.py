@@ -7,10 +7,8 @@ deadlines (:mod:`~repro.exec.watchdog`), bounded
 retry-with-degradation ladders (:mod:`~repro.exec.executor`),
 content-addressed per-(archive, stage) checkpoints for ``--resume``
 (:mod:`~repro.exec.checkpoint`), injectable chaos hooks for testing the
-whole thing (:mod:`~repro.exec.chaos`), deadline defaults derived
-from measured stage timings (:mod:`~repro.exec.budget`), and a
-corpus-level scheduler that walks the archives in order and accounts
-for every one of them (:mod:`~repro.exec.scheduler`).
+whole thing (:mod:`~repro.exec.chaos`), and deadline defaults derived
+from measured stage timings (:mod:`~repro.exec.budget`).
 """
 
 from repro.exec.budget import DeadlineSuggestion, suggest_stage_deadline
@@ -18,7 +16,6 @@ from repro.exec.chaos import CHAOS_ENV, ChaosError, ChaosPlan, ChaosRule, Simula
 from repro.exec.checkpoint import (
     CHECKPOINT_SCHEMA,
     CheckpointStore,
-    archive_digest,
     default_checkpoint_dir,
 )
 from repro.exec.executor import (
@@ -29,7 +26,6 @@ from repro.exec.executor import (
     Rung,
     StageContext,
 )
-from repro.exec.scheduler import ArchiveOutcome, CorpusScheduler, archive_name
 from repro.exec.stage import (
     ANALYSIS_STAGES,
     FINISHED_STATUSES,
@@ -49,14 +45,12 @@ __all__ = [
     "ANALYSIS_STAGES",
     "AnalysisExecutor",
     "ArchiveExecution",
-    "ArchiveOutcome",
     "CHAOS_ENV",
     "CHECKPOINT_SCHEMA",
     "ChaosError",
     "ChaosPlan",
     "ChaosRule",
     "CheckpointStore",
-    "CorpusScheduler",
     "DEFAULT_LADDERS",
     "DeadlineSuggestion",
     "ExecutorConfig",
@@ -73,8 +67,6 @@ __all__ = [
     "StageContext",
     "StageResult",
     "WatchdogOutcome",
-    "archive_digest",
-    "archive_name",
     "default_checkpoint_dir",
     "run_with_deadline",
     "status_counts",

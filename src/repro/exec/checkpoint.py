@@ -6,9 +6,9 @@ finished result.  The executor checkpoints each *finished* stage
 from the **bytes** of the archive's configuration files, so ``--resume``
 replays exactly the work whose inputs have not changed:
 
-* the archive digest is the SHA-256 over the sorted ``(path, sha256)``
-  inventory of the archive — the same per-file digests the run manifest
-  records;
+* the archive digest is :func:`repro.ingest.archive.archive_digest`,
+  the SHA-256 over the sorted ``(path, sha256)`` inventory of the
+  archive — the same per-file digests the run manifest records;
 * the entry stores that digest *again* in its payload and ``load``
   re-validates it, so an entry that was written under one inventory can
   never be replayed against another (the edit-between-runs race);
@@ -24,10 +24,9 @@ store degrades to misses, never to run failures.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
-from typing import Iterable, Optional
+from typing import Optional
 
 from repro.exec.stage import StageResult
 from repro.store import StaleEntry, Store, StoreStats
@@ -52,21 +51,6 @@ def default_checkpoint_dir(cache_root: Optional[str] = None) -> str:
 
         cache_root = default_cache_dir()
     return os.path.join(cache_root, "checkpoints")
-
-
-def archive_digest(inventory: Iterable) -> str:
-    """SHA-256 over the sorted ``(path, sha256)`` pairs of an inventory.
-
-    *inventory* is an iterable of :class:`repro.obs.manifest.FileRecord`
-    (duck-typed: ``path``/``sha256``).  Any changed, added, or removed
-    file changes the digest — and therefore invalidates every checkpoint
-    keyed under it.
-    """
-    digest = hashlib.sha256()
-    digest.update(b"repro-archive:")
-    for path, sha in sorted((record.path, record.sha256) for record in inventory):
-        digest.update(f"{path}\0{sha}\0".encode("utf-8"))
-    return digest.hexdigest()
 
 
 def _parser_version() -> int:
@@ -133,6 +117,5 @@ __all__ = [
     "CHECKPOINT_FORMAT",
     "CHECKPOINT_SCHEMA",
     "CheckpointStore",
-    "archive_digest",
     "default_checkpoint_dir",
 ]

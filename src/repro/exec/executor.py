@@ -35,7 +35,7 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.diag import PHASE_ANALYSIS
 from repro.exec.chaos import ChaosPlan
-from repro.exec.checkpoint import CheckpointStore, archive_digest
+from repro.exec.checkpoint import CheckpointStore
 from repro.exec.stage import (
     ANALYSIS_STAGES,
     STATUS_DEGRADED,
@@ -48,6 +48,7 @@ from repro.exec.stage import (
     worst_status,
 )
 from repro.exec.watchdog import run_with_deadline
+from repro.ingest.archive import archive_digest
 from repro.obs.logging import get_logger
 from repro.obs.metrics import get_registry
 from repro.obs.trace import span
@@ -280,11 +281,6 @@ class AnalysisExecutor:
         else:
             self._abort.clear()
 
-    @property
-    def abort_event(self) -> threading.Event:
-        """The shared abort signal (the corpus scheduler watches it)."""
-        return self._abort
-
     # -- budgets -------------------------------------------------------------
 
     def _remaining_run_budget(self) -> Optional[float]:
@@ -308,7 +304,8 @@ class AnalysisExecutor:
         Each stage runs (or replays) inside one ``stage:<name>`` span, so
         the analysis spans it opens nest under it in the trace.
         """
-        digest = archive_digest(getattr(network, "inventory", None) or [])
+        inventory = getattr(network, "inventory", None) or []
+        digest = archive_digest((record.path, record.sha256) for record in inventory)
         execution = ArchiveExecution(archive=archive, digest=digest)
         ctx = StageContext(network=network, archive=archive)
         metrics = get_registry()

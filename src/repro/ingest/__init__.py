@@ -6,6 +6,10 @@ networks, and the authors ran their tooling over a provider archive of
 each file once, skips work it has already done, and reports where the
 time went.  This package provides those pieces:
 
+* :mod:`repro.ingest.archive` — what an archive on disk is: which
+  directories are archives, which files belong to one, which files are
+  config text, the archive's name and its digest — one rule each, for
+  every command;
 * :mod:`repro.ingest.parse` — the serial parse pass: per-file sinks
   merged in file order, strict-mode errors re-raised at their file, and
   the ``stage:parse`` span that times it;

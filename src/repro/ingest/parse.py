@@ -18,9 +18,9 @@ Every file is independent and the strict/lenient fault policy is applied
 There is no parse pool.  On the 1-CPU reference host a per-file process
 pool parsed at 0.81x the serial rate (IPC costs more than a parse
 saves); the one parallel grain left is the sweep's scenario pool
-(:mod:`repro.sweep.runner`).  ``jobs`` is still accepted, and a
-negative value still rejected, so existing callers keep working; it no
-longer changes ingestion.
+(:mod:`repro.sweep.runner`).  The public ingestion entry points still
+accept ``jobs`` and reject a negative value with :func:`check_jobs`;
+it no longer changes ingestion, so it goes no further.
 """
 
 from __future__ import annotations
@@ -134,20 +134,23 @@ def parse_one(task: ParseTask) -> ParseOutcome:
     )
 
 
+def check_jobs(jobs: Optional[int]) -> None:
+    """Reject a negative ``jobs``: the one check of a value that is
+    accepted for compatibility but no longer changes ingestion."""
+    if jobs is not None and jobs < 0:
+        raise ValueError(f"jobs must be >= 0, got {jobs}")
+
+
 def parse_many(
     tasks: Sequence[ParseTask],
     *,
-    jobs: Optional[int] = None,
     cache: Union[ParseCache, str, None] = None,
 ) -> List[ParseOutcome]:
     """Parse all tasks through the cache; one outcome per task, in order.
 
     The caller folds diagnostics and raises strict-mode errors in task
-    order.  ``jobs`` is accepted for compatibility (negative values
-    raise :class:`ValueError`) and changes nothing.
+    order.
     """
-    if jobs is not None and jobs < 0:
-        raise ValueError(f"jobs must be >= 0, got {jobs}")
     cache = ParseCache.coerce(cache)
     outcomes: List[Optional[ParseOutcome]] = [None] * len(tasks)
     keys: List[Optional[str]] = [None] * len(tasks)
@@ -183,7 +186,6 @@ def parse_many(
 def parse_stage(
     tasks: Sequence[ParseTask],
     *,
-    jobs: Optional[int] = None,
     cache: Union[ParseCache, str, None] = None,
 ) -> Tuple[List[ParseOutcome], Span]:
     """:func:`parse_many` as the ``stage:parse`` span, with its accounting.
@@ -193,7 +195,7 @@ def parse_stage(
     (``cached``).  A file the parser quarantined counts as parsed.
     """
     with span("stage:parse") as stage:
-        outcomes = parse_many(tasks, jobs=jobs, cache=cache)
+        outcomes = parse_many(tasks, cache=cache)
         replayed = sum(outcome.cached for outcome in outcomes)
         parsed = len(tasks) - replayed
         stage.set(items=len(tasks), parsed=parsed, cached=replayed)
@@ -216,6 +218,7 @@ __all__ = [
     "ON_ERROR_POLICIES",
     "ParseOutcome",
     "ParseTask",
+    "check_jobs",
     "parse_many",
     "parse_one",
     "parse_stage",

@@ -18,11 +18,11 @@ is this module's job:
   parse cache: unchanged bytes replay as ``cached`` dispositions, so
   only the diff is re-parsed).
 
-The file selection matches ingestion exactly: ``Network.from_directory``
-takes every regular file directly inside the archive directory (no
-recursion, no suffix filter — binary droppings are *quarantined*, not
-excluded), so the snapshot walks the same way and never disagrees with
-the ingest layer about corpus membership.
+The file selection and the digest are the archive rules of
+:mod:`repro.ingest.archive`, the ones ``Network.from_directory`` reads
+by: every regular file directly inside the directory is a member
+(binary droppings are *quarantined* by ingestion, not excluded), and a
+directory that vanishes mid-poll snapshots as empty.
 """
 
 from __future__ import annotations
@@ -30,7 +30,9 @@ from __future__ import annotations
 import hashlib
 import os
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
+
+from repro.ingest.archive import archive_digest, archive_files
 
 
 @dataclass(frozen=True)
@@ -51,17 +53,8 @@ class CorpusSnapshot:
 
     @property
     def digest(self) -> str:
-        """SHA-256 over the sorted ``(path, sha256)`` inventory.
-
-        Deliberately the same construction as
-        :func:`repro.exec.checkpoint.archive_digest`, so a snapshot
-        digest and an executor archive digest agree for equal content.
-        """
-        digest = hashlib.sha256()
-        digest.update(b"repro-archive:")
-        for path in sorted(self.files):
-            digest.update(f"{path}\0{self.files[path]}\0".encode("utf-8"))
-        return digest.hexdigest()
+        """The :func:`~repro.ingest.archive.archive_digest` of the files."""
+        return archive_digest(self.files.items())
 
     def __len__(self) -> int:
         return len(self.files)
@@ -89,18 +82,6 @@ class SnapshotDiff:
         }
 
 
-def _config_paths(root: str) -> List[str]:
-    """Names of every regular file directly inside ``root``, sorted —
-    the exact selection ``Network.from_directory`` ingests."""
-    try:
-        entries = sorted(os.listdir(root))
-    except OSError:
-        return []
-    return [
-        entry for entry in entries if os.path.isfile(os.path.join(root, entry))
-    ]
-
-
 def scan_stats(root: str) -> Dict[str, FileStat]:
     """Stat-level scan: relative path → :class:`FileStat`.
 
@@ -110,7 +91,11 @@ def scan_stats(root: str) -> Dict[str, FileStat]:
     debounce keeps a half-written corpus from being analyzed.
     """
     stats: Dict[str, FileStat] = {}
-    for rel in _config_paths(root):
+    try:
+        names = archive_files(root)
+    except OSError:  # the directory vanished mid-poll: nothing to watch
+        return stats
+    for rel in names:
         try:
             info = os.stat(os.path.join(root, rel))
         except OSError:
@@ -122,7 +107,11 @@ def scan_stats(root: str) -> Dict[str, FileStat]:
 def snapshot_corpus(root: str) -> CorpusSnapshot:
     """Content-level snapshot: hash every config file under ``root``."""
     files: Dict[str, str] = {}
-    for rel in _config_paths(root):
+    try:
+        names = archive_files(root)
+    except OSError:  # the directory vanished mid-poll: an empty corpus
+        return CorpusSnapshot(root=root)
+    for rel in names:
         try:
             with open(os.path.join(root, rel), "rb") as handle:
                 data = handle.read()

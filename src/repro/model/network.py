@@ -16,9 +16,10 @@ import os
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple, Union
 
-from repro.diag import PHASE_BUILD, PHASE_READ, DiagnosticSink
+from repro.diag import PHASE_BUILD, DiagnosticSink
+from repro.ingest.archive import archive_name, read_archive
 from repro.ingest.cache import ParseCache
-from repro.ingest.parse import ON_ERROR_POLICIES, ParseTask, parse_stage
+from repro.ingest.parse import ON_ERROR_POLICIES, ParseTask, check_jobs, parse_stage
 from repro.obs.logging import get_logger
 from repro.obs.manifest import (
     DISPOSITION_CACHED,
@@ -90,45 +91,6 @@ class BgpSession:
     def crosses_network_boundary(self) -> bool:
         """True when the peer is not part of this network's data set."""
         return self.remote_key is None
-
-
-def _read_config_text(
-    full_path: str, entry: str, sink: DiagnosticSink
-) -> Tuple[Optional[str], bytes]:
-    """Read a config file, skipping binary/undecodable content.
-
-    Collection scripts leave tarballs, core dumps, and editor droppings in
-    real archives; those must not abort the run.  NUL bytes or a high
-    replacement-character ratio after a lossy decode mark a file as
-    non-text: it is skipped with a warning diagnostic.
-
-    Returns ``(text, raw_bytes)``; text is ``None`` for non-text files.
-    The raw bytes feed the parse cache's content hash.
-    """
-    with open(full_path, "rb") as handle:
-        raw = handle.read()
-    if b"\0" in raw[:8192]:
-        sink.warning(
-            PHASE_READ, "skipped binary file (NUL bytes)", file=entry
-        )
-        return None, raw
-    text = raw.decode("utf-8", errors="replace")
-    if text:
-        bad = text.count("�")
-        if bad and bad / len(text) > 0.05:
-            sink.warning(
-                PHASE_READ,
-                f"skipped undecodable file ({bad} invalid byte(s))",
-                file=entry,
-            )
-            return None, raw
-        if bad:
-            sink.info(
-                PHASE_READ,
-                f"replaced {bad} undecodable byte(s)",
-                file=entry,
-            )
-    return text, raw
 
 
 def _file_record(
@@ -263,6 +225,7 @@ class Network:
         """
         if on_error not in ON_ERROR_POLICIES:
             raise ValueError(f"unknown on_error policy: {on_error!r}")
+        check_jobs(jobs)
         sink = diagnostics if diagnostics is not None else DiagnosticSink()
         entries = list(configs.items())
         tasks = [
@@ -270,7 +233,7 @@ class Network:
             for router_name, config in entries
             if isinstance(config, str)
         ]
-        results, parse = parse_stage(tasks, jobs=jobs, cache=cache)
+        results, parse = parse_stage(tasks, cache=cache)
         outcomes = iter(results)
         routers = []
         quarantined: List[str] = []
@@ -322,8 +285,10 @@ class Network:
         """Build a network from a directory of config files (``config1`` ...).
 
         This mirrors the paper's data layout: one directory per network,
-        anonymous file names, no meta-data.  Dialects are auto-detected
-        per file (IOS or JunOS) and each file is parsed exactly once.
+        anonymous file names, no meta-data.  The files and the network's
+        default name follow the archive rules of
+        :mod:`repro.ingest.archive`.  Dialects are auto-detected per file
+        (IOS or JunOS) and each file is parsed exactly once.
 
         Binary or undecodable files are skipped with a diagnostic in every
         ``on_error`` policy; duplicated hostnames raise in ``"strict"``
@@ -336,6 +301,7 @@ class Network:
         """
         if on_error not in ON_ERROR_POLICIES:
             raise ValueError(f"unknown on_error policy: {on_error!r}")
+        check_jobs(jobs)
         sink = DiagnosticSink()
         routers: List[Router] = []
         quarantined: List[str] = []
@@ -344,22 +310,15 @@ class Network:
         # droppings.  Read diagnostics are buffered per file so the final
         # merge loop can interleave them with parse diagnostics in file
         # order.
-        files: List[Tuple[str, DiagnosticSink, Optional[str], bytes]] = []
         with span("stage:read") as read:
-            for entry in sorted(os.listdir(path)):
-                full = os.path.join(path, entry)
-                if not os.path.isfile(full):
-                    continue
-                file_sink = DiagnosticSink()
-                text, raw = _read_config_text(full, entry, file_sink)
-                files.append((entry, file_sink, text, raw))
+            files = read_archive(path)
             read.set(items=len(files))
         tasks = [
             ParseTask(source=entry, text=text, on_error=on_error, data=raw)
             for entry, _sink, text, raw in files
             if text is not None
         ]
-        results, parse = parse_stage(tasks, jobs=jobs, cache=cache)
+        results, parse = parse_stage(tasks, cache=cache)
         outcomes = iter(results)
         for entry, file_sink, text, raw in files:
             sink.merge(file_sink)
@@ -393,7 +352,7 @@ class Network:
                 )
             )
             routers.append(Router(name=router_name, config=config, source=entry))
-        network_name = name or os.path.basename(path)
+        network_name = name or archive_name(path)
         _record_ingest_observations(network_name, sink, inventory)
         return cls(
             routers,

@@ -6,7 +6,7 @@ span API: :func:`span` opens a span in this thread's active tracer, or
 a detached (still timed) one when tracing is off, so callers never
 branch on whether a tracer exists.  Ingestion opens ``stage:read`` and
 ``stage:parse``, the executor one ``stage:<name>`` per analysis stage,
-the corpus scheduler one ``archive:<name>`` per archive, and analysis
+``repro corpus`` one ``archive:<name>`` per archive, and analysis
 entry points their own spans via the :func:`traced` decorator — so a
 single ``--trace out.json`` file shows reading, parsing, cache replay,
 link inference, and every analysis pass on one timeline, each nested

@@ -45,6 +45,7 @@ from repro.exec.chaos import ChaosPlan, SimulatedKill
 from repro.exec.checkpoint import CheckpointStore
 from repro.exec.executor import AnalysisExecutor, ExecutorConfig
 from repro.ingest.cache import ParseCache
+from repro.ingest.parse import check_jobs
 from repro.ingest.snapshot import CorpusSnapshot, diff_snapshots
 from repro.obs.logging import get_logger
 from repro.obs.metrics import MetricsRegistry, use_registry
@@ -71,7 +72,7 @@ class ServeConfig:
     poll_interval: float = 2.0
     grace: float = 10.0  # drain budget for the in-flight generation
     on_error: str = "skip-block"  # lenient: a daemon analyzes what it can
-    jobs: Optional[int] = 1  # accepted; ingestion is one serial pass
+    jobs: Optional[int] = 1  # accepted (not negative); ingestion is one serial pass
     cache: Optional[ParseCache] = None
     checkpoints: Optional[CheckpointStore] = None
     stage_deadline: Optional[float] = None
@@ -80,6 +81,9 @@ class ServeConfig:
     backoff: float = DEFAULT_BACKOFF_SECONDS
     max_backoff: float = DEFAULT_MAX_BACKOFF_SECONDS
     registry: Optional[MetricsRegistry] = None
+
+    def __post_init__(self) -> None:
+        check_jobs(self.jobs)
 
 
 class ServeDaemon:
@@ -226,7 +230,6 @@ class ServeDaemon:
                 executor=executor,
                 name=self.config.name,
                 on_error=self.config.on_error,
-                jobs=self.config.jobs,
                 cache=self.config.cache,
                 diff=diff,
             )

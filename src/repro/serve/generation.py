@@ -30,6 +30,7 @@ from typing import Any, Dict, Optional
 
 from repro.exec.executor import AnalysisExecutor, ArchiveExecution
 from repro.exec.watchdog import run_with_deadline
+from repro.ingest.parse import check_jobs
 from repro.obs.manifest import archive_entry, normalize_execution
 
 GENERATION_SCHEMA = "repro-serve-generation/1"
@@ -66,17 +67,16 @@ def run_generation(
 ) -> GenerationOutcome:
     """Run one full generation over ``corpus``; see the module docstring.
 
-    ``jobs`` is passed to :meth:`Network.from_directory`, which accepts
-    it but no longer changes ingestion.  Exceptions from ingestion
+    ``jobs`` is accepted (a negative value raises :class:`ValueError`)
+    but no longer changes ingestion.  Exceptions from ingestion
     propagate to the caller (the daemon folds them into its failure
     accounting); stage exceptions are absorbed by the executor barrier
     and surface as unfinished stage statuses.
     """
     from repro.model.network import Network  # noqa: PLC0415 — heavy import
 
-    network = Network.from_directory(
-        corpus, name=name, on_error=on_error, jobs=jobs, cache=cache
-    )
+    check_jobs(jobs)
+    network = Network.from_directory(corpus, name=name, on_error=on_error, cache=cache)
     execution = executor.run_archive(network.name, network)
     unfinished = [r.stage for r in execution.results if not r.finished]
     if unfinished or not execution.results or executor.aborted:

@@ -40,7 +40,6 @@ from repro.share.pipeline import (
     SharedArchive,
     ShareResult,
     check_decoy_admissible,
-    discover_archives,
     share_corpus,
 )
 
@@ -60,7 +59,6 @@ __all__ = [
     "certify_share",
     "check_decoy_admissible",
     "default_mapping_path",
-    "discover_archives",
     "ensure_mapping_outside",
     "share_corpus",
     "synthesize_decoys",

@@ -2,11 +2,14 @@
 
 ``share_corpus`` turns a corpus directory (one subdirectory per network,
 the paper's layout, or a flat directory forming one archive) into a
-shareable copy: every file content-anonymized with one per-run key
-(§4.1), every file *name* replaced by the pseudo-name of its stem (a real
-hostname in a file name leaks exactly what the content scrub removed),
-and — optionally — each archive expanded with NetCloak-style decoy
-routers.  What comes out is the archive tree plus a
+shareable copy: every config file content-anonymized with one per-run
+key (§4.1), every file *name* replaced by the pseudo-name of its stem (a
+real hostname in a file name leaks exactly what the content scrub
+removed), and — optionally — each archive expanded with NetCloak-style
+decoy routers.  Archives are found and read by the rules of
+:mod:`repro.ingest.archive`, so the files shared are exactly the files
+ingestion reads as config text; the ones it quarantines on read are
+skipped and listed in the mapping.  What comes out is the archive tree plus a
 :class:`~repro.share.mapping.ShareMapping` for the trusted party, never
 written inside the archive tree.
 
@@ -30,6 +33,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.anonymize import Anonymizer
 from repro.core.address_space import extract_address_space, mentioned_subnets
 from repro.core.instances import compute_instances
+from repro.ingest.archive import archive_name, discover_archives, read_archive
 from repro.model.network import Network
 from repro.share.decoys import DECOY_TEMPLATES, DecoySet, synthesize_decoys
 from repro.share.mapping import ShareMapping
@@ -109,42 +113,6 @@ class ShareResult:
                 if a.decoys is not None
             },
         }
-
-
-def discover_archives(root: str) -> Tuple[List[str], List[str]]:
-    """``(archive paths, ignored loose files)`` — the corpus layout rule.
-
-    Subdirectories are the archives; a flat directory is one archive; in a
-    mixed directory the loose files are ignored (and reported), matching
-    ``repro corpus``.
-    """
-    entries = sorted(os.listdir(root))
-    subdirs = [
-        os.path.join(root, entry)
-        for entry in entries
-        if os.path.isdir(os.path.join(root, entry))
-    ]
-    if not subdirs:
-        return [root], []
-    loose = [entry for entry in entries if os.path.isfile(os.path.join(root, entry))]
-    return subdirs, loose
-
-
-def _read_text_files(path: str) -> Tuple[Dict[str, str], List[str]]:
-    """``(file name → text, skipped binary files)`` for one archive."""
-    texts: Dict[str, str] = {}
-    skipped: List[str] = []
-    for entry in sorted(os.listdir(path)):
-        full = os.path.join(path, entry)
-        if not os.path.isfile(full):
-            continue
-        with open(full, "rb") as handle:
-            raw = handle.read()
-        if b"\x00" in raw:
-            skipped.append(entry)
-            continue
-        texts[entry] = raw.decode("utf-8", "replace")
-    return texts, skipped
 
 
 def _shared_file_name(anonymizer: Anonymizer, file_name: str) -> str:
@@ -287,13 +255,13 @@ def _stamp_roles(real_files: Dict[str, str], decoy_set: DecoySet) -> None:
 
 
 def _expand_with_decoys(
-    archive_name: str, shared_files: Dict[str, str], options: ShareOptions
+    archive: str, shared_files: Dict[str, str], options: ShareOptions
 ) -> DecoySet:
     """Probe salts until an admissible decoy component is found."""
     reasons = []
     for salt in range(options.max_salt_probes):
         candidate = synthesize_decoys(
-            archive_name,
+            archive,
             options.key,
             salt,
             options.decoys,
@@ -305,7 +273,7 @@ def _expand_with_decoys(
             return candidate
         reasons.append(f"salt {salt}: {reason}")
     raise ShareError(
-        f"no admissible decoy component for archive {archive_name!r} after "
+        f"no admissible decoy component for archive {archive!r} after "
         f"{options.max_salt_probes} salt probes:\n  " + "\n  ".join(reasons)
     )
 
@@ -330,32 +298,32 @@ def share_corpus(root: str, outdir: str, options: ShareOptions) -> ShareResult:
     os.makedirs(outdir, exist_ok=True)
 
     for path in archives:
-        archive_name = os.path.basename(os.path.normpath(path))
-        texts, skipped = _read_text_files(path)
+        name = archive_name(path)
+        files = read_archive(path)
         shared_files: Dict[str, str] = {}
         record = SharedArchive(
-            original=archive_name,
+            original=name,
             path=os.path.abspath(path),
-            shared=None if flat else anonymizer.hash_name(archive_name),
-            skipped=skipped,
+            shared=None if flat else anonymizer.hash_name(name),
+            skipped=[file.name for file in files if file.text is None],
         )
-        for file_name in sorted(texts):
-            out_name = _shared_file_name(anonymizer, file_name)
+        for file in files:
+            if file.text is None:
+                continue
+            out_name = _shared_file_name(anonymizer, file.name)
             if out_name in shared_files:
                 raise ShareError(
                     f"pseudo-name collision on {out_name!r} in archive "
-                    f"{archive_name!r} (two files share a stem?)"
+                    f"{name!r} (two files share a stem?)"
                 )
-            shared_files[out_name] = anonymizer.anonymize_config(texts[file_name])
-            record.files[file_name] = out_name
+            shared_files[out_name] = anonymizer.anonymize_config(file.text)
+            record.files[file.name] = out_name
 
         if options.decoys > 0:
-            decoy_set = _expand_with_decoys(archive_name, shared_files, options)
+            decoy_set = _expand_with_decoys(name, shared_files, options)
             overlap = set(decoy_set.files) & set(shared_files)
             if overlap:
-                raise ShareError(
-                    f"decoy file name collision in {archive_name!r}: {sorted(overlap)}"
-                )
+                raise ShareError(f"decoy file name collision in {name!r}: {sorted(overlap)}")
             shared_files.update(decoy_set.files)
             record.decoys = decoy_set
 
@@ -366,7 +334,7 @@ def share_corpus(root: str, outdir: str, options: ShareOptions) -> ShareResult:
                 handle.write(text)
 
         result.archives.append(record)
-        result.mapping.archives[archive_name] = record.to_dict()
+        result.mapping.archives[name] = record.to_dict()
 
     exported = anonymizer.export_mapping()
     result.mapping.names = exported["names"]
@@ -381,6 +349,5 @@ __all__ = [
     "SharedArchive",
     "ShareResult",
     "check_decoy_admissible",
-    "discover_archives",
     "share_corpus",
 ]

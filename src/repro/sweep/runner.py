@@ -48,7 +48,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.survivability import SurvivabilityReport
 from repro.exec.chaos import ChaosPlan
-from repro.exec.checkpoint import CheckpointStore, archive_digest
+from repro.exec.checkpoint import CheckpointStore
 from repro.exec.stage import (
     STATUS_DEGRADED,
     STATUS_FAILED,
@@ -60,6 +60,7 @@ from repro.exec.stage import (
     worst_status,
 )
 from repro.exec.watchdog import run_with_deadline
+from repro.ingest.archive import archive_digest
 from repro.model.network import Network
 from repro.obs.logging import get_logger
 from repro.obs.metrics import get_registry
@@ -361,7 +362,7 @@ def run_network_sweep(
     digest: Optional[str] = None
     store = config.checkpoints
     if store is not None and inventory is not None:
-        digest = archive_digest(inventory)
+        digest = archive_digest((record.path, record.sha256) for record in inventory)
 
     # Replay finished scenarios from the checkpoint store.
     results: Dict[str, StageResult] = {}

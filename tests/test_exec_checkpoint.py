@@ -11,19 +11,15 @@ import io
 import json
 import os
 
-from repro.exec.checkpoint import (
-    CHECKPOINT_SCHEMA,
-    CheckpointStore,
-    archive_digest,
-)
+from repro.exec.checkpoint import CHECKPOINT_SCHEMA, CheckpointStore
 from repro.exec.stage import StageResult
+from repro.ingest.archive import archive_digest
 from repro.obs.logging import configure_logging
-from repro.obs.manifest import FileRecord
 from repro.obs.metrics import MetricsRegistry, use_registry
 
 
 def _record(path, sha):
-    return FileRecord(path=path, size=1, sha256=sha, disposition="parsed")
+    return (path, sha)
 
 
 def _inventory():

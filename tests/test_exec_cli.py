@@ -216,3 +216,14 @@ class TestRunManifest:
         assert by_stage["consistency"]["status"] == "failed"
         counters = manifest["metrics"]["counters"]
         assert counters["exec.stage.failed"] == 1
+
+    def test_json_and_manifest_share_one_execution_block(
+        self, corpus_dir, checkpoints, tmp_path, capsys
+    ):
+        report = tmp_path / "report.json"
+        flags = ("--stage-deadline", "30", "--run-report", os.fspath(report))
+        assert main(_corpus(corpus_dir, checkpoints, *flags)) == 0
+        payload = json.loads(capsys.readouterr().out)
+        manifest = json.loads(report.read_text())
+        assert payload["execution"] == manifest["environment"]["execution"]
+        assert payload["execution"]["stage_deadline_source"] == {"source": "cli"}

@@ -1,6 +1,7 @@
-"""Corpus scheduler: archive order, abort accounting, concurrent stores.
+"""How ``repro corpus`` walks a corpus: archive order, abort accounting,
+concurrent stores.
 
-The contract under test: ``repro corpus --archive-jobs N`` is accepted
+One contract under test: ``repro corpus --archive-jobs N`` is accepted
 and changes nothing.  Whatever N is, the normalized ``--json`` payload,
 the normalized run manifest, and the exit code are identical to the
 serial run — including over a corpus that mixes clean archives, a
@@ -14,15 +15,9 @@ import threading
 import pytest
 
 from repro.cli import main
-from repro.exec import (
-    CHAOS_ENV,
-    CheckpointStore,
-    CorpusScheduler,
-    StageResult,
-    archive_name,
-)
+from repro.exec import CHAOS_ENV, AnalysisExecutor, CheckpointStore, StageResult
+from repro.model.network import Network
 from repro.obs import normalize_manifest
-from repro.obs.trace import Tracer, activate_tracer
 from repro.report import normalize_corpus_payload
 from repro.synth import inject_fault
 from repro.synth.templates.example_fig1 import build_example_networks
@@ -54,75 +49,94 @@ def _corpus(corpus_dir, *flags):
     return ["corpus", "--no-cache", "--json", *flags, corpus_dir]
 
 
+def _watch_ingestion(monkeypatch, failures=None):
+    """The names of the archives ``repro corpus`` starts, in start order;
+    ingesting an archive named in *failures* raises its exception."""
+    started = []
+    from_directory = Network.from_directory.__func__
+
+    def watched(cls, path, *args, **kwargs):
+        name = os.path.basename(path)
+        started.append(name)
+        if failures and name in failures:
+            raise failures[name]
+        return from_directory(cls, path, *args, **kwargs)
+
+    monkeypatch.setattr(Network, "from_directory", classmethod(watched))
+    return started
+
+
 class TestCorpusScheduler:
-    def test_results_come_back_in_archive_order(self):
-        scheduler = CorpusScheduler()
-        outcomes = scheduler.run(
-            ["/c/one", "/c/two", "/c/three"], lambda path: path.upper()
-        )
-        assert [o.name for o in outcomes] == ["one", "two", "three"]
-        assert [o.value for o in outcomes] == ["/C/ONE", "/C/TWO", "/C/THREE"]
-        assert not any(o.skipped for o in outcomes)
+    """The archive walk of ``repro corpus``: in corpus order, one
+    ``archive:<name>`` span each; an exception stops later archives from
+    starting; once the executor aborts, the rest are listed as skipped."""
 
-    def test_first_error_in_archive_order_is_reraised(self):
-        failures = {"two": ValueError("two"), "four": ValueError("four")}
+    def test_results_come_back_in_archive_order(self, corpus_dir, capsys, monkeypatch):
+        started = _watch_ingestion(monkeypatch)
+        assert main(_corpus(corpus_dir, "--no-checkpoint")) == 2  # delta's fault
+        payload = json.loads(capsys.readouterr().out)
+        assert started == list(ARCHIVES)
+        assert [e["archive"] for e in payload["archives"]] == list(ARCHIVES)
+        assert all(e["status"] == "ok" for e in payload["archives"])
+        assert payload["totals"]["archives_skipped"] == 0
 
-        def worker(path):
-            error = failures.get(archive_name(path))
-            if error is not None:
-                raise error
-            return path
+    def test_first_error_in_archive_order_is_reraised(self, corpus_dir, capsys, monkeypatch):
+        failures = {"beta": ValueError("beta"), "gamma": ValueError("gamma")}
+        _watch_ingestion(monkeypatch, failures)
+        with pytest.raises(ValueError, match="beta"):
+            main(_corpus(corpus_dir, "--no-checkpoint"))
+        capsys.readouterr()
 
-        scheduler = CorpusScheduler()
-        with pytest.raises(ValueError, match="two"):
-            scheduler.run(["/c/one", "/c/two", "/c/three", "/c/four"], worker)
+    def test_error_stops_new_archives_from_starting(self, corpus_dir, capsys, monkeypatch):
+        started = _watch_ingestion(monkeypatch, {"alpha": RuntimeError("boom")})
+        with pytest.raises(RuntimeError, match="boom"):
+            main(_corpus(corpus_dir, "--no-checkpoint"))
+        capsys.readouterr()
+        assert started == ["alpha"]
 
-    def test_error_stops_new_archives_from_starting(self):
-        started = []
-        gate = threading.Event()
+    def test_pre_set_abort_skips_everything(self, corpus_dir, capsys, monkeypatch):
+        started = _watch_ingestion(monkeypatch)
+        init = AnalysisExecutor.__init__
 
-        def worker(path):
-            started.append(archive_name(path))
-            if archive_name(path) == "one":
-                gate.set()
-                raise RuntimeError("boom")
-            return path
+        def aborted_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            self.aborted = True
 
-        scheduler = CorpusScheduler()
-        with pytest.raises(RuntimeError):
-            scheduler.run(["/c/one", "/c/two", "/c/three"], worker)
-        assert gate.is_set()
-        assert started == ["one"]
+        monkeypatch.setattr(AnalysisExecutor, "__init__", aborted_init)
+        assert main(_corpus(corpus_dir, "--no-checkpoint")) == 3
+        payload = json.loads(capsys.readouterr().out)
+        assert started == []
+        assert [e["archive"] for e in payload["archives"]] == list(ARCHIVES)
+        assert all(e["status"] == "skipped" for e in payload["archives"])
+        assert payload["totals"]["archives_skipped"] == len(ARCHIVES)
 
-    def test_pre_set_abort_skips_everything(self):
-        abort = threading.Event()
-        abort.set()
-        scheduler = CorpusScheduler(abort=abort)
-        outcomes = scheduler.run(
-            ["/c/one", "/c/two"], lambda path: pytest.fail("must not run")
-        )
-        assert all(o.skipped for o in outcomes)
+    def test_abort_mid_run_yields_skipped_not_dropped(
+        self, corpus_dir, capsys, monkeypatch
+    ):
+        started = _watch_ingestion(monkeypatch)
+        monkeypatch.setenv(CHAOS_ENV, "alpha:links=raise")
+        code = main(_corpus(corpus_dir, "--no-checkpoint", "--fail-fast"))
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 3
+        assert started == ["alpha"]
+        statuses = [e["status"] for e in payload["archives"]]
+        assert statuses == ["failed", "skipped", "skipped", "skipped"]
+        assert [e["archive"] for e in payload["archives"]] == list(ARCHIVES)
+        for entry in payload["archives"][1:]:
+            assert entry["files"] == 0
+            assert {s["status"] for s in entry["execution"]["stages"]} == {"skipped"}
 
-    def test_abort_mid_run_yields_skipped_not_dropped(self):
-        abort = threading.Event()
-
-        def worker(path):
-            if archive_name(path) == "one":
-                abort.set()
-            return path
-
-        scheduler = CorpusScheduler(abort=abort)
-        outcomes = scheduler.run(["/c/one", "/c/two", "/c/three"], worker)
-        assert [o.skipped for o in outcomes] == [False, True, True]
-        assert len(outcomes) == 3
-
-    def test_archive_spans_in_archive_order(self):
-        tracer = Tracer()
-        scheduler = CorpusScheduler()
-        with activate_tracer(tracer):
-            scheduler.run(["/c/one", "/c/two", "/c/three"], archive_name)
-        names = [span["name"] for span in tracer.span_tree()]
-        assert names == ["archive:one", "archive:two", "archive:three"]
+    def test_archive_spans_in_archive_order(self, corpus_dir, tmp_path, capsys):
+        report = os.fspath(tmp_path / "run.json")
+        main(_corpus(corpus_dir, "--no-checkpoint", "--run-report", report))
+        capsys.readouterr()
+        with open(report) as handle:
+            (run,) = json.load(handle)["spans"]
+        names = [child["name"] for child in run["children"]]
+        assert names == [f"archive:{archive}" for archive in ARCHIVES]
+        for child in run["children"]:
+            stages = [grandchild["name"] for grandchild in child["children"]]
+            assert stages[:2] == ["stage:read", "stage:parse"]
 
 
 class TestArchiveJobsEquivalence:

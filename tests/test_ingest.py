@@ -138,24 +138,15 @@ class TestParseMany:
         return [ParseTask(f"f{i}", text, on_error) for i, text in enumerate(texts)]
 
     def test_outcomes_in_task_order(self):
-        outcomes = parse_many(self._tasks(6), jobs=1)
+        outcomes = parse_many(self._tasks(6))
         assert [o.source for o in outcomes] == [f"f{i}" for i in range(6)]
         assert [o.config.hostname for o in outcomes] == [f"r{i}" for i in range(6)]
-
-    def test_jobs_value_does_not_change_outcomes(self):
-        tasks = self._tasks(8)
-        serial = parse_many(tasks, jobs=1)
-        parallel = parse_many(tasks, jobs=4)
-        assert [o.config.hostname for o in serial] == [
-            o.config.hostname for o in parallel
-        ]
-        assert [o.diagnostics for o in serial] == [o.diagnostics for o in parallel]
 
     def test_cache_hits_skip_parsing(self, tmp_path):
         cache = ParseCache(root=str(tmp_path))
         tasks = self._tasks(4)
-        cold, cold_stage = parse_stage(tasks, jobs=1, cache=cache)
-        warm, warm_stage = parse_stage(tasks, jobs=1, cache=cache)
+        cold, cold_stage = parse_stage(tasks, cache=cache)
+        warm, warm_stage = parse_stage(tasks, cache=cache)
         assert cold_stage.attributes == {"items": 4, "parsed": 4, "cached": 0}
         assert warm_stage.attributes == {"items": 4, "parsed": 0, "cached": 4}
         assert all(o.cached for o in warm)
@@ -167,8 +158,8 @@ class TestParseMany:
     def test_strict_errors_are_not_cached(self, tmp_path):
         cache = ParseCache(root=str(tmp_path))
         tasks = [ParseTask("bad", IOS_BAD, "strict")]
-        first = parse_many(tasks, jobs=1, cache=cache)
-        second = parse_many(tasks, jobs=1, cache=cache)
+        first = parse_many(tasks, cache=cache)
+        second = parse_many(tasks, cache=cache)
         assert first[0].error is not None
         assert second[0].error is not None
         assert not second[0].cached
@@ -176,8 +167,8 @@ class TestParseMany:
     def test_quarantine_decision_is_cached(self, tmp_path):
         cache = ParseCache(root=str(tmp_path))
         tasks = [ParseTask("bad", JUNOS_UNBALANCED, "skip-file")]
-        cold = parse_many(tasks, jobs=1, cache=cache)
-        warm = parse_many(tasks, jobs=1, cache=cache)
+        cold = parse_many(tasks, cache=cache)
+        warm = parse_many(tasks, cache=cache)
         assert cold[0].quarantined and warm[0].quarantined
         assert warm[0].cached
         assert [str(d) for d in cold[0].diagnostics] == [
@@ -185,13 +176,15 @@ class TestParseMany:
         ]
 
     def test_jobs_accepted_negative_rejected(self):
-        tasks = self._tasks(3)
-        serial = parse_many(tasks)
+        # ``jobs`` stops at the public entry point: accepted there,
+        # changing nothing, and a negative value is rejected there.
+        configs = {f"r{i}": IOS_OK.replace("r1", f"r{i}") for i in range(3)}
+        serial = Network.from_configs(configs, on_error="skip-block")
         for jobs in (None, 0, 1, 8):
-            outcomes = parse_many(tasks, jobs=jobs)
-            assert [o.config for o in outcomes] == [o.config for o in serial]
+            network = Network.from_configs(configs, on_error="skip-block", jobs=jobs)
+            assert sorted(network.routers) == sorted(serial.routers)
         with pytest.raises(ValueError):
-            parse_many(tasks, jobs=-1)
+            Network.from_configs(configs, jobs=-1)
 
 
 class TestColdIngestStore:
@@ -223,7 +216,7 @@ class TestPerFileSinks:
             ParseTask("good", IOS_OK, "skip-block"),
             ParseTask("bad", IOS_BAD, "skip-block"),
         ]
-        good, bad = parse_many(tasks, jobs=1)
+        good, bad = parse_many(tasks)
         assert all(d.file in (None, "good") for d in good.diagnostics)
         assert any(d.file == "bad" for d in bad.diagnostics)
 
@@ -233,7 +226,7 @@ class TestPerFileSinks:
             ParseTask("b", IOS_OK, "skip-block"),
         ]
         merged = DiagnosticSink()
-        for outcome in parse_many(tasks, jobs=1):
+        for outcome in parse_many(tasks):
             merged.merge(outcome.diagnostics)
         shared = DiagnosticSink()
         from repro.ingest.parse import _parse_with_policy

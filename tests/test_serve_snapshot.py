@@ -2,7 +2,7 @@
 
 import os
 
-from repro.exec.checkpoint import archive_digest
+from repro.ingest.archive import archive_digest
 from repro.ingest.snapshot import (
     diff_snapshots,
     scan_stats,
@@ -74,7 +74,9 @@ class TestSnapshot:
         _write_corpus(tmp_path)
         snapshot = snapshot_corpus(str(tmp_path))
         network = Network.from_directory(str(tmp_path), on_error="skip-block")
-        assert snapshot.digest == archive_digest(network.inventory)
+        assert snapshot.digest == archive_digest(
+            (record.path, record.sha256) for record in network.inventory
+        )
 
     def test_len_counts_files(self, tmp_path):
         _write_corpus(tmp_path)
