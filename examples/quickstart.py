@@ -27,14 +27,14 @@ from repro.synth.templates.example_fig1 import build_example_networks
 def main() -> None:
     # --- 1. obtain configuration files -----------------------------------
     configs, meta = build_example_networks()
-    archive = tempfile.mkdtemp(prefix="repro-configs-")
-    for index, (name, text) in enumerate(sorted(configs.items()), start=1):
-        with open(os.path.join(archive, f"config{index}"), "w") as handle:
-            handle.write(text)
-    print(f"wrote {len(configs)} configuration files to {archive}\n")
+    with tempfile.TemporaryDirectory(prefix="repro-configs-") as archive:
+        for index, (name, text) in enumerate(sorted(configs.items()), start=1):
+            with open(os.path.join(archive, f"config{index}"), "w") as handle:
+                handle.write(text)
+        print(f"wrote {len(configs)} configuration files to {archive}\n")
 
-    # --- 2. parse the archive into a network model ------------------------
-    network = Network.from_directory(archive)
+        # --- 2. parse the archive into a network model --------------------
+        network = Network.from_directory(archive)
     print(f"parsed {len(network)} routers; {len(network.links)} links inferred")
     print(f"external-facing interfaces: {sorted(network.external_interfaces)}\n")
 

@@ -47,6 +47,10 @@ commands additionally accept ``--trace out.json`` (Chrome-trace timeline
 of every pipeline stage and analysis pass) and ``--run-report r.json``
 (a manifest accounting for every input file: path, size, SHA-256, cache
 disposition — plus metrics, spans, diagnostics, and the exit code).
+``repro share`` takes ``--strict``/``--lenient``, ``--trace`` and
+``--run-report`` but none of the cache, ``--jobs`` or ``--compress``
+flags: it reads both trees without a cache, and its run report holds the
+``share`` summary block, not a file inventory.
 """
 
 from __future__ import annotations
@@ -1035,13 +1039,14 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="disable the persistent parse cache",
     )
-    ingest.add_argument(
+    report = argparse.ArgumentParser(add_help=False)
+    report.add_argument(
         "--trace",
         default=None,
         metavar="PATH",
         help="write a Chrome-trace timeline of the run to PATH",
     )
-    ingest.add_argument(
+    report.add_argument(
         "--run-report",
         default=None,
         metavar="PATH",
@@ -1064,7 +1069,7 @@ def build_parser() -> argparse.ArgumentParser:
         const=False,
         help="skip the compression plan (default); output is the same",
     )
-    archive = [mode, ingest, obs]
+    archive = [mode, ingest, report, obs]
 
     p = sub.add_parser("analyze", help="routing design summary", parents=archive)
     p.add_argument("configdir")
@@ -1094,7 +1099,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "share",
         help="build a certified shareable corpus (anonymize + decoys)",
-        parents=archive,
+        parents=[mode, report, obs],
     )
     p.add_argument("configdir")
     p.add_argument("outdir")

@@ -27,8 +27,9 @@ from repro.core.instances import (
     RoutingInstance,
     compute_instances,
     find_external_adjacent_instances,
+    instance_of,
 )
-from repro.core.process_graph import _resolve_redistribute_source
+from repro.model.exchange import Redistribution
 from repro.model.network import Network
 
 
@@ -146,25 +147,17 @@ def _redistribution_structure(network: Network, instances):
     instances (a thing textbook designs never do), and the set of IGP
     instance ids that receive routes redistributed from BGP.
     """
-    from repro.core.instances import instance_of  # noqa: PLC0415
-
     membership = instance_of(instances)
     igp_to_igp = 0
     bgp_fed = set()
-    for key, proc in network.processes.items():
-        if proc.is_bgp:
+    for record in network.route_exchange:
+        if not isinstance(record, Redistribution) or record.target[1] == "bgp":
             continue
-        for redist in proc.config.redistributes:
-            source = _resolve_redistribute_source(
-                network, key[0], redist.source_protocol, redist.source_id
-            )
-            if source is None:
-                continue
-            if source[1] == "bgp":
-                bgp_fed.add(membership[key].instance_id)
-            elif source in membership:
-                if membership[source].instance_id != membership[key].instance_id:
-                    igp_to_igp += 1
+        if record.source[1] == "bgp":
+            bgp_fed.add(membership[record.target].instance_id)
+        elif record.source in membership:
+            if membership[record.source].instance_id != membership[record.target].instance_id:
+                igp_to_igp += 1
     return igp_to_igp, bgp_fed
 
 

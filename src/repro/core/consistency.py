@@ -10,7 +10,7 @@ needs (dangling and unused policy objects, one-sided BGP sessions).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.model.network import Network
 
@@ -138,48 +138,58 @@ def incomplete_adjacencies(network: Network) -> List[ConsistencyFinding]:
     return findings
 
 
+def _policy_references(config) -> List[Tuple[str, str]]:
+    """Every policy object a router's statements reference, as
+    ``(kind, object name)`` pairs in config-walk order."""
+    refs: List[Tuple[str, str]] = []
+    for iface in config.interfaces.values():
+        for acl in (iface.access_group_in, iface.access_group_out):
+            if acl:
+                refs.append(("access-list", acl))
+    for process in config.routing_processes():
+        for redist in process.redistributes:
+            if redist.route_map:
+                refs.append(("route-map", redist.route_map))
+        for dist in getattr(process, "distribute_lists", []):
+            refs.append(("access-list", dist.acl))
+    if config.bgp_process:
+        for nbr in config.bgp_process.neighbors:
+            for acl in (nbr.distribute_list_in, nbr.distribute_list_out):
+                if acl:
+                    refs.append(("access-list", acl))
+            for rmap in (nbr.route_map_in, nbr.route_map_out):
+                if rmap:
+                    refs.append(("route-map", rmap))
+            for plist in (nbr.prefix_list_in, nbr.prefix_list_out):
+                if plist:
+                    refs.append(("prefix-list", plist))
+    for route_map in config.route_maps.values():
+        for clause in route_map.clauses:
+            for acl in clause.match_ip_address:
+                refs.append(("access-list", str(acl)))
+            for plist in clause.match_prefix_lists:
+                refs.append(("prefix-list", plist))
+            for clist in clause.match_communities:
+                refs.append(("community-list", clist))
+    return refs
+
+
+def _policy_tables(config) -> Dict[str, dict]:
+    """A router's policy-object tables by kind, in reporting order."""
+    return {
+        "access-list": config.access_lists,
+        "route-map": config.route_maps,
+        "prefix-list": config.prefix_lists,
+        "community-list": config.community_lists,
+    }
+
+
 def dangling_references(network: Network) -> List[ConsistencyFinding]:
     """Policy objects referenced but never defined."""
     findings = []
     for name, router in network.routers.items():
-        config = router.config
-        refs: List[Tuple[str, str]] = []  # (kind, object name)
-        for iface in config.interfaces.values():
-            for acl in (iface.access_group_in, iface.access_group_out):
-                if acl:
-                    refs.append(("access-list", acl))
-        for process in config.routing_processes():
-            for redist in process.redistributes:
-                if redist.route_map:
-                    refs.append(("route-map", redist.route_map))
-            for dist in getattr(process, "distribute_lists", []):
-                refs.append(("access-list", dist.acl))
-        if config.bgp_process:
-            for nbr in config.bgp_process.neighbors:
-                for acl in (nbr.distribute_list_in, nbr.distribute_list_out):
-                    if acl:
-                        refs.append(("access-list", acl))
-                for rmap in (nbr.route_map_in, nbr.route_map_out):
-                    if rmap:
-                        refs.append(("route-map", rmap))
-                for plist in (nbr.prefix_list_in, nbr.prefix_list_out):
-                    if plist:
-                        refs.append(("prefix-list", plist))
-        for route_map in config.route_maps.values():
-            for clause in route_map.clauses:
-                for acl in clause.match_ip_address:
-                    refs.append(("access-list", str(acl)))
-                for plist in clause.match_prefix_lists:
-                    refs.append(("prefix-list", plist))
-                for clist in clause.match_communities:
-                    refs.append(("community-list", clist))
-        tables = {
-            "access-list": config.access_lists,
-            "route-map": config.route_maps,
-            "prefix-list": config.prefix_lists,
-            "community-list": config.community_lists,
-        }
-        for kind, ref in refs:
+        tables = _policy_tables(router.config)
+        for kind, ref in _policy_references(router.config):
             if ref not in tables[kind]:
                 findings.append(
                     ConsistencyFinding(
@@ -193,45 +203,15 @@ def dangling_references(network: Network) -> List[ConsistencyFinding]:
 
 def unused_policies(network: Network) -> List[ConsistencyFinding]:
     """Defined policy objects no statement references — dead configuration,
-    often a vestige of abandoned changes (§8.2)."""
+    often a vestige of abandoned changes (§8.2).
+
+    A name referenced as any kind of object counts as used for every
+    kind.
+    """
     findings = []
     for name, router in network.routers.items():
-        config = router.config
-        used: Set[str] = set()
-        for iface in config.interfaces.values():
-            used.update(filter(None, (iface.access_group_in, iface.access_group_out)))
-        for process in config.routing_processes():
-            for redist in process.redistributes:
-                if redist.route_map:
-                    used.add(redist.route_map)
-            for dist in getattr(process, "distribute_lists", []):
-                used.add(dist.acl)
-        if config.bgp_process:
-            for nbr in config.bgp_process.neighbors:
-                used.update(
-                    filter(
-                        None,
-                        (
-                            nbr.distribute_list_in,
-                            nbr.distribute_list_out,
-                            nbr.route_map_in,
-                            nbr.route_map_out,
-                            nbr.prefix_list_in,
-                            nbr.prefix_list_out,
-                        ),
-                    )
-                )
-        for route_map in config.route_maps.values():
-            for clause in route_map.clauses:
-                used.update(str(a) for a in clause.match_ip_address)
-                used.update(clause.match_prefix_lists)
-                used.update(clause.match_communities)
-        for kind, table in (
-            ("access-list", config.access_lists),
-            ("route-map", config.route_maps),
-            ("prefix-list", config.prefix_lists),
-            ("community-list", config.community_lists),
-        ):
+        used = {ref for _kind, ref in _policy_references(router.config)}
+        for kind, table in _policy_tables(router.config).items():
             for object_name in table:
                 if object_name not in used:
                     findings.append(

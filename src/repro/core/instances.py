@@ -14,13 +14,14 @@ between instances — redistribution on a shared router, or an EBGP session.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set
 
 import networkx as nx
 
 from repro.core.process_graph import EXTERNAL_NODE
+from repro.model.exchange import ExternalExchange, Peering, Redistribution
 from repro.model.network import Network
-from repro.model.processes import ProcessKey
+from repro.model.processes import ProcessKey, process_sort_key
 from repro.obs.trace import traced
 
 
@@ -105,7 +106,7 @@ def compute_instances(
     """
     neighbors = _adjacency_lists(network, merge_ebgp=merge_ebgp)
     if max_processes is not None and len(neighbors) > max_processes:
-        kept = set(sorted(neighbors, key=_sort_key)[:max_processes])
+        kept = set(sorted(neighbors, key=process_sort_key)[:max_processes])
         neighbors = {
             key: [peer for peer in peers if peer in kept]
             for key, peers in neighbors.items()
@@ -113,7 +114,7 @@ def compute_instances(
         }
     assigned: Dict[ProcessKey, int] = {}
     instances: List[RoutingInstance] = []
-    for start in sorted(neighbors, key=_sort_key):
+    for start in sorted(neighbors, key=process_sort_key):
         if start in assigned:
             continue
         instance = RoutingInstance(instance_id=len(instances) + 1, protocol=start[1])
@@ -129,10 +130,6 @@ def compute_instances(
                     stack.append(neighbor)
         instances.append(instance)
     return instances
-
-
-def _sort_key(key: ProcessKey) -> Tuple[str, str, int]:
-    return (key[0], key[1], key[2] if key[2] is not None else -1)
 
 
 def instance_of(
@@ -157,7 +154,10 @@ def build_instance_graph(
     ``external``), ``router`` (where redistribution happens), ``route_map``.
 
     Redistribution edges are directed (route flow); EBGP and external edges
-    are added in both directions.
+    are added in both directions.  The edges are the network's
+    route-exchange table seen through instance membership, in its order:
+    redistributions, then one EBGP edge pair per instance pair, then the
+    external edges by instance id.
     """
     if instances is None:
         instances = compute_instances(network)
@@ -173,45 +173,39 @@ def build_instance_graph(
             instance=instance,
         )
 
-    # Redistribution between instances, on each shared router.
-    from repro.core.process_graph import _resolve_redistribute_source  # noqa: PLC0415
-
-    for key, proc in network.processes.items():
-        for redist in proc.config.redistributes:
-            source = _resolve_redistribute_source(
-                network, key[0], redist.source_protocol, redist.source_id
-            )
-            if source is None or source not in membership:
-                continue  # local RIB sources are intra-router, not shown here
-            source_instance = membership[source]
-            target_instance = membership[key]
-            if source_instance.instance_id == target_instance.instance_id:
-                continue
-            graph.add_edge(
-                source_instance.instance_id,
-                target_instance.instance_id,
-                kind="redistribution",
-                router=key[0],
-                route_map=redist.route_map,
-                tag=redist.tag,
-            )
-
-    # EBGP sessions between in-network instances.
     seen_pairs = set()
-    for session in network.bgp_sessions:
-        if session.remote_key is not None and session.is_ebgp:
-            a = membership[session.local].instance_id
-            b = membership[session.remote_key].instance_id
-            pair = (min(a, b), max(a, b))
-            if pair in seen_pairs:
+    external: Set[int] = set()
+    for record in network.route_exchange:
+        if isinstance(record, Redistribution):
+            # Local RIB sources are intra-router, not shown here.
+            if record.source not in membership:
                 continue
-            seen_pairs.add(pair)
-            graph.add_edge(a, b, kind="ebgp")
-            graph.add_edge(b, a, kind="ebgp")
+            a = membership[record.source].instance_id
+            b = membership[record.target].instance_id
+            if a != b:
+                statement = record.statement
+                graph.add_edge(
+                    a,
+                    b,
+                    kind="redistribution",
+                    router=record.router,
+                    route_map=statement.route_map,
+                    tag=statement.tag,
+                )
+        elif isinstance(record, Peering):
+            if not record.is_ebgp:
+                continue
+            a = membership[record.local].instance_id
+            b = membership[record.remote].instance_id
+            pair = (min(a, b), max(a, b))
+            if pair not in seen_pairs:
+                seen_pairs.add(pair)
+                graph.add_edge(a, b, kind="ebgp")
+                graph.add_edge(b, a, kind="ebgp")
+        else:
+            external.add(membership[record.process].instance_id)
 
-    # Edges to the external world.
-    external_instances = find_external_adjacent_instances(network, instances)
-    for instance_id in sorted(external_instances):
+    for instance_id in sorted(external):
         graph.add_edge(EXTERNAL_NODE, instance_id, kind="external")
         graph.add_edge(instance_id, EXTERNAL_NODE, kind="external")
     return graph
@@ -227,16 +221,8 @@ def find_external_adjacent_instances(
     covers an external-facing interface.
     """
     membership = instance_of(instances)
-    external: Set[int] = set()
-    for session in network.bgp_sessions:
-        if session.remote_key is None:
-            external.add(membership[session.local].instance_id)
-    for key, proc in network.processes.items():
-        if proc.is_bgp:
-            continue
-        if any(
-            network.is_external_interface(proc.router, name)
-            for name in proc.active_interfaces()
-        ):
-            external.add(membership[key].instance_id)
-    return external
+    return {
+        membership[record.process].instance_id
+        for record in network.route_exchange
+        if isinstance(record, ExternalExchange)
+    }

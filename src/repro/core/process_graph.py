@@ -30,8 +30,9 @@ from typing import Optional, Tuple
 
 import networkx as nx
 
+from repro.model.exchange import Peering, Redistribution
 from repro.model.network import Network
-from repro.model.processes import ProcessKey
+from repro.model.processes import ProcessKey, local_rib_key, process_sort_key
 
 #: The pseudo-node standing for the world outside the configuration set.
 EXTERNAL_NODE: Tuple[str, str, Optional[int]] = ("<external>", "external", None)
@@ -51,9 +52,8 @@ def process_node(key: ProcessKey) -> ProcessKey:
     return key
 
 
-def local_rib_node(router: str) -> ProcessKey:
-    """The graph node for a router's local RIB."""
-    return (router, "local", None)
+#: The graph node for a router's local RIB.
+local_rib_node = local_rib_key
 
 
 def router_rib_node(router: str) -> ProcessKey:
@@ -94,6 +94,10 @@ def build_process_graph(
     whose edges carry ``kind`` plus policy annotations (``route_map``,
     ``acl_in``, ``acl_out`` where applicable).
 
+    The selection and IGP adjacency edges come from the model; the
+    redistribution, BGP and external edges are the network's
+    route-exchange table (:mod:`repro.model.exchange`).
+
     ``max_edges`` is the degraded-mode bound: edge insertion stops once
     the graph holds that many edges (deterministically — construction
     order is fixed) and ``graph.graph["truncated"]`` is set.
@@ -102,145 +106,55 @@ def build_process_graph(
     graph.graph["truncated"] = False
     graph.add_node(EXTERNAL_NODE, kind=NodeKind.EXTERNAL, router=None, protocol="external")
 
-    # Vertices: process RIBs, local RIBs, router RIBs.  All iteration here
-    # and below is sorted so the construction order — which decides what
-    # survives a ``max_edges`` truncation — is a function of the network,
-    # not of config ingestion order.
-    for key in sorted(network.processes, key=_process_sort_key):
+    # Vertices: process RIBs, local RIBs, router RIBs.  Vertices and
+    # selection edges are sorted, and the exchange table is in canonical
+    # order, so what survives a ``max_edges`` truncation is a function of
+    # the network, not of config ingestion order.
+    keys = sorted(network.processes, key=process_sort_key)
+    for key in keys:
         graph.add_node(key, kind=NodeKind.PROCESS, router=key[0], protocol=key[1])
-    for router in sorted(network.routers):
+    routers = sorted(network.routers)
+    for router in routers:
         graph.add_node(local_rib_node(router), kind=NodeKind.LOCAL, router=router, protocol="local")
         graph.add_node(
             router_rib_node(router), kind=NodeKind.ROUTER_RIB, router=router, protocol="rib"
         )
 
-    _add_selection_edges(graph, network)
-    _add_redistribution_edges(graph, network)
-    _add_igp_adjacency_edges(graph, network)
-    _add_bgp_session_edges(graph, network)
-    _add_external_igp_edges(graph, network)
-    return graph
+    for router in routers:
+        graph.add_edge(local_rib_node(router), router_rib_node(router), kind="selection")
+    for key in keys:
+        graph.add_edge(key, router_rib_node(key[0]), kind="selection")
 
-
-def _process_sort_key(key: ProcessKey) -> Tuple[str, str, int]:
-    """Total order over process keys (process ids may be None)."""
-    return (key[0], key[1], -1 if key[2] is None else key[2])
-
-
-def _add_selection_edges(graph: nx.MultiDiGraph, network: Network) -> None:
-    # One pass over the process table instead of a per-router
-    # ``processes_on`` scan (which is quadratic on large networks).
-    per_router: dict = {}
-    for key in network.processes:
-        per_router.setdefault(key[0], []).append(key)
-    for router in sorted(network.routers):
-        rib = router_rib_node(router)
-        graph.add_edge(local_rib_node(router), rib, kind="selection")
-        for key in sorted(per_router.get(router, ()), key=_process_sort_key):
-            graph.add_edge(key, rib, kind="selection")
-
-
-def _resolve_redistribute_source(
-    network: Network, router: str, source_protocol: str, source_id: Optional[int]
-) -> Optional[ProcessKey]:
-    """Find the RIB a ``redistribute`` statement pulls routes from."""
-    if source_protocol in ("connected", "static"):
-        return local_rib_node(router)
-    if source_protocol == "rip":
-        candidate = (router, "rip", None)
-        return candidate if candidate in network.processes else None
-    candidate = (router, source_protocol, source_id)
-    if candidate in network.processes:
-        return candidate
-    # An id-less "redistribute ospf" style statement: match by protocol.
-    # Candidates come from the per-router process list (not a full-table
-    # scan) and are sorted so the winner is ingestion-order independent.
-    if source_id is None:
-        candidates = sorted(
-            (
-                proc.key
-                for proc in network.processes_on(router)
-                if proc.key[1] == source_protocol
-            ),
-            key=_process_sort_key,
-        )
-        if candidates:
-            return candidates[0]
-    return None
-
-
-def _add_redistribution_edges(graph: nx.MultiDiGraph, network: Network) -> None:
-    for key, proc in sorted(
-        network.processes.items(), key=lambda item: _process_sort_key(item[0])
-    ):
-        router = key[0]
-        for redist in proc.config.redistributes:
-            source = _resolve_redistribute_source(
-                network, router, redist.source_protocol, redist.source_id
-            )
-            if source is None:
-                continue
-            graph.add_edge(
-                source,
-                key,
-                kind="redistribution",
-                route_map=redist.route_map,
-                tag=redist.tag,
-                metric=redist.metric,
-            )
-
-
-def _add_igp_adjacency_edges(graph: nx.MultiDiGraph, network: Network) -> None:
     for key_a, key_b, link in network.igp_adjacencies:
         graph.add_edge(key_a, key_b, kind="adjacency", subnet=str(link.subnet))
         graph.add_edge(key_b, key_a, kind="adjacency", subnet=str(link.subnet))
 
-
-def _bgp_session_sort_key(session) -> Tuple:
-    return (
-        _process_sort_key(session.local),
-        session.neighbor_address.value,
-    )
-
-
-def _add_bgp_session_edges(graph: nx.MultiDiGraph, network: Network) -> None:
-    seen = set()
-    for session in sorted(network.bgp_sessions, key=_bgp_session_sort_key):
-        if session.remote_key is not None:
-            pair = tuple(sorted((session.local, session.remote_key)))
-            if pair in seen:
-                continue
-            seen.add(pair)
-            kind = "ebgp" if session.is_ebgp else "ibgp"
-            graph.add_edge(session.local, session.remote_key, kind="adjacency", bgp=kind)
-            graph.add_edge(session.remote_key, session.local, kind="adjacency", bgp=kind)
+    for record in network.route_exchange:
+        if isinstance(record, Redistribution):
+            statement = record.statement
+            graph.add_edge(
+                record.source,
+                record.target,
+                kind="redistribution",
+                route_map=statement.route_map,
+                tag=statement.tag,
+                metric=statement.metric,
+            )
+        elif isinstance(record, Peering):
+            bgp = "ebgp" if record.is_ebgp else "ibgp"
+            graph.add_edge(record.local, record.remote, kind="adjacency", bgp=bgp)
+            graph.add_edge(record.remote, record.local, kind="adjacency", bgp=bgp)
         else:
-            graph.add_edge(
-                EXTERNAL_NODE,
-                session.local,
-                kind="external",
-                bgp="ebgp" if session.is_ebgp else "ibgp",
-                neighbor=str(session.neighbor_address),
-            )
-            graph.add_edge(
-                session.local,
-                EXTERNAL_NODE,
-                kind="external",
-                bgp="ebgp" if session.is_ebgp else "ibgp",
-                neighbor=str(session.neighbor_address),
-            )
-
-
-def _add_external_igp_edges(graph: nx.MultiDiGraph, network: Network) -> None:
-    """IGP processes that actively cover external-facing interfaces talk to
-    the external world — the unconventional usage §5.2 quantifies."""
-    for key, proc in sorted(
-        network.processes.items(), key=lambda item: _process_sort_key(item[0])
-    ):
-        if proc.is_bgp:
-            continue
-        for name in proc.active_interfaces():
-            if network.is_external_interface(proc.router, name):
-                graph.add_edge(EXTERNAL_NODE, key, kind="external", interface=name)
-                graph.add_edge(key, EXTERNAL_NODE, kind="external", interface=name)
-                break
+            session = record.session
+            if session is not None:
+                attrs = {
+                    "bgp": "ebgp" if session.is_ebgp else "ibgp",
+                    "neighbor": str(session.neighbor_address),
+                }
+            else:
+                # An IGP process that actively covers an external-facing
+                # interface — the unconventional usage §5.2 quantifies.
+                attrs = {"interface": record.interface}
+            graph.add_edge(EXTERNAL_NODE, record.process, kind="external", **attrs)
+            graph.add_edge(record.process, EXTERNAL_NODE, kind="external", **attrs)
+    return graph

@@ -18,14 +18,15 @@ policies annotated on each edge.  This module implements that analysis:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.core.instances import (
     RoutingInstance,
     compute_instances,
     instance_of,
 )
-from repro.core.process_graph import EXTERNAL_NODE, _resolve_redistribute_source
+from repro.core.process_graph import EXTERNAL_NODE
+from repro.model.exchange import Peering, Redistribution
 from repro.model.network import Network
 from repro.model.processes import ProcessKey
 from repro.net import Prefix
@@ -303,12 +304,7 @@ class ReachabilityAnalysis:
     @traced("reachability", metric="analysis.reachability")
     def _build(self) -> None:
         self._build_origins()
-        self._build_redistribution_edges()
-        self._build_bgp_edges()
-        self._build_external_igp_edges()
-
-    def _acl_table(self, router: str):
-        return self.network.routers[router].config.access_lists
+        self._build_edges()
 
     def _compile_route_map(self, router: str, name: Optional[str]) -> Optional[PrefixFilter]:
         if name is None:
@@ -324,7 +320,7 @@ class ReachabilityAnalysis:
     def _compile_acl(self, router: str, name: Optional[str]) -> Optional[PrefixFilter]:
         if name is None:
             return None
-        acl = self._acl_table(router).get(str(name))
+        acl = self.network.routers[router].config.access_lists.get(str(name))
         if acl is None:
             return None
         return PrefixFilter.from_access_list(acl)
@@ -368,169 +364,110 @@ class ReachabilityAnalysis:
                         )
             self.origins[instance.instance_id] = RouteSet(prefixes)
 
-    def _build_redistribution_edges(self) -> None:
-        for key, proc in self.network.processes.items():
-            for redist in proc.config.redistributes:
-                source = _resolve_redistribute_source(
-                    self.network, key[0], redist.source_protocol, redist.source_id
-                )
-                if source is None or source not in self.membership:
-                    continue
-                source_instance = self.membership[source]
-                target_instance = self.membership[key]
-                if source_instance.instance_id == target_instance.instance_id:
-                    continue
-                filters = []
-                route_map = self._compile_route_map(key[0], redist.route_map)
-                if route_map is not None:
-                    filters.append(route_map)
-                self.edges.append(
-                    ReachEdge(
-                        source=source_instance.instance_id,
-                        target=target_instance.instance_id,
-                        kind="redistribution",
-                        filters=filters,
-                        router=key[0],
-                        label=redist.route_map,
-                    )
-                )
-
     def _session_filters(self, session, direction: str) -> List[PrefixFilter]:
-        """Compile the in- or outbound policies of one BGP session end."""
+        """Compile the in- or outbound policies of one BGP session end
+        (none for a missing end)."""
+        if session is None:
+            return []
         router = session.local[0]
         bgp = self.network.routers[router].config.bgp_process
         nbr = bgp.neighbor(str(session.neighbor_address)) if bgp else None
         if nbr is None:
             return []
-        filters = []
         if direction == "in":
-            for policy in (
-                self._compile_acl(router, nbr.distribute_list_in),
-                self._compile_prefix_list(router, nbr.prefix_list_in),
-                self._compile_route_map(router, nbr.route_map_in),
-            ):
-                if policy is not None:
-                    filters.append(policy)
+            acl, plist, rmap = nbr.distribute_list_in, nbr.prefix_list_in, nbr.route_map_in
         else:
-            for policy in (
-                self._compile_acl(router, nbr.distribute_list_out),
-                self._compile_prefix_list(router, nbr.prefix_list_out),
-                self._compile_route_map(router, nbr.route_map_out),
-            ):
-                if policy is not None:
-                    filters.append(policy)
-        return filters
+            acl, plist, rmap = nbr.distribute_list_out, nbr.prefix_list_out, nbr.route_map_out
+        policies = (
+            self._compile_acl(router, acl),
+            self._compile_prefix_list(router, plist),
+            self._compile_route_map(router, rmap),
+        )
+        return [policy for policy in policies if policy is not None]
 
-    def _build_bgp_edges(self) -> None:
-        seen: Set[Tuple[ProcessKey, ProcessKey]] = set()
-        for session in self.network.bgp_sessions:
-            local_instance = self.membership[session.local].instance_id
-            if session.remote_key is not None:
-                if not session.is_ebgp:
-                    continue  # IBGP is intra-instance
-                pair = (session.local, session.remote_key)
-                if pair in seen or (pair[1], pair[0]) in seen:
+    def _igp_filters(self, key: ProcessKey) -> Tuple[List[PrefixFilter], List[PrefixFilter]]:
+        """Compile an IGP process's distribute lists: ``(inbound, outbound)``."""
+        inbound: List[PrefixFilter] = []
+        outbound: List[PrefixFilter] = []
+        for dist in self.network.processes[key].config.distribute_lists:
+            policy = self._compile_acl(key[0], dist.acl)
+            if policy is not None:
+                (inbound if dist.direction == "in" else outbound).append(policy)
+        return inbound, outbound
+
+    def _build_edges(self) -> None:
+        """The route-exchange table seen through instance membership, each
+        edge carrying its compiled policies."""
+        membership = self.membership
+        for record in self.network.route_exchange:
+            if isinstance(record, Redistribution):
+                if record.source not in membership:
+                    continue  # local RIB sources are intra-router
+                source = membership[record.source].instance_id
+                target = membership[record.target].instance_id
+                if source == target:
                     continue
-                seen.add(pair)
-                remote_instance = self.membership[session.remote_key].instance_id
-                remote_session = self._find_reverse_session(session)
-                # remote -> local direction
-                filters_in = self._session_filters(session, "in")
-                filters_out = (
-                    self._session_filters(remote_session, "out")
-                    if remote_session
-                    else []
-                )
+                route_map = self._compile_route_map(record.router, record.statement.route_map)
                 self.edges.append(
                     ReachEdge(
-                        source=remote_instance,
-                        target=local_instance,
-                        kind="ebgp",
-                        filters=filters_out + filters_in,
+                        source=source,
+                        target=target,
+                        kind="redistribution",
+                        filters=[route_map] if route_map is not None else [],
+                        router=record.router,
+                        label=record.statement.route_map,
                     )
                 )
-                # local -> remote direction
-                filters_out = self._session_filters(session, "out")
-                filters_in = (
-                    self._session_filters(remote_session, "in")
-                    if remote_session
-                    else []
+            elif isinstance(record, Peering):
+                if not record.is_ebgp:
+                    continue  # IBGP is intra-instance
+                forward, reverse = record.session, record.reverse
+                self._add_exchange(
+                    membership[record.local].instance_id,
+                    membership[record.remote].instance_id,
+                    "ebgp",
+                    inbound=self._session_filters(reverse, "out")
+                    + self._session_filters(forward, "in"),
+                    outbound=self._session_filters(forward, "out")
+                    + self._session_filters(reverse, "in"),
                 )
-                self.edges.append(
-                    ReachEdge(
-                        source=local_instance,
-                        target=remote_instance,
-                        kind="ebgp",
-                        filters=filters_out + filters_in,
-                    )
+            elif record.session is not None:
+                self._add_exchange(
+                    membership[record.process].instance_id,
+                    EXTERNAL_NODE,
+                    "external",
+                    inbound=self._session_filters(record.session, "in"),
+                    outbound=self._session_filters(record.session, "out"),
+                    router=record.process[0],
                 )
             else:
-                self.edges.append(
-                    ReachEdge(
-                        source=EXTERNAL_NODE,
-                        target=local_instance,
-                        kind="external",
-                        filters=self._session_filters(session, "in"),
-                        router=session.local[0],
-                    )
-                )
-                self.edges.append(
-                    ReachEdge(
-                        source=local_instance,
-                        target=EXTERNAL_NODE,
-                        kind="external",
-                        filters=self._session_filters(session, "out"),
-                        router=session.local[0],
-                    )
+                inbound, outbound = self._igp_filters(record.process)
+                self._add_exchange(
+                    membership[record.process].instance_id,
+                    EXTERNAL_NODE,
+                    "external",
+                    inbound=inbound,
+                    outbound=outbound,
+                    router=record.process[0],
                 )
 
-    def _find_reverse_session(self, session):
-        for other in self.network.bgp_sessions:
-            if (
-                other.local == session.remote_key
-                and other.remote_key == session.local
-            ):
-                return other
-        return None
-
-    def _build_external_igp_edges(self) -> None:
-        for key, proc in self.network.processes.items():
-            if proc.is_bgp:
-                continue
-            if not any(
-                self.network.is_external_interface(proc.router, name)
-                for name in proc.active_interfaces()
-            ):
-                continue
-            instance_id = self.membership[key].instance_id
-            in_filters = []
-            out_filters = []
-            for dist in proc.config.distribute_lists:
-                policy = self._compile_acl(key[0], dist.acl)
-                if policy is None:
-                    continue
-                if dist.direction == "in":
-                    in_filters.append(policy)
-                else:
-                    out_filters.append(policy)
-            self.edges.append(
-                ReachEdge(
-                    source=EXTERNAL_NODE,
-                    target=instance_id,
-                    kind="external",
-                    filters=in_filters,
-                    router=key[0],
-                )
-            )
-            self.edges.append(
-                ReachEdge(
-                    source=instance_id,
-                    target=EXTERNAL_NODE,
-                    kind="external",
-                    filters=out_filters,
-                    router=key[0],
-                )
-            )
+    def _add_exchange(
+        self,
+        node: ReachNode,
+        peer: ReachNode,
+        kind: str,
+        inbound: List[PrefixFilter],
+        outbound: List[PrefixFilter],
+        router: Optional[str] = None,
+    ) -> None:
+        """Route flow both ways: *peer* → *node* under *inbound*, then
+        *node* → *peer* under *outbound*."""
+        self.edges.append(
+            ReachEdge(source=peer, target=node, kind=kind, filters=inbound, router=router)
+        )
+        self.edges.append(
+            ReachEdge(source=node, target=peer, kind=kind, filters=outbound, router=router)
+        )
 
     # -- propagation ---------------------------------------------------------
 

@@ -28,9 +28,9 @@ from typing import Dict, List, Optional, Set, Tuple
 import networkx as nx
 
 from repro.core.instances import RoutingInstance, compute_instances, instance_of
-from repro.obs.trace import traced
-from repro.core.process_graph import _process_sort_key, _resolve_redistribute_source
+from repro.model.exchange import Peering, Redistribution
 from repro.model.network import Network
+from repro.obs.trace import traced
 from repro.net import Prefix
 
 
@@ -140,33 +140,22 @@ def instance_couplings(
         coupling.routers.add(router)
         coupling.mechanisms.add(mechanism)
 
-    # Sorted iteration: under a ``max_couplings`` bound, which instance
-    # pairs make the cut must not depend on config ingestion order.
-    for key, proc in sorted(
-        network.processes.items(), key=lambda item: _process_sort_key(item[0])
-    ):
-        for redist in proc.config.redistributes:
-            source = _resolve_redistribute_source(
-                network, key[0], redist.source_protocol, redist.source_id
-            )
-            if source is None or source not in membership:
+    # The exchange table's canonical order decides, under a
+    # ``max_couplings`` bound, which instance pairs make the cut.
+    for record in network.route_exchange:
+        if isinstance(record, Redistribution):
+            if record.source not in membership:
                 continue
-            a = membership[source].instance_id
-            b = membership[key].instance_id
+            a = membership[record.source].instance_id
+            b = membership[record.target].instance_id
             if a != b:
-                touch(a, b, key[0], "redistribution")
-
-    for session in sorted(
-        network.bgp_sessions,
-        key=lambda s: (_process_sort_key(s.local), s.neighbor_address.value),
-    ):
-        if session.remote_key is None or not session.is_ebgp:
-            continue
-        a = membership[session.local].instance_id
-        b = membership[session.remote_key].instance_id
-        if a != b:
-            touch(a, b, session.local[0], "ebgp")
-            touch(a, b, session.remote_key[0], "ebgp")
+                touch(a, b, record.router, "redistribution")
+        elif isinstance(record, Peering) and record.is_ebgp:
+            a = membership[record.local].instance_id
+            b = membership[record.remote].instance_id
+            if a != b:
+                touch(a, b, record.local[0], "ebgp")
+                touch(a, b, record.remote[0], "ebgp")
 
     result = sorted(couplings.values(), key=lambda c: (c.instance_a, c.instance_b))
     result = _CouplingList(result)

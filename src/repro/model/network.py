@@ -6,7 +6,8 @@ mapping of router name → configuration (text or parsed), and lazily derives:
 * the interface/address indexes,
 * logical links and external-facing interfaces (§2.1, §5.2 heuristics),
 * routing processes with covered interfaces,
-* IGP adjacencies and BGP sessions (§2.2 adjacency rules).
+* IGP adjacencies and BGP sessions (§2.2 adjacency rules),
+* the route-exchange table (:mod:`repro.model.exchange`).
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from repro.obs.trace import Span, span
 
 _log = get_logger("model")
 from repro.ios.config import InterfaceConfig, RouterConfig
+from repro.model.exchange import ExchangeRecord, build_route_exchange
 from repro.model.links import Link, infer_links
 from repro.model.processes import (
     ProcessKey,
@@ -192,6 +194,7 @@ class Network:
         self._processes_by_router: Optional[Dict[str, List[RoutingProcess]]] = None
         self._igp_adjacencies: Optional[List[Tuple[ProcessKey, ProcessKey, Link]]] = None
         self._bgp_sessions: Optional[List[BgpSession]] = None
+        self._route_exchange: Optional[Tuple[ExchangeRecord, ...]] = None
         self._internal_space: Optional[List[Prefix]] = None
 
     # -- constructors ------------------------------------------------------
@@ -604,6 +607,17 @@ class Network:
                 sessions.append(session)
         self._bgp_sessions = sessions
         return sessions
+
+    @property
+    def route_exchange(self) -> Tuple[ExchangeRecord, ...]:
+        """Which RIB feeds which across processes, in canonical order.
+
+        Redistributions, BGP peerings and exchanges with the external
+        world; see :mod:`repro.model.exchange`.
+        """
+        if self._route_exchange is None:
+            self._route_exchange = build_route_exchange(self)
+        return self._route_exchange
 
     # -- statistics ----------------------------------------------------------
 

@@ -11,13 +11,14 @@ never by id equality.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.ios.config import (
     BgpProcess,
     EigrpProcess,
     InterfaceConfig,
     OspfProcess,
+    RedistributeConfig,
     RipProcess,
 )
 from repro.net import IPv4Address
@@ -48,6 +49,38 @@ def process_key(router: str, config: AnyProcessConfig) -> ProcessKey:
 def local_rib_key(router: str) -> ProcessKey:
     """The :data:`ProcessKey` of a router's local RIB (connected + static)."""
     return (router, LOCAL_RIB, None)
+
+
+def process_sort_key(key: ProcessKey) -> Tuple[str, str, int]:
+    """Total order over process keys (process ids may be None)."""
+    return (key[0], key[1], -1 if key[2] is None else key[2])
+
+
+def redistribute_source(
+    router: str, statement: RedistributeConfig, keys: Sequence[ProcessKey]
+) -> Optional[ProcessKey]:
+    """The RIB a ``redistribute`` statement on *router* reads.
+
+    *keys* are the router's process keys.  ``connected`` and ``static``
+    read the local RIB and ``rip`` the router's one RIP process; any
+    other protocol reads the process with the statement's id, or, for a
+    statement without one, the lowest-id process of that protocol.
+    ``None`` when no such process runs on the router.
+    """
+    protocol = statement.source_protocol
+    if protocol in ("connected", "static"):
+        return local_rib_key(router)
+    if protocol == "rip":
+        wanted = (router, "rip", None)
+        return wanted if wanted in keys else None
+    wanted = (router, protocol, statement.source_id)
+    if wanted in keys:
+        return wanted
+    if statement.source_id is None:
+        candidates = [key for key in keys if key[1] == protocol]
+        if candidates:
+            return min(candidates, key=process_sort_key)
+    return None
 
 
 @dataclass

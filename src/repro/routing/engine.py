@@ -26,8 +26,14 @@ import difflib
 from dataclasses import replace
 from typing import Dict, Hashable, Iterable, List, Optional, Set, Tuple, Union
 
+from repro.ios.config import RedistributeConfig
 from repro.model.network import BgpSession, Network
-from repro.model.processes import ProcessKey
+from repro.model.processes import (
+    LOCAL_RIB,
+    ProcessKey,
+    RoutingProcess,
+    redistribute_source,
+)
 from repro.net import IPv4Address, Prefix
 from repro.routing.policy import (
     acl_permits_route,
@@ -38,8 +44,6 @@ from repro.routing.route import Route
 
 #: A RIB: best route per prefix.
 Rib = Dict[Prefix, Route]
-
-LOCAL = "local"
 
 
 class _Stamps(dict):
@@ -96,6 +100,20 @@ class RoutingSimulation:
         }
         if validate:
             self._validate_failures()
+        #: Every ``redistribute`` statement in step order (processes in
+        #: ``network.processes`` order, then statements in config order),
+        #: with its index and the key of the RIB it reads.
+        self._redistributions: List[
+            Tuple[RoutingProcess, int, RedistributeConfig, Optional[ProcessKey]]
+        ] = []
+        for router in network.routers:
+            processes = network.processes_on(router)
+            keys = [proc.key for proc in processes]
+            self._redistributions.extend(
+                (proc, index, statement, redistribute_source(router, statement, keys))
+                for proc in processes
+                for index, statement in enumerate(proc.config.redistributes)
+            )
         self.process_ribs: Dict[ProcessKey, Rib] = {}
         self.local_ribs: Dict[str, Rib] = {}
         self.router_ribs: Dict[str, Rib] = {}
@@ -280,17 +298,20 @@ class RoutingSimulation:
 
     def _redistribution_step(self) -> bool:
         changed = False
-        for key, proc in self.network.processes.items():
-            if key not in self.process_ribs:
-                continue
-            for index, redist in enumerate(proc.config.redistributes):
-                changed |= self._redistribute(key, proc, index, redist)
+        for proc, index, redist, source in self._redistributions:
+            if proc.key in self.process_ribs:
+                changed |= self._redistribute(proc, index, redist, source)
         return changed
 
-    def _redistribute(self, key: ProcessKey, proc, index: int, redist) -> bool:
-        routes = self._fresh(
-            ("redistribute", key, index), *self._redistribution_source(key, redist)
-        )
+    def _redistribute(
+        self,
+        proc: RoutingProcess,
+        index: int,
+        redist: RedistributeConfig,
+        source: Optional[ProcessKey],
+    ) -> bool:
+        key = proc.key
+        routes = self._fresh(("redistribute", key, index), *self._rib_of(source))
         if redist.source_protocol in ("connected", "static"):
             routes = [r for r in routes if r.protocol == redist.source_protocol]
         if not routes:
@@ -335,28 +356,14 @@ class RoutingSimulation:
             changed |= self._install(rib, stamps, moved)
         return changed
 
-    def _redistribution_source(self, key: ProcessKey, redist) -> Tuple[Rib, _Stamps]:
-        """The RIB a ``redistribute`` statement reads, with its stamps."""
-        router_name = key[0]
-        source_protocol = redist.source_protocol
-        if source_protocol in ("connected", "static"):
-            return (
-                self.local_ribs.get(router_name, {}),
-                self._local_stamps.get(router_name, _NO_STAMPS),
-            )
-        if source_protocol == "rip":
-            source_key = (router_name, "rip", None)
-        else:
-            source_key = (router_name, source_protocol, redist.source_id)
-            if source_key not in self.process_ribs and redist.source_id is None:
-                for candidate in self.process_ribs:
-                    if candidate[0] == router_name and candidate[1] == source_protocol:
-                        source_key = candidate
-                        break
-        return (
-            self.process_ribs.get(source_key, {}),
-            self._process_stamps.get(source_key, _NO_STAMPS),
-        )
+    def _rib_of(self, key: Optional[ProcessKey]) -> Tuple[Rib, _Stamps]:
+        """A process or local RIB with its stamps; empty for ``None`` or a
+        RIB that does not exist."""
+        if key is None:
+            return {}, _NO_STAMPS
+        if key[1] == LOCAL_RIB:
+            return self.local_ribs.get(key[0], {}), self._local_stamps.get(key[0], _NO_STAMPS)
+        return self.process_ribs.get(key, {}), self._process_stamps.get(key, _NO_STAMPS)
 
     def _igp_exchange_step(self) -> bool:
         changed = False

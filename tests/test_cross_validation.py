@@ -95,3 +95,50 @@ class TestReachabilityVsSimulation:
         # An external destination outside A1/A3/A5 has no route anywhere.
         some_router = spec.notes["left_ospf_routers"][1]
         assert not simulation.can_reach(some_router, "8.8.8.8")
+
+
+#: A router that declares ``router eigrp 20`` before ``router eigrp 10``
+#: and redistributes EIGRP into OSPF without naming an AS.
+IDLESS_REDISTRIBUTE = {
+    "A": """hostname A
+interface Loopback0
+ ip address 10.10.0.1 255.255.255.0
+interface Loopback1
+ ip address 10.20.0.1 255.255.255.0
+interface Serial0/0
+ ip address 10.0.0.1 255.255.255.252
+router eigrp 20
+ network 10.20.0.0 0.0.0.255
+router eigrp 10
+ network 10.10.0.0 0.0.0.255
+router ospf 1
+ redistribute eigrp subnets
+ network 10.0.0.0 0.0.0.3 area 0
+""",
+    "B": """hostname B
+interface Serial0/0
+ ip address 10.0.0.2 255.255.255.252
+router ospf 1
+ network 10.0.0.0 0.0.0.3 area 0
+""",
+}
+
+
+def test_idless_redistribute_reads_the_same_process_in_both_substrates():
+    # One source rule: a ``redistribute`` without an id reads the
+    # lowest-id process of that protocol (EIGRP 10 here), whatever the
+    # declaration order, in the set algebra and in the simulator alike.
+    from repro.net import Prefix
+
+    network = Network.from_configs(IDLESS_REDISTRIBUTE, name="idless")
+    lowest, other = Prefix("10.10.0.0/24"), Prefix("10.20.0.0/24")
+
+    simulation = RoutingSimulation(network).run()
+    peer_rib = simulation.process_ribs[("B", "ospf", 1)]
+    assert lowest in peer_rib
+    assert other not in peer_rib
+
+    analysis = ReachabilityAnalysis(network)
+    ospf = next(i for i in analysis.instances if i.protocol == "ospf")
+    assert analysis.routes_of(ospf.instance_id).covers(lowest)
+    assert not analysis.routes_of(ospf.instance_id).overlaps(other)

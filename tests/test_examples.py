@@ -6,6 +6,7 @@ evolves.  Each example is executed in-process with output captured.
 
 import runpy
 import sys
+import tempfile
 
 import pytest
 
@@ -19,11 +20,17 @@ EXAMPLES = [
 
 
 @pytest.mark.parametrize("path", EXAMPLES, ids=lambda p: p.split("/")[-1])
-def test_example_runs(path, capsys, monkeypatch):
+def test_example_runs(path, capsys, monkeypatch, tmp_path):
+    # Scratch files go through tempfile: point it at an empty directory
+    # so whatever an example leaves behind shows.
+    scratch = tmp_path / "tmp"
+    scratch.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(scratch))
     monkeypatch.setattr(sys, "argv", [path])
     runpy.run_path(path, run_name="__main__")
     out = capsys.readouterr().out
     assert out.strip(), "examples must narrate what they do"
+    assert not list(scratch.iterdir()), "examples must remove their scratch files"
 
 
 def test_enterprise_audit_small_scale(capsys, monkeypatch):

@@ -4,10 +4,11 @@ The analyses iterate dict-backed indexes (interfaces, processes,
 sessions) whose insertion order follows the order configs were handed
 to :meth:`Network.from_configs` — which varies with filesystem listing
 order.  Every consumer whose *output* (or whose behavior under a
-truncation bound) could leak that order now sorts explicitly; these
-tests feed the same network in shuffled orders and demand identical
-results, including under ``max_edges`` / ``max_couplings`` truncation
-where construction order decides what survives.
+truncation bound) could leak that order now sorts explicitly or reads
+the canonically ordered route-exchange table; these tests feed the same
+network in shuffled orders and demand identical results, including
+under ``max_edges`` / ``max_couplings`` truncation where construction
+order decides what survives.
 """
 
 import json
@@ -16,11 +17,15 @@ import random
 import pytest
 
 from repro.compress import analysis_payload
+from repro.core.instances import build_instance_graph
+from repro.core.pathways import route_pathways
 from repro.core.process_graph import build_process_graph
 from repro.core.survivability import instance_couplings
 from repro.model import Network
+from repro.report.dot import instance_graph_to_dot
 from repro.synth.templates.enterprise import build_enterprise
 from repro.synth.templates.net5 import build_net5
+from repro.synth.templates.net15 import build_net15
 
 
 def _shuffles(configs, n=3):
@@ -33,6 +38,9 @@ def _shuffles(configs, n=3):
 
 CONFIGS_NET5 = build_net5(scale=0.04, name="inv")[0]
 CONFIGS_ENT = build_enterprise("inv", 1, 24, seed=3, n_borders=2, n_igp_instances=2)[0]
+CONFIGS_NET15 = build_net15(scale=0.2, name="inv")[0]
+ROUTE_EXCHANGE_INPUTS = [CONFIGS_NET5, CONFIGS_ENT, CONFIGS_NET15]
+ROUTE_EXCHANGE_IDS = ["net5", "ent", "net15"]
 
 
 @pytest.mark.parametrize("configs", [CONFIGS_NET5, CONFIGS_ENT], ids=["net5", "ent"])
@@ -44,6 +52,35 @@ def test_full_analysis_payload_is_order_invariant(configs):
         for network in _shuffles(configs)
     ]
     assert len(set(payloads)) == 1
+
+
+@pytest.mark.parametrize("configs", ROUTE_EXCHANGE_INPUTS, ids=ROUTE_EXCHANGE_IDS)
+def test_instance_graph_edge_sequence_is_order_invariant(configs):
+    # Not just the edge set: pathway layers and the DOT rendering follow
+    # the order edges were added in.
+    sequences = [
+        list(build_instance_graph(network).edges(data=True))
+        for network in _shuffles(configs)
+    ]
+    assert all(sequence == sequences[0] for sequence in sequences)
+
+
+@pytest.mark.parametrize("configs", ROUTE_EXCHANGE_INPUTS, ids=ROUTE_EXCHANGE_IDS)
+def test_pathway_layer_order_and_policies_are_order_invariant(configs):
+    snapshots = [
+        {
+            router: (list(pathway.layers.items()), pathway.policies)
+            for router, pathway in route_pathways(network).items()
+        }
+        for network in _shuffles(configs)
+    ]
+    assert all(snapshot == snapshots[0] for snapshot in snapshots)
+
+
+@pytest.mark.parametrize("configs", ROUTE_EXCHANGE_INPUTS, ids=ROUTE_EXCHANGE_IDS)
+def test_instance_graph_dot_is_order_invariant(configs):
+    dots = [instance_graph_to_dot(network) for network in _shuffles(configs)]
+    assert len(set(dots)) == 1
 
 
 def test_address_map_winner_is_order_invariant():

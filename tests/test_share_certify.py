@@ -221,3 +221,34 @@ class TestShareCli:
                     os.path.join(out, "mapping.json"),
                 ]
             )
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--cache-dir", "pc"], ["--no-cache"], ["--jobs", "2"], ["--compress"]],
+        ids=lambda flags: flags[0],
+    )
+    def test_cli_rejects_flags_it_does_not_read(self, tmp_path, flags):
+        # share reads both trees itself, without a parse cache: a flag it
+        # would silently ignore is a usage error, and nothing is written.
+        root, out = str(tmp_path / "corpus"), str(tmp_path / "shared")
+        configs, _spec = TEMPLATE_BUILDS["enterprise"]()
+        _write_archive(root, "net", configs)
+        flags = [str(tmp_path / flag) if flag == "pc" else flag for flag in flags]
+        with pytest.raises(SystemExit) as excinfo:
+            main(["share", root, out, "--key", "k", "--certify", *flags])
+        assert excinfo.value.code == 2
+        assert not os.path.exists(out)
+        assert not os.path.exists(str(tmp_path / "pc"))
+
+    def test_cli_run_report_holds_the_share_summary(self, tmp_path):
+        root, out = str(tmp_path / "corpus"), str(tmp_path / "shared")
+        configs, _spec = TEMPLATE_BUILDS["enterprise"]()
+        _write_archive(root, "net", configs)
+        report = str(tmp_path / "run.json")
+        code = main(["share", root, out, "--key", "k", "--certify", "--run-report", report])
+        assert code == 0
+        with open(report) as handle:
+            manifest = json.load(handle)
+        assert manifest["environment"]["share"]["archives"] == 1
+        assert manifest["environment"]["share"]["certified"] is True
+        assert manifest["archives"] == []
