@@ -19,9 +19,9 @@ import json
 import time
 
 from repro.model import Network
+from repro.obs import normalize_run
 from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.report import format_table
-from repro.report.sweep import normalize_sweep_payload
 from repro.sweep import SweepConfig, run_network_sweep
 from repro.sweep.runner import available_cpus
 from repro.synth.templates.backbone import build_backbone
@@ -41,8 +41,7 @@ MIN_PARALLEL_SPEEDUP = 2.0
 
 
 def _normalized(result) -> str:
-    payload = {"archives": [result.as_dict()], "execution": {}}
-    return json.dumps(normalize_sweep_payload(payload), sort_keys=True)
+    return json.dumps(normalize_run(result.as_dict()), sort_keys=True)
 
 
 def _timed_sweep(network, jobs):

@@ -31,7 +31,9 @@ scenario) finished degraded, timed out, failed, or was skipped (see
 whole run, ``--fail-fast`` stops at the first timeout/failure, and
 finished stages are checkpointed (``--checkpoint-dir``,
 ``--no-checkpoint``) so an interrupted run continues with ``--resume``.
-Archives are analyzed one at a time, in corpus order.
+Archives are analyzed one at a time, in corpus order.  ``--compress``
+also builds the compression plan in the pathways stage; the output and
+the pathway work are the same.
 
 Archive-reading commands also accept ``--cache-dir PATH`` (persistent
 parse cache, default ``~/.cache/repro``) and ``--no-cache``.  Ingestion
@@ -48,9 +50,9 @@ of every pipeline stage and analysis pass) and ``--run-report r.json``
 (a manifest accounting for every input file: path, size, SHA-256, cache
 disposition — plus metrics, spans, diagnostics, and the exit code).
 ``repro share`` takes ``--strict``/``--lenient``, ``--trace`` and
-``--run-report`` but none of the cache, ``--jobs`` or ``--compress``
-flags: it reads both trees without a cache, and its run report holds the
-``share`` summary block, not a file inventory.
+``--run-report`` but none of the cache or ``--jobs`` flags: it reads
+both trees without a cache, and its run report holds the ``share``
+summary block, not a file inventory.
 """
 
 from __future__ import annotations
@@ -505,7 +507,7 @@ def _corpus_executor(args: argparse.Namespace):
     stage_deadline, suggestion = _resolve_stage_deadline(args)
     store = _checkpoints_from_args(args)
     kwargs = {}
-    if bool(getattr(args, "compress", None)):
+    if args.compress:
         from repro.compress import compressed_stage_runners  # noqa: PLC0415
 
         kwargs["runners"] = compressed_stage_runners()
@@ -687,7 +689,7 @@ def cmd_corpus(args: argparse.Namespace) -> int:
         "ignored_files": ignored,
         "cache": cache.stats.as_dict() if cache is not None else None,
         "execution": execution_block,
-        "compress": bool(getattr(args, "compress", None)),
+        "compress": args.compress,
         "archives": report,
         "totals": {
             "archives": len(report),
@@ -1052,23 +1054,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="write a run manifest (file inventory, metrics, spans) to PATH",
     )
-    compress_group = ingest.add_mutually_exclusive_group()
-    compress_group.add_argument(
-        "--compress",
-        dest="compress",
-        action="store_const",
-        const=True,
-        default=None,
-        help="also build the compression plan (router equivalence classes) "
-        "in the pathways stage; output and pathway work equal --no-compress",
-    )
-    compress_group.add_argument(
-        "--no-compress",
-        dest="compress",
-        action="store_const",
-        const=False,
-        help="skip the compression plan (default); output is the same",
-    )
     archive = [mode, ingest, report, obs]
 
     p = sub.add_parser("analyze", help="routing design summary", parents=archive)
@@ -1234,6 +1219,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-checkpoint",
         action="store_true",
         help="disable per-stage checkpointing",
+    )
+    p.add_argument(
+        "--compress",
+        action="store_true",
+        help="also build the compression plan (router equivalence classes) "
+        "in the pathways stage; output and pathway work are the same",
     )
     p.set_defaults(func=cmd_corpus)
 
@@ -1454,7 +1445,7 @@ def _emit_run_report(
         "jobs": getattr(args, "jobs", None),
         "mode": getattr(args, "mode", None),
         "cache": cache.stats.as_dict() if cache is not None else None,
-        "compress": bool(getattr(args, "compress", None)),
+        "compress": getattr(args, "compress", False),
     }
     sweep_summary = getattr(args, "_sweep_summary", None)
     if sweep_summary is not None:

@@ -138,10 +138,10 @@ def _json(value: Any) -> str:
 def canonicalize(payload: Dict[str, Any], rename: Optional[Any] = None) -> Dict[str, Any]:
     """The form two payloads must share to be equivalent.
 
-    *rename* (``name``, ``asn`` and ``prefix`` methods; see
-    :class:`repro.share.mapping.Renamer`) rewrites router and route-map
-    names, BGP process ASNs and prefixes.  Instances are then re-indexed
-    ``i#<n>`` in the order of their id-free descriptors — instance
+    *rename* (``router``, ``name``, ``asn`` and ``prefix`` methods; see
+    :class:`repro.share.mapping.Renamer`) rewrites router names,
+    route-map names, BGP process ASNs and prefixes.  Instances are then
+    re-indexed ``i#<n>`` in the order of their id-free descriptors — instance
     numbering follows sorted process keys, which renaming permutes — and
     every reference follows; a reference that matches no instance stays
     as it is, so a dangling one keeps diverging.  Everything renaming or
@@ -149,6 +149,7 @@ def canonicalize(payload: Dict[str, Any], rename: Optional[Any] = None) -> Dict[
     (``compression``, per-pathway ``expanded_from``) is dropped; every
     other key, known or not, is kept for the comparison.
     """
+    router_name = rename.router if rename is not None else _same
     name = rename.name if rename is not None else _same
     asn = rename.asn if rename is not None else _same
     prefix = rename.prefix if rename is not None else _same
@@ -159,7 +160,7 @@ def canonicalize(payload: Dict[str, Any], rename: Optional[Any] = None) -> Dict[
     for entry in instances:
         entry["processes"] = sorted(
             (
-                [name(router), protocol, asn(pid) if protocol == "bgp" else pid]
+                [router_name(router), protocol, asn(pid) if protocol == "bgp" else pid]
                 for router, protocol, pid in entry["processes"]
             ),
             key=repr,
@@ -181,7 +182,7 @@ def canonicalize(payload: Dict[str, Any], rename: Optional[Any] = None) -> Dict[
         entry["policies"] = sorted(
             [ref(a), ref(b), name(route_map)] for a, b, route_map in entry["policies"]
         )
-        pathways[name(router)] = entry
+        pathways[router_name(router)] = entry
     result["pathways"] = dict(sorted(pathways.items()))
 
     for block in result["address_tree"]:
@@ -190,18 +191,20 @@ def canonicalize(payload: Dict[str, Any], rename: Optional[Any] = None) -> Dict[
     result["address_tree"].sort(key=_json)
 
     surv = result["survivability"]
-    surv["articulation_routers"] = sorted(name(r) for r in surv["articulation_routers"])
+    surv["articulation_routers"] = sorted(
+        router_name(r) for r in surv["articulation_routers"]
+    )
     surv["bridge_links"] = sorted(prefix(link) for link in surv["bridge_links"])
     for coupling in surv["couplings"]:
         # An unordered pair: which end is ``a`` followed the numbering
         # the re-index replaced.
         coupling["a"], coupling["b"] = sorted([ref(coupling["a"]), ref(coupling["b"])])
-        coupling["routers"] = sorted(name(r) for r in coupling["routers"])
+        coupling["routers"] = sorted(router_name(r) for r in coupling["routers"])
         coupling["mechanisms"] = sorted(coupling["mechanisms"])
     surv["couplings"].sort(key=_json)
     surv["static_route_conflicts"] = dict(
         sorted(
-            (prefix(key), sorted(name(r) for r in routers))
+            (prefix(key), sorted(router_name(r) for r in routers))
             for key, routers in surv["static_route_conflicts"].items()
         )
     )

@@ -82,7 +82,14 @@ class BgpSession:
 
     @property
     def is_ebgp(self) -> bool:
-        """EBGP = the configured remote AS differs from the local AS."""
+        """EBGP = the peer's AS differs from the local AS.
+
+        A resolved session compares the two processes' ASNs, so an end
+        whose ``neighbor`` statement omits ``remote-as`` still agrees
+        with the other end; an unresolved one reads ``remote-as``.
+        """
+        if self.remote_key is not None:
+            return self.remote_key[2] != self.local_as
         return self.remote_as is not None and self.remote_as != self.local_as
 
     @property

@@ -23,16 +23,18 @@ Four cooperating pieces:
 Determinism contract: metrics and manifests are recorded **only in the
 parent process**, in file and scenario order, so a ``--jobs 8``
 run produces the same counters and the same inventory as ``--jobs 1``
-(wall-clock figures aside — see :func:`repro.obs.manifest.normalize_manifest`).
+(the :data:`~repro.obs.manifest.VOLATILE` keys aside — see
+:func:`repro.obs.manifest.normalize_run`).
 """
 
 from repro.obs.logging import configure_logging, get_logger
 from repro.obs.manifest import (
     MANIFEST_SCHEMA,
+    VOLATILE,
     FileRecord,
     archive_entry,
     build_manifest,
-    normalize_manifest,
+    normalize_run,
     write_manifest,
 )
 from repro.obs.metrics import (
@@ -52,6 +54,7 @@ __all__ = [
     "MetricsRegistry",
     "Span",
     "Tracer",
+    "VOLATILE",
     "activate_tracer",
     "archive_entry",
     "build_manifest",
@@ -59,7 +62,7 @@ __all__ = [
     "current_tracer",
     "get_logger",
     "get_registry",
-    "normalize_manifest",
+    "normalize_run",
     "span",
     "traced",
     "use_registry",

@@ -27,10 +27,13 @@ Schema (``repro-run-report/1``)::
       "timing": {"total_seconds": s}
     }
 
-Determinism: everything except ``environment``, ``timing``, ``spans``,
-and the histogram metrics is identical between ``--jobs 1`` and
-``--jobs 8`` runs over the same input — :func:`normalize_manifest`
-extracts exactly that comparable core (it is what the CI gate diffs).
+Determinism: two runs over the same bytes must agree on every field
+but the :data:`VOLATILE` keys (wall time, replay provenance, store
+statistics, the flags that only tune how a run runs).
+:func:`normalize_run` drops exactly those keys, at any depth, from this
+manifest and from every other run document (the ``repro corpus`` and
+``repro sweep`` payloads, serve generations); every gate that compares
+two runs compares what it returns.
 """
 
 from __future__ import annotations
@@ -170,67 +173,54 @@ def write_manifest(manifest: Dict[str, Any], path: str) -> None:
         handle.write("\n")
 
 
-def normalize_manifest(manifest: Dict[str, Any]) -> Dict[str, Any]:
-    """The deterministic core of a manifest.
-
-    Strips everything that may legitimately differ between two runs over
-    identical input — wall-clock timings, span durations, histograms,
-    host environment — leaving the parts that MUST agree: the command,
-    the exit code, the per-archive inventory (paths, sizes, SHA-256s,
-    dispositions), the diagnostics summary, and the counter metrics.
-    Two runs of the same command over the same bytes with the same cache
-    temperature must normalize identically whatever ``--jobs`` was.
-    """
-    metrics = manifest.get("metrics") or {}
-    return {
-        "schema": manifest.get("schema"),
-        "command": manifest.get("command"),
-        "exit_code": manifest.get("exit_code"),
-        "archives": [
-            {
-                "name": entry.get("name"),
-                "path": entry.get("path"),
-                "routers": entry.get("routers"),
-                "files": entry.get("files"),
-                "dispositions": entry.get("dispositions"),
-                "diagnostics": entry.get("diagnostics"),
-                "exit_code": entry.get("exit_code"),
-                "inventory": entry.get("inventory"),
-                "execution": normalize_execution(entry.get("execution")),
-            }
-            for entry in manifest.get("archives", [])
-        ],
-        "totals": manifest.get("totals"),
-        "counters": metrics.get("counters"),
-        # The share block (archive/file/decoy counts, chosen salts,
-        # certification verdict) is a run *result*, not host state: two
-        # share runs over the same bytes with the same key must agree.
-        "share": (manifest.get("environment") or {}).get("share"),
+#: The keys on which two runs over the same bytes legitimately differ.
+#: Nothing else may: an analysis result or an input's accounting never
+#: goes here, and a key added to a run document later is compared.
+VOLATILE = frozenset(
+    {
+        # Wall time.
+        "seconds",  # a stage's, scenario's, sweep's or corpus total's
+        "total_seconds",  # an archive's summed stage seconds; the manifest's run time
+        "items_per_second",  # a stage row's items over its seconds
+        "parsed_per_second",  # an archive's parsed files over its parse seconds
+        "timing",  # the manifest's wall-clock block
+        "spans",  # the manifest's span tree, with each span's seconds
+        "histograms",  # the metrics registry's timing distributions
+        # How a result was obtained, not what it is.
+        "from_checkpoint",  # a stage or scenario replayed by --resume
+        "replayed",  # an archive sweep's count of replayed scenarios
+        "workers",  # the processes an archive's sweep ran on
+        # Store statistics: what the parse cache and checkpoints held.
+        "cache",  # parse-cache hits/misses/stores
+        "checkpoints",  # checkpoint-store hits/misses/stores
+        # Flags that tune how a run runs, never its results.
+        "argv",  # the command line itself
+        "jobs",  # --jobs
+        "resume",  # --resume
+        "compress",  # --compress adds the plan, never a result
+        # What changed since the previous serve generation.
+        "diff",
     }
+)
 
 
-def normalize_execution(execution: Optional[Dict[str, Any]]) -> Optional[Dict[str, Any]]:
-    """The deterministic core of an archive's execution block.
+def normalize_run(document: Any) -> Any:
+    """*document* without its :data:`VOLATILE` keys, at any depth.
 
-    Stage *statuses* must agree between runs over the same bytes; wall
-    seconds and checkpoint provenance (``from_checkpoint``) legitimately
-    differ between an uninterrupted run and an interrupted-then-resumed
-    one, so they are stripped here.  Public because the serve layer's
-    generation normalizer reuses the same stripping rules.
+    Lists keep their order and every other key is kept, so two run
+    documents are equivalent exactly when their normalized forms are
+    equal.  Keys are read as field names: a document keyed by data (a
+    router name may be ``cache``) copies that part around this filter.
     """
-    if not execution:
-        return None
-    return {
-        "status": execution.get("status"),
-        "stages": [
-            {
-                key: value
-                for key, value in stage.items()
-                if key not in ("seconds", "from_checkpoint")
-            }
-            for stage in execution.get("stages", [])
-        ],
-    }
+    if isinstance(document, dict):
+        return {
+            key: normalize_run(value)
+            for key, value in document.items()
+            if key not in VOLATILE
+        }
+    if isinstance(document, list):
+        return [normalize_run(item) for item in document]
+    return document
 
 
 __all__ = [
@@ -240,9 +230,9 @@ __all__ = [
     "DISPOSITION_QUARANTINED",
     "FileRecord",
     "MANIFEST_SCHEMA",
+    "VOLATILE",
     "archive_entry",
     "build_manifest",
-    "normalize_execution",
-    "normalize_manifest",
+    "normalize_run",
     "write_manifest",
 ]

@@ -1,11 +1,11 @@
 """Paper-style table and distribution formatting for benches and examples."""
 
-from repro.report.corpus import normalize_corpus_payload, span_row, stage_row
+from repro.report.corpus import span_row, stage_row
 from repro.report.design_report import generate_design_report
 from repro.report.diagnostics import format_diagnostics
 from repro.report.execution import format_execution_lines, format_status_counts
 from repro.report.manifest import format_run_report
-from repro.report.sweep import format_sweep_report, normalize_sweep_payload
+from repro.report.sweep import format_sweep_report
 from repro.report.tables import format_cdf, format_histogram, format_table
 
 __all__ = [
@@ -18,8 +18,6 @@ __all__ = [
     "format_sweep_report",
     "format_table",
     "generate_design_report",
-    "normalize_corpus_payload",
-    "normalize_sweep_payload",
     "span_row",
     "stage_row",
 ]

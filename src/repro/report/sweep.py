@@ -1,19 +1,14 @@
-"""Rendering and normalization of failure-sweep results.
+"""Rendering of failure-sweep results.
 
 :func:`format_sweep_report` turns one archive's ranked sweep rows into
-the human table; :func:`normalize_sweep_payload` defines the
-deterministic core of a ``repro sweep --json`` payload — what must be
-byte-identical between two runs over the same bytes whatever ``--jobs``
-was, and between an uninterrupted run and a killed-then-``--resume``d
-one.  Stripped: wall seconds (run and per-row), worker counts, replay
-accounting (``replayed``/``from_checkpoint``), and checkpoint
-statistics.  Kept: the ranked rows with their statuses, deltas, tags,
-and errors; the plan and baseline summaries; and the fail-fast marker.
+the human table.  Two ``repro sweep --json`` payloads over the same
+bytes — at any ``--jobs``, uninterrupted or killed-then-``--resume``d —
+must be equal under :func:`repro.obs.manifest.normalize_run`.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
 from repro.report.tables import format_table
 
@@ -81,50 +76,4 @@ def format_sweep_report(
     return "\n".join(lines)
 
 
-def _normalize_row(row: Dict[str, Any]) -> Dict[str, Any]:
-    normalized = {
-        key: value
-        for key, value in row.items()
-        if key not in ("seconds", "from_checkpoint")
-    }
-    if normalized.get("delta"):
-        normalized["delta"] = dict(normalized["delta"])
-    return normalized
-
-
-def _normalize_archive_sweep(sweep: Dict[str, Any]) -> Dict[str, Any]:
-    normalized = {
-        key: value
-        for key, value in sweep.items()
-        if key not in ("seconds", "workers", "replayed")
-    }
-    normalized["rows"] = [_normalize_row(row) for row in sweep.get("rows", [])]
-    return normalized
-
-
-def normalize_sweep_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
-    """The deterministic core of a ``repro sweep --json`` payload.
-
-    An interrupted-then-resumed sweep and an uninterrupted one must
-    normalize identically, at any ``--jobs`` value and any scenario
-    execution order.
-    """
-    normalized: Dict[str, Any] = {
-        key: value
-        for key, value in payload.items()
-        if key not in ("seconds", "jobs", "checkpoints", "archives")
-    }
-    execution = payload.get("execution")
-    if isinstance(execution, dict):
-        # --resume changes how results were obtained, never what they
-        # are; a resumed run must normalize identically to an
-        # uninterrupted one.
-        normalized["execution"] = {
-            key: value for key, value in execution.items() if key != "resume"
-        }
-    archives: List[Dict[str, Any]] = payload.get("archives", [])
-    normalized["archives"] = [_normalize_archive_sweep(s) for s in archives]
-    return normalized
-
-
-__all__ = ["DEFAULT_TOP", "format_sweep_report", "normalize_sweep_payload"]
+__all__ = ["DEFAULT_TOP", "format_sweep_report"]

@@ -15,12 +15,12 @@ serving the previous generation.  Whatever checkpoints the incomplete
 attempt wrote are not wasted: the next attempt resumes from them.
 
 :func:`normalize_generation` is the equivalence gate used in tests and
-CI: an incremental generation (warm caches, checkpoint replays) must
-normalize **byte-identical** to a cold one-shot run over the same corpus
-bytes.  It strips exactly what legitimately differs — wall seconds,
-checkpoint provenance, and the ``parsed``-vs-``cached`` disposition
-split (both collapse to ``ingested``; which side a file lands on is
-cache temperature, not analysis output).
+perfbench: an incremental generation (warm caches, checkpoint replays)
+must normalize **byte-identical** to a cold one-shot run over the same
+corpus bytes.  It folds the ``parsed``-vs-``cached`` disposition split
+into ``ingested`` (which side a file lands on is cache temperature, not
+analysis output) and then applies the one run-equivalence rule,
+:func:`repro.obs.manifest.normalize_run`.
 """
 
 from __future__ import annotations
@@ -31,7 +31,12 @@ from typing import Any, Dict, Optional
 from repro.exec.executor import AnalysisExecutor, ArchiveExecution
 from repro.exec.watchdog import run_with_deadline
 from repro.ingest.parse import check_jobs
-from repro.obs.manifest import archive_entry, normalize_execution
+from repro.obs.manifest import (
+    DISPOSITION_CACHED,
+    DISPOSITION_PARSED,
+    archive_entry,
+    normalize_run,
+)
 
 GENERATION_SCHEMA = "repro-serve-generation/1"
 
@@ -177,52 +182,30 @@ def build_generation_payload(
 
 
 def normalize_generation(payload: Dict[str, Any]) -> Dict[str, Any]:
-    """The deterministic core of a generation payload.
+    """A generation payload under the run-equivalence rule.
 
     Two generations over identical corpus bytes MUST normalize
     identically regardless of cache temperature, checkpoint replays,
-    daemon restarts, or how many failed attempts preceded them.
-    Stripped: wall seconds, ``from_checkpoint`` markers, the edit diff,
-    and the ``parsed``/``cached`` disposition split (collapsed to
-    ``ingested``); ``quarantined`` is preserved — quarantine is an
-    analysis outcome, not cache temperature.
+    daemon restarts, or how many failed attempts preceded them.  Serve
+    is the one gate that compares runs at different cache temperatures,
+    so the ``parsed``/``cached`` disposition split is first folded into
+    ``ingested`` (``quarantined`` is kept: quarantine is an analysis
+    outcome, not cache temperature); then :func:`normalize_run` drops
+    the volatile keys.  ``pathways`` is keyed by router name, so it is
+    copied around the key filter.
     """
-    manifest = payload.get("manifest") or {}
-    dispositions = dict(manifest.get("dispositions") or {})
-    ingested = dispositions.pop("parsed", 0) + dispositions.pop("cached", 0)
-    dispositions["ingested"] = ingested
+    fold = (DISPOSITION_PARSED, DISPOSITION_CACHED)
+    manifest = payload["manifest"]
+    dispositions = dict(manifest["dispositions"])
+    dispositions["ingested"] = sum(dispositions.pop(key) for key in fold)
     inventory = [
-        {
-            **record,
-            "disposition": (
-                "ingested"
-                if record.get("disposition") in ("parsed", "cached")
-                else record.get("disposition")
-            ),
-        }
-        for record in manifest.get("inventory", [])
+        {**record, "disposition": "ingested"} if record["disposition"] in fold else record
+        for record in manifest["inventory"]
     ]
-    return {
-        "schema": payload.get("schema"),
-        "corpus_digest": payload.get("corpus_digest"),
-        "name": payload.get("name"),
-        "status": payload.get("status"),
-        "manifest": {
-            "name": manifest.get("name"),
-            "routers": manifest.get("routers"),
-            "files": manifest.get("files"),
-            "dispositions": {
-                key: dispositions[key] for key in sorted(dispositions)
-            },
-            "diagnostics": manifest.get("diagnostics"),
-            "exit_code": manifest.get("exit_code"),
-            "inventory": inventory,
-            "execution": normalize_execution(manifest.get("execution")),
-        },
-        "instances": payload.get("instances"),
-        "pathways": payload.get("pathways"),
-        "diagnostics": payload.get("diagnostics"),
-    }
+    folded = {**manifest, "dispositions": dispositions, "inventory": inventory}
+    normalized = normalize_run({**payload, "manifest": folded, "pathways": None})
+    normalized["pathways"] = payload["pathways"]
+    return normalized
 
 
 __all__ = [

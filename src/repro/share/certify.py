@@ -139,11 +139,23 @@ def certify_archive(
     decoy_routers: FrozenSet[str],
     archive: str = "archive",
 ) -> Certificate:
-    """Compare one original/shared network pair under the mapping."""
+    """Compare one original/shared network pair under the mapping.
+
+    The router read from original file ``f`` pairs with the router read
+    from its shared copy ``files[f]``; a router whose file has no shared
+    router keeps its name, and so diverges.
+    """
+    files = mapping.archives[archive]["files"]
+    shared_by_file = {router.source: name for name, router in shared.routers.items()}
+    routers = {
+        name: shared_by_file[files[router.source]]
+        for name, router in original.routers.items()
+        if files.get(router.source) in shared_by_file
+    }
     return certify(
         analysis_summary(original, archive=archive),
         analysis_summary(shared, decoy_routers, archive=archive),
-        rename=Renamer(mapping),
+        rename=Renamer(mapping, routers),
     )
 
 

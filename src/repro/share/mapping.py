@@ -88,9 +88,16 @@ class ShareMapping:
 
 
 class Renamer:
-    """The original → shared renaming of one mapping, at the name, ASN
-    and prefix positions :func:`repro.compress.payload.canonicalize`
-    rewrites.
+    """The original → shared renaming of one archive, at the router,
+    name, ASN and prefix positions
+    :func:`repro.compress.payload.canonicalize` rewrites.
+
+    Routers are paired by source file, not by hostname: *routers* maps
+    each original router to the shared router read from its file's
+    shared copy.  Two files may carry one hostname, and lenient
+    ingestion then suffixes ``~N`` in file order, which the shared
+    file names do not keep.  Route-map names go through the mapping's
+    token map.
 
     Addresses are renamed by re-running the keyed prefix-preserving
     anonymizer — the first *L* output bits depend only on the first *L*
@@ -99,21 +106,17 @@ class Renamer:
     the original carried.
     """
 
-    def __init__(self, mapping: ShareMapping):
+    def __init__(self, mapping: ShareMapping, routers: Dict[str, str]):
+        self._routers = routers
         self._names = mapping.names
         self._asns = mapping.asns
         self._ip = PrefixPreservingAnonymizer(key=mapping.key)
 
+    def router(self, value: str) -> str:
+        return self._routers.get(value, value)
+
     def name(self, value: str) -> str:
-        mapped = self._names.get(value)
-        if mapped is not None:
-            return mapped
-        # Lenient ingestion renames duplicate hostnames "name~N"; the
-        # mapping knows the base name only.
-        base, tilde, suffix = value.rpartition("~")
-        if tilde and suffix.isdigit() and base in self._names:
-            return self._names[base] + "~" + suffix
-        return value
+        return self._names.get(value, value)
 
     def asn(self, value: Any) -> Any:
         mapped = self._asns.get(str(value))

@@ -319,6 +319,23 @@ class TestIngestFlags:
             main(["analyze", "--no-cache", "--jobs", "-2", config_dir])
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "--compress"],
+            ["lint", "--compress"],
+            ["sweep", "--compress"],
+            ["corpus", "--no-compress"],
+        ],
+    )
+    def test_compress_flag_only_on_corpus(self, config_dir, capsys, argv):
+        # Only `repro corpus` reads --compress, and its default needs no
+        # spelling: anything else is an argparse error.
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv + [config_dir])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestCorpus:
     @pytest.fixture()

@@ -202,3 +202,43 @@ class TestBoundedProcesses:
         full = compute_instances(net)
         capped = compute_instances(net, max_processes=10_000)
         assert len(capped) == len(full)
+
+
+class TestOneSidedRemoteAs:
+    """An in-network session is EBGP when the two processes' ASNs
+    differ, whichever end's ``neighbor`` statement names ``remote-as``."""
+
+    CONFIGS = {
+        "A": (
+            "hostname A\n"
+            "interface Serial0\n"
+            " ip address 10.0.0.1 255.255.255.252\n"
+            "router bgp 1\n"
+            " neighbor 10.0.0.2 remote-as 2\n"
+        ),
+        "B": (
+            "hostname B\n"
+            "interface Serial0\n"
+            " ip address 10.0.0.2 255.255.255.252\n"
+            "router bgp 2\n"
+            " neighbor 10.0.0.1 description upstream\n"
+        ),
+    }
+
+    def test_one_instance_per_as_and_one_ebgp_edge_pair(self):
+        net = Network.from_configs(self.CONFIGS)
+        assert [(s.remote_as, s.is_resolved, s.is_ebgp) for s in net.bgp_sessions] == [
+            (2, True, True),
+            (None, True, True),
+        ]
+        instances = compute_instances(net)
+        by_as = {i.asn: i for i in instances}
+        assert sorted(by_as) == [1, 2] and len(instances) == 2
+        graph = build_instance_graph(net, instances)
+        edges = sorted(
+            (u, v, data["kind"])
+            for u, v, data in graph.edges(data=True)
+            if u != EXTERNAL_NODE and v != EXTERNAL_NODE
+        )
+        a, b = by_as[1].instance_id, by_as[2].instance_id
+        assert edges == sorted([(a, b, "ebgp"), (b, a, "ebgp")])

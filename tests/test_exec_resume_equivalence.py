@@ -2,7 +2,7 @@
 
 The executor's determinism contract (diagnostics derived from result
 summaries, never from timing; checkpoint provenance stripped by
-``normalize_manifest``) exists so that a corpus run killed at *any*
+``normalize_run``) exists so that a corpus run killed at *any*
 stage and then finished with ``--resume`` produces the same normalized
 run manifest as a run that was never interrupted.  Hypothesis picks the
 kill point.
@@ -18,17 +18,17 @@ from hypothesis import strategies as st
 
 from repro.cli import main
 from repro.exec import ANALYSIS_STAGES, CHAOS_ENV, SimulatedKill
-from repro.obs.manifest import normalize_manifest
+from repro.obs import normalize_run
 from repro.synth.templates.example_fig1 import build_example_networks
 
 
 def _normalized(path):
     manifest = json.loads(open(path).read())
-    core = normalize_manifest(manifest)
+    core = normalize_run(manifest)
     # Checkpoint hit/miss counters legitimately differ between an
     # interrupted-then-resumed run and an uninterrupted one; everything
     # else in the normalized core must agree exactly.
-    core.pop("counters")
+    core.pop("metrics")
     return core
 
 

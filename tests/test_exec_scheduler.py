@@ -17,8 +17,7 @@ import pytest
 from repro.cli import main
 from repro.exec import CHAOS_ENV, AnalysisExecutor, CheckpointStore, StageResult
 from repro.model.network import Network
-from repro.obs import normalize_manifest
-from repro.report import normalize_corpus_payload
+from repro.obs import normalize_run
 from repro.synth import inject_fault
 from repro.synth.templates.example_fig1 import build_example_networks
 
@@ -171,14 +170,10 @@ class TestArchiveJobsEquivalence:
             corpus_dir, tmp_path, capsys, "parallel", "--archive-jobs", "4"
         )
         assert serial_code == parallel_code == 3  # delta faulted, gamma failed
-        assert normalize_corpus_payload(parallel_payload) == (
-            normalize_corpus_payload(serial_payload)
-        )
-        assert normalize_manifest(parallel_manifest) == (
-            normalize_manifest(serial_manifest)
-        )
+        assert normalize_run(parallel_payload) == normalize_run(serial_payload)
+        assert normalize_run(parallel_manifest) == normalize_run(serial_manifest)
         # The normalized view still carries the interesting structure.
-        normalized = normalize_corpus_payload(serial_payload)
+        normalized = normalize_run(serial_payload)
         assert [e["archive"] for e in normalized["archives"]] == list(ARCHIVES)
         by_archive = {e["archive"]: e for e in normalized["archives"]}
         assert by_archive["gamma"]["status"] == "failed"

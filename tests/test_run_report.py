@@ -9,9 +9,10 @@ import pytest
 from repro.cli import main
 from repro.obs.manifest import (
     MANIFEST_SCHEMA,
+    VOLATILE,
     archive_entry,
     build_manifest,
-    normalize_manifest,
+    normalize_run,
 )
 from repro.synth.templates.enterprise import build_enterprise
 
@@ -126,18 +127,27 @@ class TestJobsIndependence:
         out8 = capsys.readouterr().out
         assert code1 == code8
         assert out1 == out8  # analysis output is byte-identical
-        # Timings live in histograms and spans — both stripped by
-        # normalize_manifest; what remains must be identical.
-        assert normalize_manifest(serial) == normalize_manifest(parallel)
+        # Timings live in histograms and spans — both dropped by
+        # normalize_run; what remains must be identical.
+        assert normalize_run(serial) == normalize_run(parallel)
 
     def test_normalize_strips_nondeterministic_sections(self, archive_dir, tmp_path, capsys):
         _code, manifest = _run_with_report(archive_dir, tmp_path, "norm", "--no-cache")
         capsys.readouterr()
-        normalized = normalize_manifest(manifest)
-        assert "environment" not in normalized
-        assert "timing" not in normalized
-        assert "spans" not in normalized
-        assert "counters" in normalized
+        normalized = normalize_run(manifest)
+        for key in ("argv", "timing", "spans"):
+            assert key in manifest and key not in normalized
+        assert set(normalized["metrics"]) == {"counters"}
+        # The environment is compared, minus the store statistics and
+        # the flags that only tune how the run ran.
+        environment = normalized["environment"]
+        assert environment == {
+            key: value
+            for key, value in manifest["environment"].items()
+            if key not in VOLATILE
+        }
+        assert {"python", "parser_version", "mode"} <= set(environment)
+        assert not {"cache", "jobs", "compress"} & set(environment)
 
 
 class TestTraceOutput:
@@ -286,17 +296,11 @@ class TestExecutionBlocks:
         assert "stages" not in manifest["totals"]
 
     def test_normalize_strips_timing_and_provenance(self):
-        from repro.obs.manifest import (
-            archive_entry,
-            build_manifest,
-            normalize_manifest,
-        )
-
         entry = archive_entry(self._network(), execution=self._execution())
         manifest = build_manifest(
             command="corpus", argv=[], archives=[entry], exit_code=3
         )
-        normalized = normalize_manifest(manifest)
+        normalized = normalize_run(manifest)
         stages = normalized["archives"][0]["execution"]["stages"]
         for stage in stages:
             assert "seconds" not in stage
@@ -306,14 +310,10 @@ class TestExecutionBlocks:
         assert stages[1]["degradation"] == "max-depth-8"
 
     def test_normalize_handles_missing_execution(self):
-        from repro.obs.manifest import (
-            archive_entry,
-            build_manifest,
-            normalize_manifest,
-        )
-
         entry = archive_entry(self._network())
         manifest = build_manifest(
             command="analyze", argv=[], archives=[entry], exit_code=0
         )
-        assert normalize_manifest(manifest)["archives"][0]["execution"] is None
+        # No execution block, nothing invented: the entry is compared whole.
+        assert "execution" not in entry
+        assert normalize_run(manifest)["archives"][0] == entry

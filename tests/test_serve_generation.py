@@ -139,10 +139,12 @@ class TestEquivalence:
         outcome = run_once(corpus)
         normalized = normalize_generation(outcome.payload)
         assert "diff" not in normalized
-        assert "corpus" not in normalized  # absolute paths stripped
+        # The corpus path is compared: both generations read one corpus.
+        assert normalized["corpus"] == normalized["manifest"]["path"] == corpus
         for stage in normalized["manifest"]["execution"]["stages"]:
             assert "seconds" not in stage
             assert "from_checkpoint" not in stage
+        assert normalized["pathways"] == outcome.payload["pathways"]
 
 
 def test_build_payload_sorts_instances_deterministically(corpus):

@@ -8,8 +8,10 @@ import pytest
 
 from repro.cli import main
 from repro.share import ShareOptions, certify_share, share_corpus
+from repro.synth import inject_fault
 from repro.synth.templates.backbone import build_backbone
 from repro.synth.templates.enterprise import build_enterprise
+from repro.synth.templates.example_fig1 import build_example_networks
 from repro.synth.templates.hybrid import build_hybrid
 from repro.synth.templates.mixed import build_mixed
 from repro.synth.templates.net5 import build_net5
@@ -62,6 +64,24 @@ class TestCertifyTemplates:
         assert result.archives[0].decoys is not None
         certification = certify_share(root, out, result.mapping)
         assert certification.ok, certification.divergent_sections()
+
+    @pytest.mark.parametrize("decoys", [0, 4])
+    def test_duplicate_hostname_certifies(self, tmp_path, decoys):
+        # Files R2 and R5 both say "hostname R5": lenient ingestion
+        # names the later file's router R5~2, and the shared file names
+        # put the two files in the other order.  Routers pair by source
+        # file, so the suffix order cannot matter.
+        root, out = str(tmp_path / "corpus"), str(tmp_path / "shared")
+        configs, fault = inject_fault(
+            build_example_networks()[0], "duplicate-hostname", 1
+        )
+        assert fault.files == ("R2", "R5")
+        _write_archive(root, "fig1", configs)
+        result = share_corpus(root, out, ShareOptions(key=b"cert", decoys=decoys))
+        certification = certify_share(root, out, result.mapping)
+        assert certification.ok, certification.to_dict()["archives"]["fig1"].get(
+            "divergence"
+        )
 
 
 class TestCertifyDivergence:

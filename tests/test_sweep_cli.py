@@ -7,7 +7,7 @@ import pytest
 
 from repro.cli import main
 from repro.exec.chaos import SimulatedKill
-from repro.report.sweep import normalize_sweep_payload
+from repro.obs import normalize_run
 
 
 @pytest.fixture(scope="module")
@@ -143,7 +143,7 @@ class TestKillResumeEquivalence:
         reference_ckpt = str(tmp_path / "ref-ckpt")
         code, out = self._sweep(capsys, corpus8, reference_ckpt, "--jobs", "1")
         assert code == 0
-        reference = normalize_sweep_payload(json.loads(out))
+        reference = normalize_run(json.loads(out))
         assert reference["totals"]["archives"] == 8
 
         # Kill mid-run: the chaos rule fires inside a scenario of the
@@ -160,7 +160,7 @@ class TestKillResumeEquivalence:
             capsys, corpus8, ckpt, "--jobs", jobs, "--resume"
         )
         assert code == 0
-        resumed = normalize_sweep_payload(json.loads(out))
+        resumed = normalize_run(json.loads(out))
         assert any(
             row.get("from_checkpoint")
             for entry in json.loads(out)["archives"]
@@ -181,9 +181,9 @@ class TestKillResumeEquivalence:
             capsys, corpus8, str(tmp_path / "b"), "--jobs", "4"
         )
         assert a_code == b_code == 0
-        assert json.dumps(
-            normalize_sweep_payload(json.loads(a_out)), sort_keys=True
-        ) == json.dumps(normalize_sweep_payload(json.loads(b_out)), sort_keys=True)
+        assert json.dumps(normalize_run(json.loads(a_out)), sort_keys=True) == (
+            json.dumps(normalize_run(json.loads(b_out)), sort_keys=True)
+        )
 
 
 class TestFailFastAcrossArchives:

@@ -8,7 +8,7 @@ import pytest
 
 from repro.exec.chaos import ChaosPlan, SimulatedKill
 from repro.exec.checkpoint import CheckpointStore
-from repro.obs.manifest import FileRecord
+from repro.obs.manifest import FileRecord, normalize_run
 from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.sweep import (
     SCENARIO_STAGE_PREFIX,
@@ -42,13 +42,7 @@ def _inventory(network):
 
 def normalized(result):
     """The jobs-/order-/resume-invariant view of a sweep result."""
-    data = result.as_dict()
-    for key in ("seconds", "workers", "replayed"):
-        data.pop(key, None)
-    for row in data["rows"]:
-        row.pop("seconds", None)
-        row.pop("from_checkpoint", None)
-    return json.dumps(data, sort_keys=True)
+    return json.dumps(normalize_run(result.as_dict()), sort_keys=True)
 
 
 class TestBasicSweep:

@@ -21,7 +21,7 @@ import pytest
 from repro.cli import main
 from repro.exec.chaos import CHAOS_ENV
 from repro.exec.checkpoint import CHECKPOINT_SCHEMA, CheckpointStore
-from repro.report.sweep import normalize_sweep_payload
+from repro.obs import normalize_run
 
 WAIT = 60.0
 
@@ -145,6 +145,6 @@ def test_sigint_leaves_valid_checkpoints_and_resume_is_identical(
     ]
     assert replayed, "resume replayed nothing from the checkpoint store"
 
-    assert json.dumps(
-        normalize_sweep_payload(resumed), sort_keys=True
-    ) == json.dumps(normalize_sweep_payload(reference), sort_keys=True)
+    assert json.dumps(normalize_run(resumed), sort_keys=True) == json.dumps(
+        normalize_run(reference), sort_keys=True
+    )

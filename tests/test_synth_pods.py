@@ -15,7 +15,7 @@ import pytest
 from repro.cli import main
 from repro.core.instances import compute_instances
 from repro.model import Network
-from repro.report.corpus import normalize_corpus_payload
+from repro.obs import normalize_run
 from repro.synth.templates.pods import OSPF_PROCESS, build_pods, pod_count
 
 
@@ -115,7 +115,5 @@ def test_corpus_payload_identical_with_and_without_compress(tmp_path, capsys):
         payload = json.loads(capsys.readouterr().out)
         assert code == 0
         assert payload["compress"] is bool(flags)
-        normalized[flags] = json.dumps(
-            normalize_corpus_payload(payload), sort_keys=True
-        )
+        normalized[flags] = json.dumps(normalize_run(payload), sort_keys=True)
     assert normalized[()] == normalized[("--compress",)]
