@@ -13,8 +13,6 @@ Run:  python examples/vendor_migration.py
 
 from repro import Network, classify_design, compute_instances
 from repro.core import diff_designs
-from repro.ios.parser import parse_config
-from repro.junos.serializer import serialize_junos_config
 from repro.synth.templates.mixed import build_mixed
 
 

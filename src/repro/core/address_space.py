@@ -18,6 +18,7 @@ from typing import Dict, Iterable, List, Optional, Set
 
 from repro.model.network import Network
 from repro.net import Prefix, summarize_prefixes
+from repro.net.prefix import prefix_spans
 from repro.obs.trace import traced
 
 
@@ -32,9 +33,7 @@ class AddressBlock:
     def used_addresses(self) -> int:
         """Distinct used addresses: duplicates and nested subnets collapse
         before counting, so utilization can never exceed 1.0."""
-        return sum(
-            subnet.num_addresses() for subnet in summarize_prefixes(self.subnets)
-        )
+        return sum(hi - lo for lo, hi in prefix_spans(self.subnets))
 
     @property
     def utilization(self) -> float:

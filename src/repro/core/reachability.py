@@ -5,10 +5,12 @@ modeling per-router route selection; the paper's middle ground propagates
 *sets of routes* through the routing instance graph, applying the route
 policies annotated on each edge.  This module implements that analysis:
 
-* :class:`RouteSet` — a set of disjoint prefixes with exact set algebra,
+* :class:`RouteSet` — a set of addresses with exact set algebra, held as
+  the integer spans of :mod:`repro.net.prefix` and read out as disjoint
+  maximal prefixes,
 * :class:`PrefixFilter` — first-match permit/deny prefix rules compiled
-  from access lists and route maps, applied with atom splitting so partial
-  overlaps are handled exactly,
+  from access lists and route maps; a first-match pass over address spans
+  handles partial overlaps exactly,
 * :class:`ReachabilityAnalysis` — origination + fixpoint propagation, and
   the queries used in the net15 case study (Figure 12 / Table 2): which
   external routes enter the network, whether a default route is admitted,
@@ -29,76 +31,84 @@ from repro.core.process_graph import EXTERNAL_NODE
 from repro.model.exchange import Peering, Redistribution
 from repro.model.network import Network
 from repro.model.processes import ProcessKey
-from repro.net import Prefix
+from repro.net import Prefix, summarize_prefixes
+from repro.net.prefix import (
+    Spans,
+    prefix_spans,
+    span_difference,
+    span_intersection,
+    span_prefixes,
+    span_union,
+)
 from repro.obs.trace import traced
 
 #: Propagation-graph nodes: instance ids or the external-world sentinel.
 ReachNode = Union[int, Tuple[str, str, Optional[int]]]
 
 UNIVERSE = Prefix(0, 0)
-
-
-def prefix_complement(container: Prefix, inner: Prefix) -> List[Prefix]:
-    """The prefixes covering ``container`` minus ``inner``.
-
-    Standard trie walk: at each level from *inner* up to *container*, emit
-    the sibling subtree.  Returns at most ``inner.length - container.length``
-    prefixes.
-    """
-    if not container.contains(inner):
-        raise ValueError(f"{container} does not contain {inner}")
-    result: List[Prefix] = []
-    current = inner
-    while current.length > container.length:
-        sibling = Prefix(
-            current.network_int ^ (1 << (32 - current.length)), current.length
-        )
-        result.append(sibling)
-        current = current.supernet()
-    return result
+_UNIVERSE_SPANS: Spans = (UNIVERSE.span,)
 
 
 class RouteSet:
-    """An immutable set of IPv4 addresses represented as disjoint prefixes."""
+    """An immutable set of IPv4 addresses, held as integer spans.
 
-    __slots__ = ("_atoms",)
+    The spans (:data:`repro.net.prefix.Spans`) are the set's one spelling:
+    equality, hashing and the set algebra work on them, at a cost per
+    contiguous address range rather than per prefix.  :attr:`atoms`, the
+    set as disjoint maximal prefixes sorted by address, is decomposed from
+    the spans on first use; ``len()`` and iteration read it.
+    """
+
+    __slots__ = ("_spans", "_atoms")
 
     def __init__(self, prefixes: Iterable[Prefix] = ()):
-        # Any two prefixes are nested or disjoint, so dropping contained
-        # prefixes (and merging adjacent siblings) yields a disjoint cover.
-        from repro.net import summarize_prefixes  # noqa: PLC0415
+        self._spans: Spans = prefix_spans(prefixes)
+        self._atoms: Optional[Tuple[Prefix, ...]] = None
 
-        self._atoms: Tuple[Prefix, ...] = tuple(summarize_prefixes(prefixes))
+    @classmethod
+    def from_spans(cls, spans: Spans) -> "RouteSet":
+        """The set of *spans*, which must already be in canonical form."""
+        routes = cls.__new__(cls)
+        routes._spans = spans
+        routes._atoms = None
+        return routes
 
     @classmethod
     def universe(cls) -> "RouteSet":
-        return cls([UNIVERSE])
+        return cls.from_spans(_UNIVERSE_SPANS)
 
     @classmethod
     def empty(cls) -> "RouteSet":
-        return cls()
+        return cls.from_spans(())
+
+    @property
+    def spans(self) -> Spans:
+        return self._spans
 
     @property
     def atoms(self) -> Tuple[Prefix, ...]:
+        if self._atoms is None:
+            self._atoms = tuple(span_prefixes(self._spans))
         return self._atoms
 
     def is_empty(self) -> bool:
-        return not self._atoms
+        return not self._spans
 
     def has_default(self) -> bool:
         """True when the set is the full universe (a default route survives)."""
-        return UNIVERSE in self._atoms
+        return self._spans == _UNIVERSE_SPANS
 
     def covers(self, prefix: Prefix) -> bool:
         """True when every address of *prefix* is in the set."""
-        return any(atom.contains(prefix) for atom in self._atoms)
+        span = (prefix.span,)
+        return span_intersection(self._spans, span) == span
 
     def overlaps(self, prefix: Prefix) -> bool:
         """True when any address of *prefix* is in the set."""
-        return any(atom.overlaps(prefix) for atom in self._atoms)
+        return bool(span_intersection(self._spans, (prefix.span,)))
 
     def union(self, other: "RouteSet") -> "RouteSet":
-        return RouteSet(self._atoms + other._atoms)
+        return RouteSet.from_spans(span_union(self._spans, other._spans))
 
     def coarsened(self, max_atoms: int) -> "RouteSet":
         """An over-approximation of the set with at most *max_atoms* atoms.
@@ -108,11 +118,9 @@ class RouteSet:
         superset of the original — safe for reachability in the "may
         reach" direction, and deterministic.
         """
-        if len(self._atoms) <= max_atoms:
+        atoms = self.atoms
+        if len(atoms) <= max_atoms:
             return self
-        from repro.net import summarize_prefixes  # noqa: PLC0415
-
-        atoms = list(self._atoms)
         while len(atoms) > max_atoms:
             longest = max(atom.length for atom in atoms)
             if longest == 0:
@@ -124,34 +132,27 @@ class RouteSet:
         return RouteSet(atoms)
 
     def intersection(self, other: "RouteSet") -> "RouteSet":
-        atoms: List[Prefix] = []
-        for a in self._atoms:
-            for b in other._atoms:
-                if a.contains(b):
-                    atoms.append(b)
-                elif b.contains(a):
-                    atoms.append(a)
-        return RouteSet(atoms)
+        return RouteSet.from_spans(span_intersection(self._spans, other._spans))
 
     def total_addresses(self) -> int:
-        return sum(atom.num_addresses() for atom in self._atoms)
+        return sum(hi - lo for lo, hi in self._spans)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RouteSet):
             return NotImplemented
-        return self._atoms == other._atoms
+        return self._spans == other._spans
 
     def __hash__(self) -> int:
-        return hash(self._atoms)
+        return hash(self._spans)
 
     def __len__(self) -> int:
-        return len(self._atoms)
+        return len(self.atoms)
 
     def __iter__(self):
-        return iter(self._atoms)
+        return iter(self.atoms)
 
     def __repr__(self) -> str:
-        inside = ", ".join(str(atom) for atom in self._atoms)
+        inside = ", ".join(str(atom) for atom in self.atoms)
         return f"RouteSet({{{inside}}})"
 
 
@@ -161,40 +162,33 @@ class PrefixFilter:
 
     This is the compiled form of a route policy: access lists and route
     maps are both lowered to a flat rule list whose first-match semantics
-    equal the original construct's (deny shadowing included).
+    equal the original construct's (deny shadowing included).  Which rule
+    an address meets first depends on the address alone, so the filter is
+    the set of addresses it permits, found once by a first-match pass
+    over the universe, and applying it is one intersection.
     """
 
     rules: List[Tuple[str, Prefix]] = field(default_factory=list)
+    _permitted: Spans = field(init=False, repr=False, compare=False)
 
-    def apply(self, routes: RouteSet) -> RouteSet:
-        permitted: List[Prefix] = []
-        for atom in routes.atoms:
-            permitted.extend(self._filter_atom(atom))
-        return RouteSet(permitted)
-
-    def _filter_atom(self, atom: Prefix) -> List[Prefix]:
-        permitted: List[Prefix] = []
-        remaining = [atom]
-        for action, rule_prefix in self.rules:
+    def __post_init__(self) -> None:
+        permitted: Spans = ()
+        remaining = _UNIVERSE_SPANS
+        for action, prefix in self.rules:
             if not remaining:
                 break
-            next_remaining: List[Prefix] = []
-            for piece in remaining:
-                if rule_prefix.contains(piece):
-                    if action == "permit":
-                        permitted.append(piece)
-                elif piece.contains(rule_prefix):
-                    if action == "permit":
-                        permitted.append(rule_prefix)
-                    next_remaining.extend(prefix_complement(piece, rule_prefix))
-                else:
-                    next_remaining.append(piece)
-            remaining = next_remaining
-        return permitted  # implicit deny for whatever remains
+            rule = (prefix.span,)
+            if action == "permit":
+                permitted = span_union(permitted, span_intersection(remaining, rule))
+            remaining = span_difference(remaining, rule)
+        self._permitted = permitted  # implicit deny for what remains
+
+    def apply(self, routes: RouteSet) -> RouteSet:
+        return RouteSet.from_spans(span_intersection(routes.spans, self._permitted))
 
     def permitted_set(self) -> RouteSet:
         """The addresses this filter would admit from the full universe."""
-        return self.apply(RouteSet.universe())
+        return RouteSet.from_spans(self._permitted)
 
     @classmethod
     def pass_all(cls) -> "PrefixFilter":
@@ -295,6 +289,8 @@ class ReachabilityAnalysis:
         #: True once any route set was actually coarsened — answers are
         #: then over-approximate in the "may reach" direction.
         self.approximate = False
+        #: Rounds the last propagation ran (see :meth:`_propagate`).
+        self.rounds = 0
         self._routes: Optional[Dict[ReachNode, RouteSet]] = None
         self._external_routes: Optional[Dict[ReachNode, RouteSet]] = None
         self._build()
@@ -472,16 +468,32 @@ class ReachabilityAnalysis:
     # -- propagation ---------------------------------------------------------
 
     def _propagate(self, origins: Dict[ReachNode, RouteSet]) -> Dict[ReachNode, RouteSet]:
+        """Push every node's set over every edge, round by round, until a
+        round changes nothing; :attr:`rounds` counts the rounds run.
+
+        The cap of ``4N + 8`` rounds, with N the instances plus the
+        external node, never cuts an exact run short.  A filter only
+        removes addresses, so an address that reaches a node along a walk
+        also reaches it along the simple path left when the walk's cycles
+        are cut out, which has at most N - 1 edges.  Each round extends
+        every path by at least one edge, so an exact run is at its
+        fixpoint after N - 1 rounds and stops within N.  With
+        ``max_atoms``, each coarsened set contains the exact run's set
+        after every round (widening only adds addresses; union and filters
+        keep containment).  The exact run is at its fixpoint long before
+        the cap, so a coarsened run, stopped by the cap or not,
+        over-approximates, which is all that :attr:`approximate` promises.
+        """
         routes: Dict[ReachNode, RouteSet] = dict(origins)
         for instance in self.instances:
             routes.setdefault(instance.instance_id, RouteSet.empty())
         routes.setdefault(EXTERNAL_NODE, RouteSet.empty())
         changed = True
-        iterations = 0
+        rounds = 0
         limit = 4 * (len(self.instances) + 1) + 8
-        while changed and iterations < limit:
+        while changed and rounds < limit:
             changed = False
-            iterations += 1
+            rounds += 1
             for edge in self.edges:
                 incoming = edge.transfer(routes[edge.source])
                 merged = routes[edge.target].union(incoming)
@@ -491,6 +503,7 @@ class ReachabilityAnalysis:
                 if merged != routes[edge.target]:
                     routes[edge.target] = merged
                     changed = True
+        self.rounds = rounds
         return routes
 
     @property
@@ -535,7 +548,7 @@ class ReachabilityAnalysis:
 
     @staticmethod
     def _strip_universe(routes: RouteSet) -> RouteSet:
-        return RouteSet(atom for atom in routes.atoms if atom != UNIVERSE)
+        return RouteSet.empty() if routes.has_default() else routes
 
     def predicted_route_load(self, instance_id: int) -> int:
         """Upper-bound the routes an instance's processes must carry (§6.2).

@@ -141,17 +141,28 @@ class NetworkStatement:
     area: Optional[str] = None
     mask: Optional[IPv4Address] = None  # BGP "network x mask y" form
 
+    def match_bits(self) -> Tuple[int, int]:
+        """``(fixed, value)``: the statement covers exactly the addresses
+        whose *fixed* bits equal *value*.
+
+        A wildcard fixes its zero bits (non-contiguous ones included); a
+        ``mask`` and the bare classful form fix their prefix's network
+        bits.
+        """
+        if self.wildcard is not None:
+            fixed = (~self.wildcard.value) & 0xFFFFFFFF
+            return fixed, self.address.value & fixed
+        if self.mask is not None:
+            prefix = Prefix.from_netmask(self.address.value, self.mask.value)
+        else:
+            prefix = classful_prefix(self.address)
+        return prefix.netmask.value, prefix.network_int
+
     def matches_interface(self, iface_address: IPv4Address) -> bool:
         """Whether this statement associates an interface address with
         the routing process (the ``network`` coverage rule of §2.2)."""
-        if self.wildcard is not None:
-            fixed_bits = (~self.wildcard.value) & 0xFFFFFFFF
-            return (self.address.value & fixed_bits) == (iface_address.value & fixed_bits)
-        if self.mask is not None:
-            return Prefix.from_netmask(self.address.value, self.mask.value).contains_address(
-                iface_address
-            )
-        return classful_prefix(self.address).contains_address(iface_address)
+        fixed, value = self.match_bits()
+        return (iface_address.value & fixed) == value
 
     def prefix(self) -> Prefix:
         """The prefix this statement names (classful when bare)."""

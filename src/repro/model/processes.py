@@ -11,7 +11,7 @@ never by id equality.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.ios.config import (
     BgpProcess,
@@ -21,7 +21,6 @@ from repro.ios.config import (
     RedistributeConfig,
     RipProcess,
 )
-from repro.net import IPv4Address
 
 # Pseudo-protocol name for the local RIB that holds connected subnets and
 # static routes (Figure 3 of the paper).
@@ -132,11 +131,17 @@ def covered_interface_names(
     """
     if isinstance(config, BgpProcess):
         return []
-    covered = []
-    for iface in interfaces:
-        if not iface.is_numbered:
-            continue
-        address: IPv4Address = iface.address
-        if any(statement.matches_interface(address) for statement in config.networks):
-            covered.append(iface.name)
-    return covered
+    # Statements sharing fixed bits form one set of values, so an
+    # interface costs one lookup per distinct mask, not per statement
+    # (a fabric core carries a thousand statements of one mask).
+    values_by_fixed: Dict[int, Set[int]] = {}
+    for statement in config.networks:
+        fixed, value = statement.match_bits()
+        values_by_fixed.setdefault(fixed, set()).add(value)
+    groups = list(values_by_fixed.items())
+    return [
+        iface.name
+        for iface in interfaces
+        if iface.is_numbered
+        and any((iface.address.value & fixed) in values for fixed, values in groups)
+    ]

@@ -1,9 +1,15 @@
-"""IPv4 prefixes (subnets) and operations on sets of prefixes."""
+"""IPv4 prefixes (subnets) and the span kernel for sets of addresses.
+
+A set of addresses is held as integer spans (:data:`Spans`): union,
+intersection and difference cost per contiguous range, not per prefix,
+and :func:`span_prefixes` reads a set back out as its maximal aligned
+prefixes.  Route sets, route filters and prefix summarization all use it.
+"""
 
 from __future__ import annotations
 
 import functools
-from typing import Iterable, Iterator, List, Union
+from typing import Iterable, Iterator, List, Tuple, Union
 
 from repro.net.ipv4 import (
     AddressError,
@@ -92,6 +98,11 @@ class Prefix:
     @property
     def broadcast_int(self) -> int:
         return self._network | ((~prefix_len_to_mask(self._length)) & _MAX_IPV4)
+
+    @property
+    def span(self) -> Tuple[int, int]:
+        """The half-open address range ``(network, broadcast + 1)``."""
+        return (self._network, self._network + (1 << (32 - self._length)))
 
     def num_addresses(self) -> int:
         return 1 << (32 - self._length)
@@ -205,31 +216,102 @@ def classful_prefix(address: Union[str, int, IPv4Address]) -> Prefix:
     return Prefix(address, length)
 
 
+#: An address set: a tuple of sorted, disjoint, non-adjacent, non-empty
+#: half-open ``(lo, hi)`` integer spans.  Every operation below takes and
+#: returns this form, so one set has one spelling and compares by ``==``.
+Spans = Tuple[Tuple[int, int], ...]
+
+
+def merge_spans(spans: Iterable[Tuple[int, int]]) -> Spans:
+    """The spans of the union of any non-empty half-open *spans*: sorted,
+    with overlapping and adjacent ones merged."""
+    merged: List[Tuple[int, int]] = []
+    for lo, hi in sorted(spans):
+        if merged and lo <= merged[-1][1]:
+            if hi > merged[-1][1]:
+                merged[-1] = (merged[-1][0], hi)
+        else:
+            merged.append((lo, hi))
+    return tuple(merged)
+
+
+def prefix_spans(prefixes: Iterable[Prefix]) -> Spans:
+    """The spans of the addresses that any of *prefixes* covers."""
+    return merge_spans(prefix.span for prefix in prefixes)
+
+
+def span_union(a: Spans, b: Spans) -> Spans:
+    """The addresses in *a* or *b*."""
+    if not b:
+        return a
+    if not a:
+        return b
+    return merge_spans(a + b)
+
+
+def span_intersection(a: Spans, b: Spans) -> Spans:
+    """The addresses in both *a* and *b*."""
+    result: List[Tuple[int, int]] = []
+    i = j = 0
+    while i < len(a) and j < len(b):
+        a_lo, a_hi = a[i]
+        b_lo, b_hi = b[j]
+        lo = a_lo if a_lo > b_lo else b_lo
+        hi = a_hi if a_hi < b_hi else b_hi
+        if lo < hi:
+            result.append((lo, hi))
+        if a_hi < b_hi:
+            i += 1
+        else:
+            j += 1
+    return tuple(result)
+
+
+def span_difference(a: Spans, b: Spans) -> Spans:
+    """The addresses of *a* that are not in *b*."""
+    result: List[Tuple[int, int]] = []
+    j = 0
+    for lo, hi in a:
+        while j < len(b) and b[j][1] <= lo:
+            j += 1
+        k = j
+        while k < len(b) and b[k][0] < hi:
+            b_lo, b_hi = b[k]
+            if b_lo > lo:
+                result.append((lo, b_lo))
+            lo = b_hi
+            if lo >= hi:
+                break
+            k += 1
+        if lo < hi:
+            result.append((lo, hi))
+    return tuple(result)
+
+
+def span_prefixes(spans: Spans) -> List[Prefix]:
+    """The maximal aligned prefixes that tile *spans*, sorted by address.
+
+    Each step takes the largest block that starts aligned at the span's
+    low end and fits inside it.  No two results are siblings and none
+    contains another, so this is the one cover :func:`summarize_prefixes`
+    promises: every prefix inside the set lies in exactly one result.
+    """
+    result: List[Prefix] = []
+    for lo, hi in spans:
+        while lo < hi:
+            size = lo & -lo or 1 << 32  # the alignment of lo (all of it at 0)
+            while size > hi - lo:
+                size >>= 1
+            result.append(Prefix(lo, 33 - size.bit_length()))
+            lo += size
+    return result
+
+
 def summarize_prefixes(prefixes: Iterable[Prefix]) -> List[Prefix]:
     """Collapse a set of prefixes into a minimal covering list.
 
-    Removes prefixes contained in others and merges adjacent siblings into
-    their common supernet, repeatedly, until a fixpoint.  The result is
-    sorted and covers exactly the union of the inputs.
+    Contained prefixes disappear and adjacent siblings merge into their
+    common supernet, recursively.  The result is sorted and covers exactly
+    the union of the inputs.
     """
-    working = sorted(set(prefixes))
-    changed = True
-    while changed:
-        changed = False
-        result: List[Prefix] = []
-        for prefix in working:
-            if result and result[-1].contains(prefix):
-                changed = True
-                continue
-            if (
-                result
-                and result[-1].length == prefix.length
-                and prefix.length > 0
-                and result[-1].supernet() == prefix.supernet()
-            ):
-                result[-1] = prefix.supernet()
-                changed = True
-                continue
-            result.append(prefix)
-        working = result
-    return working
+    return span_prefixes(prefix_spans(prefixes))

@@ -6,9 +6,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core import ReachabilityAnalysis, RouteSet
-from repro.core.reachability import PrefixFilter, prefix_complement
+from repro.core.reachability import PrefixFilter
 from repro.ios.config import AccessList, AclRule, RouteMap, RouteMapClause
 from repro.net import IPv4Address, Prefix
+from repro.net.prefix import span_difference, span_prefixes, span_union
 
 prefixes = st.builds(
     Prefix,
@@ -18,8 +19,14 @@ prefixes = st.builds(
 
 
 class TestPrefixComplement:
+    """A container prefix minus an inner one, as a span difference."""
+
     def test_simple(self):
-        parts = prefix_complement(Prefix("10.0.0.0/24"), Prefix("10.0.0.0/26"))
+        parts = span_prefixes(
+            span_difference(
+                (Prefix("10.0.0.0/24").span,), (Prefix("10.0.0.0/26").span,)
+            )
+        )
         assert sorted(map(str, parts)) == [
             "10.0.0.128/25",
             "10.0.0.64/26",
@@ -27,19 +34,21 @@ class TestPrefixComplement:
 
     def test_complement_plus_inner_covers_container(self):
         container, inner = Prefix("10.0.0.0/8"), Prefix("10.200.4.0/22")
-        parts = prefix_complement(container, inner) + [inner]
+        rest = span_difference((container.span,), (inner.span,))
+        parts = span_prefixes(rest) + [inner]
         total = sum(p.num_addresses() for p in parts)
         assert total == container.num_addresses()
+        assert span_union(rest, (inner.span,)) == (container.span,)
 
-    def test_not_contained_raises(self):
-        with pytest.raises(ValueError):
-            prefix_complement(Prefix("10.0.0.0/24"), Prefix("11.0.0.0/24"))
+    def test_disjoint_inner_leaves_container_whole(self):
+        container, inner = Prefix("10.0.0.0/24"), Prefix("11.0.0.0/24")
+        assert span_difference((container.span,), (inner.span,)) == (container.span,)
 
     @given(prefixes, st.integers(min_value=0, max_value=8))
     def test_property_partition(self, container, extra_bits):
         inner_len = min(32, container.length + extra_bits)
         inner = Prefix(container.network_int, inner_len)
-        parts = prefix_complement(container, inner)
+        parts = span_prefixes(span_difference((container.span,), (inner.span,)))
         assert len(parts) == inner_len - container.length
         for part in parts:
             assert container.contains(part)

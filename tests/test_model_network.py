@@ -1,9 +1,19 @@
 """Network model tests: indexes, external classification, adjacencies."""
 
+import random
+
 import pytest
 
+from repro.ios.config import (
+    EigrpProcess,
+    InterfaceConfig,
+    NetworkStatement,
+    OspfProcess,
+    RipProcess,
+)
 from repro.model import Network
-from repro.net import Prefix
+from repro.model.processes import covered_interface_names
+from repro.net import IPv4Address, Prefix, classful_prefix
 
 
 def make_network(configs, name="test"):
@@ -212,3 +222,103 @@ class TestStatistics:
         net, _meta = fig1
         assert len(net) == 6
         assert "fig1" in repr(net)
+
+
+def statement_covers(statement, address):
+    """The ``network`` coverage rule, statement by statement."""
+    if statement.wildcard is not None:
+        fixed = ~statement.wildcard.value & 0xFFFFFFFF
+        return statement.address.value & fixed == address.value & fixed
+    if statement.mask is not None:
+        prefix = Prefix.from_netmask(statement.address.value, statement.mask.value)
+        return prefix.contains_address(address)
+    return classful_prefix(statement.address).contains_address(address)
+
+
+def covered_per_statement(config, interfaces):
+    return [
+        iface.name
+        for iface in interfaces
+        if iface.is_numbered
+        and any(statement_covers(s, iface.address) for s in config.networks)
+    ]
+
+
+def wildcard(address, mask, area="0"):
+    return NetworkStatement(
+        address=IPv4Address(address), wildcard=IPv4Address(mask), area=area
+    )
+
+
+class TestNetworkStatementCoverage:
+    """``covered_interface_names`` indexes statements by their fixed bits;
+    it must cover exactly what the statements cover one by one."""
+
+    def test_match_bits_of_each_form(self):
+        assert wildcard("10.1.2.3", "0.0.0.255").match_bits() == (
+            0xFFFFFF00,
+            IPv4Address("10.1.2.0").value,
+        )
+        masked = NetworkStatement(
+            address=IPv4Address("10.4.0.0"), mask=IPv4Address("255.252.0.0")
+        )
+        assert masked.match_bits() == (0xFFFC0000, IPv4Address("10.4.0.0").value)
+        classful = NetworkStatement(address=IPv4Address("172.16.9.1"))
+        assert classful.match_bits() == (0xFFFF0000, IPv4Address("172.16.0.0").value)
+
+    def test_thousand_by_thousand_core_router(self):
+        rng = random.Random(7)
+        interfaces = []
+        for index in range(1000):
+            base = 0x0A000000 + index * 4
+            interfaces.append(
+                InterfaceConfig(
+                    name=f"Ethernet{index}",
+                    address=IPv4Address(base + 1),
+                    netmask=IPv4Address("255.255.255.252"),
+                )
+            )
+        interfaces.append(InterfaceConfig(name="Null0"))  # unnumbered
+        rng.shuffle(interfaces)
+        statements = [
+            wildcard(0x0A000000 + index * 4 + rng.randrange(4), "0.0.0.3")
+            for index in rng.sample(range(1200), 970)
+        ]
+        statements += [
+            wildcard(0x0A000000 + index * 4 + 1, "0.0.0.0")
+            for index in rng.sample(range(1000), 25)
+        ]
+        statements += [wildcard("10.0.15.0", "0.0.0.255"), wildcard("11.0.0.0", "0.255.255.255")]
+        statements += [wildcard("10.0.3.1", "0.0.0.248"), wildcard("10.0.0.0", "0.0.0.127")]
+        statements.append(NetworkStatement(address=IPv4Address("12.0.0.0")))
+        rng.shuffle(statements)
+        assert len(statements) == 1000
+        config = OspfProcess(process_id=1, networks=statements)
+        covered = covered_interface_names(config, interfaces)
+        assert covered == covered_per_statement(config, interfaces)
+        assert 0 < len(covered) < 1000
+
+    def test_discontiguous_wildcard(self):
+        interfaces = [
+            InterfaceConfig(
+                name=f"Serial{index}",
+                address=IPv4Address(address),
+                netmask=IPv4Address("255.255.255.0"),
+            )
+            for index, address in enumerate(
+                ["10.0.7.5", "10.0.7.6", "10.1.7.5", "10.0.200.5", "192.168.1.5"]
+            )
+        ]
+        config = EigrpProcess(asn=10, networks=[wildcard("10.0.0.5", "0.0.255.0")])
+        covered = covered_interface_names(config, interfaces)
+        assert covered == ["Serial0", "Serial3"]
+        assert covered == covered_per_statement(config, interfaces)
+        rip = RipProcess(
+            networks=[
+                NetworkStatement(address=IPv4Address("192.168.1.0")),
+                wildcard("10.0.0.5", "0.0.255.0"),
+            ]
+        )
+        covered = covered_interface_names(rip, interfaces)
+        assert covered == ["Serial0", "Serial3", "Serial4"]
+        assert covered == covered_per_statement(rip, interfaces)

@@ -16,7 +16,7 @@ from repro.cli import main
 from repro.core.instances import compute_instances
 from repro.model import Network
 from repro.obs import normalize_run
-from repro.synth.templates.pods import OSPF_PROCESS, build_pods, pod_count
+from repro.synth.templates.pods import build_pods, pod_count
 
 
 def test_pod_count_rounds_up():
