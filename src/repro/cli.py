@@ -145,8 +145,8 @@ def _load(
 ) -> Network:
     """Load one archive under the command's --strict/--lenient policy.
 
-    Loaded networks are remembered on the namespace so :func:`main` can
-    fold their diagnostics into the final exit code.
+    The network is held on the namespace until :func:`_finish_archive`
+    accounts for it.
     """
     path = path if path is not None else args.configdir
     if not os.path.isdir(path):
@@ -159,10 +159,7 @@ def _load(
         jobs=getattr(args, "jobs", None),
         cache=_cache_from_args(args),
     )
-    loaded = getattr(args, "_loaded_networks", None)
-    if loaded is None:
-        loaded = args._loaded_networks = []
-    loaded.append((path, network))
+    args._held.append((path, network))
     if len(network.diagnostics) or network.quarantined:
         print(
             f"ingestion: {network.diagnostics.summary()}, "
@@ -171,6 +168,23 @@ def _load(
             file=sys.stderr,
         )
     return network
+
+
+def _finish_archive(args: argparse.Namespace, network: Network, execution=None) -> None:
+    """Account for one archive the command is done with.
+
+    Folds the archive's exit code into the run's, takes its
+    ``--run-report`` entry (when a report was asked for) and drops the
+    CLI's reference to the network.  ``repro corpus`` and ``repro sweep``
+    call this as each archive's work ends, so they hold one archive at a
+    time; :func:`main` calls it for whatever a command still holds when
+    it returns.
+    """
+    index = next(i for i, (_path, held) in enumerate(args._held) if held is network)
+    path, _network = args._held.pop(index)
+    args._archive_code = max(args._archive_code, network.diagnostics.exit_code())
+    if args.run_report:
+        args._archive_entries.append(archive_entry(network, path=path, execution=execution))
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
@@ -236,7 +250,11 @@ def cmd_pathway(args: argparse.Namespace) -> int:
 
 
 def cmd_anonymize(args: argparse.Namespace) -> int:
-    from repro.share import default_mapping_path, ensure_mapping_outside  # noqa: PLC0415
+    from repro.share import (  # noqa: PLC0415
+        default_mapping_path,
+        ensure_mapping_outside,
+        shared_file_name,
+    )
 
     if not os.path.isdir(args.configdir):
         raise SystemExit(f"error: {args.configdir} is not a directory")
@@ -255,11 +273,10 @@ def cmd_anonymize(args: argparse.Namespace) -> int:
             # are not configs, so there is nothing to anonymize.
             print(f"anonymize: skipped non-text file {file.name!r}", file=sys.stderr)
             continue
-        # Output files carry the pseudo-name of their stem: a file named
-        # after its router would otherwise leak the hostname the content
-        # anonymization just scrubbed.
-        stem, ext = os.path.splitext(file.name)
-        out_name = anonymizer.hash_name(stem) + ext
+        # Output files carry the pseudo-name of their stem, by share's
+        # rule: a file named after its router would otherwise leak the
+        # hostname the content anonymization just scrubbed.
+        out_name = shared_file_name(anonymizer, file.name)
         files[file.name] = out_name
         with open(os.path.join(args.outdir, out_name), "w") as handle:
             handle.write(anonymizer.anonymize_config(file.text))
@@ -459,10 +476,7 @@ def cmd_lint(args: argparse.Namespace) -> int:
     except Exception as exc:
         print(f"error: {exc}")
         return EXIT_ERRORS
-    loaded = getattr(args, "_loaded_networks", None)
-    if loaded is None:
-        loaded = args._loaded_networks = []
-    loaded.append((args.configdir, network))
+    args._held.append((args.configdir, network))
     try:
         network.links
         network.processes
@@ -656,7 +670,7 @@ def cmd_corpus(args: argparse.Namespace) -> int:
 
     executor, suggestion = _corpus_executor(args)
     cache = _cache_from_args(args)
-    executions = args._executions = {}
+    executions: List[tuple] = []
     report: List[dict] = []
     archives_skipped = 0
     for path in archives:
@@ -669,7 +683,9 @@ def cmd_corpus(args: argparse.Namespace) -> int:
                 network = _load(args, path, default_mode="lenient")
                 execution = executor.run_archive(name, network)
             entry = _corpus_entry(name, network, execution)
-        executions[path] = execution
+            _finish_archive(args, network, execution)
+            del network  # the next archive loads without this one alive
+        executions.append((name, execution))
         report.append(entry)
 
     code = EXIT_CLEAN
@@ -773,8 +789,8 @@ def cmd_corpus(args: argparse.Namespace) -> int:
     )
     detail_lines = [
         line
-        for path, execution in executions.items()
-        for line in format_execution_lines(archive_name(path), execution)
+        for name, execution in executions
+        for line in format_execution_lines(name, execution)
     ]
     if detail_lines:
         print("stage incidents:")
@@ -832,7 +848,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     entries: List[dict] = []
     stopped: Optional[str] = None
     start = time.perf_counter()
-    for index, path in enumerate(archives):
+    for path in archives:
         if stopped is not None:
             # --fail-fast stopped an earlier archive; the rest are
             # listed, not swept, so no archive silently vanishes.
@@ -853,6 +869,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             inventory=getattr(network, "inventory", None) or None,
             config=config,
         )
+        _finish_archive(args, network)
+        del network  # the next archive loads without this one alive
         entries.append(result.as_dict())
         if args.fail_fast and result.stopped_after is not None:
             stopped = f"{result.archive}:{result.stopped_after}"
@@ -1020,7 +1038,34 @@ def build_parser() -> argparse.ArgumentParser:
         help="emit logs as one JSON object per line",
     )
 
-    ingest = argparse.ArgumentParser(add_help=False)
+    cache = argparse.ArgumentParser(add_help=False)
+    cache.add_argument(
+        "--cache-dir",
+        default=None,
+        metavar="PATH",
+        help="parse-cache directory (default: ~/.cache/repro)",
+    )
+    cache.add_argument(
+        "--no-cache",
+        action="store_true",
+        help="disable the persistent parse cache",
+    )
+
+    checkpoints = argparse.ArgumentParser(add_help=False)
+    checkpoints.add_argument(
+        "--checkpoint-dir",
+        default=None,
+        metavar="PATH",
+        help="checkpoint store directory (default: $REPRO_CHECKPOINT_DIR, "
+        "else <cache-dir>/checkpoints)",
+    )
+    checkpoints.add_argument(
+        "--no-checkpoint",
+        action="store_true",
+        help="disable checkpointing of finished stages and scenarios",
+    )
+
+    ingest = argparse.ArgumentParser(add_help=False, parents=[cache])
     ingest.add_argument(
         "--jobs",
         type=int,
@@ -1029,17 +1074,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="repro sweep: simulate scenarios on up to N worker processes "
         "(0 = auto-detect, 1 = serial; capped at the usable CPUs); "
         "accepted by the other commands but no longer changes ingestion",
-    )
-    ingest.add_argument(
-        "--cache-dir",
-        default=None,
-        metavar="PATH",
-        help="parse-cache directory (default: ~/.cache/repro)",
-    )
-    ingest.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the persistent parse cache",
     )
     report = argparse.ArgumentParser(add_help=False)
     report.add_argument(
@@ -1160,7 +1194,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "corpus",
         help="batch-analyze a directory of archives with per-stage timing",
-        parents=archive,
+        parents=[*archive, checkpoints],
     )
     p.add_argument("corpusdir", help="directory whose subdirectories are archives")
     p.add_argument(
@@ -1196,7 +1230,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         metavar="SECONDS",
-        help="per-stage warning threshold (diagnostic only, stage keeps running)",
+        help="per-stage warning threshold (logs a warning, stage keeps running)",
     )
     p.add_argument(
         "--resume",
@@ -1209,18 +1243,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="abort the corpus at the first stage timeout or failure",
     )
     p.add_argument(
-        "--checkpoint-dir",
-        default=None,
-        metavar="PATH",
-        help="checkpoint store directory (default: $REPRO_CHECKPOINT_DIR, "
-        "else <cache-dir>/checkpoints)",
-    )
-    p.add_argument(
-        "--no-checkpoint",
-        action="store_true",
-        help="disable per-stage checkpointing",
-    )
-    p.add_argument(
         "--compress",
         action="store_true",
         help="also build the compression plan (router equivalence classes) "
@@ -1231,7 +1253,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "sweep",
         help="what-if failure sweep with ranked fragility report",
-        parents=archive,
+        parents=[*archive, checkpoints],
     )
     p.add_argument(
         "sweepdir",
@@ -1282,7 +1304,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         metavar="SECONDS",
-        help="per-scenario warning threshold (diagnostic only)",
+        help="per-scenario warning threshold (logs a warning only)",
     )
     p.add_argument(
         "--resume",
@@ -1293,18 +1315,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--fail-fast",
         action="store_true",
         help="stop at the first scenario timeout or failure",
-    )
-    p.add_argument(
-        "--checkpoint-dir",
-        default=None,
-        metavar="PATH",
-        help="checkpoint store directory (default: $REPRO_CHECKPOINT_DIR, "
-        "else <cache-dir>/checkpoints)",
-    )
-    p.add_argument(
-        "--no-checkpoint",
-        action="store_true",
-        help="disable per-scenario checkpointing",
     )
     p.add_argument(
         "--top",
@@ -1323,7 +1333,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "serve",
         help="always-on analysis daemon with incremental recompute",
-        parents=[obs],
+        parents=[cache, checkpoints, obs],
     )
     p.add_argument("configdir", help="corpus directory to watch and analyze")
     p.add_argument(
@@ -1353,29 +1363,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: 10.0)",
     )
     p.add_argument(
-        "--cache-dir",
-        default=None,
-        metavar="PATH",
-        help="parse-cache directory (default: ~/.cache/repro)",
-    )
-    p.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the persistent parse cache (every generation re-parses)",
-    )
-    p.add_argument(
-        "--checkpoint-dir",
-        default=None,
-        metavar="PATH",
-        help="checkpoint store directory (default: $REPRO_CHECKPOINT_DIR, "
-        "else <cache-dir>/checkpoints)",
-    )
-    p.add_argument(
-        "--no-checkpoint",
-        action="store_true",
-        help="disable per-stage checkpointing (no warm kill -9 recovery)",
-    )
-    p.add_argument(
         "--stage-deadline",
         default=None,
         metavar="SECONDS|auto",
@@ -1387,7 +1374,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         metavar="SECONDS",
-        help="per-stage warning threshold (diagnostic only)",
+        help="per-stage warning threshold (logs a warning only)",
     )
     p.add_argument(
         "--generation-deadline",
@@ -1434,11 +1421,6 @@ def _emit_run_report(
     """Write the ``--run-report`` manifest for a finished invocation."""
     from repro.model.dialect import PARSER_VERSION  # noqa: PLC0415 — cycle
 
-    executions = getattr(args, "_executions", {})
-    archives = [
-        archive_entry(network, path=path, execution=executions.get(path))
-        for path, network in getattr(args, "_loaded_networks", [])
-    ]
     cache = getattr(args, "_parse_cache", None)
     environment = {
         "parser_version": PARSER_VERSION,
@@ -1459,7 +1441,7 @@ def _emit_run_report(
     manifest = build_manifest(
         command=args.command,
         argv=list(argv) if argv is not None else sys.argv[1:],
-        archives=archives,
+        archives=args._archive_entries,
         exit_code=code,
         registry=registry,
         tracer=tracer,
@@ -1483,6 +1465,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     # calls (tests, embedding) from bleeding counters into each other.
     registry = MetricsRegistry()
     tracer = Tracer() if (trace_path or report_path) else None
+    # Archives loaded and not yet accounted for, the exit code folded
+    # from those accounted for, and their --run-report entries.
+    args._held, args._archive_code, args._archive_entries = [], 0, []
     start = time.perf_counter()
     with use_registry(registry), activate_tracer(tracer):
         if tracer is not None:
@@ -1490,9 +1475,10 @@ def main(argv: Optional[List[str]] = None) -> int:
                 code = args.func(args)
         else:
             code = args.func(args)
+    for _path, network in list(args._held):
+        _finish_archive(args, network)
     if args.func is not cmd_lint:
-        for _path, network in getattr(args, "_loaded_networks", []):
-            code = max(code, network.diagnostics.exit_code())
+        code = max(code, args._archive_code)
     total_seconds = time.perf_counter() - start
     if trace_path:
         with open(trace_path, "w") as handle:

@@ -120,14 +120,6 @@ class RoleCensus:
         self.ebgp_intra += other.ebgp_intra
         self.ebgp_inter += other.ebgp_inter
 
-    @property
-    def total_intra(self) -> int:
-        return sum(self.igp_intra.values()) + self.ebgp_intra
-
-    @property
-    def total_inter(self) -> int:
-        return sum(self.igp_inter.values()) + self.ebgp_inter
-
     def unconventional_igp_fraction(self) -> float:
         """Fraction of IGP instances serving as EGPs (paper: 11%)."""
         inter = sum(self.igp_inter.values())

@@ -109,10 +109,12 @@ DEFAULT_LADDERS: Dict[str, Tuple[Rung, ...]] = {
 class StageContext:
     """Shared state the stage runners of one archive draw on.
 
-    ``instances`` memoizes the *full-fidelity* instance computation only:
-    a degraded instances stage must not silently poison downstream
-    stages, and a checkpoint-replayed one has no in-memory value at all —
-    dependents recompute inside their own watchdog barrier instead.
+    ``instances`` is the one hand-off between stages: it memoizes the
+    *full-fidelity* instance computation only, so a degraded instances
+    stage cannot silently poison downstream stages.  When the instances
+    stage degraded or was replayed from a checkpoint, the first
+    dependent computes the instances inside its own watchdog barrier.
+    The memo dies with :meth:`AnalysisExecutor.run_archive`.
     """
 
     network: Any
@@ -128,14 +130,13 @@ class StageContext:
 
 
 # -- stage runners -----------------------------------------------------------
-# Each runner: (ctx, params) -> (value, items, detail).  ``detail`` is a
-# short deterministic marker ("truncated", "approximate", ...), never
-# timing data.
+# Each runner: (ctx, params) -> (items, detail), the two fields of the
+# StageResult it yields.  ``detail`` is a short deterministic marker
+# ("truncated", "approximate", ...), never timing data.
 
 
 def _run_links(ctx: StageContext, params: Dict[str, Any]):
-    links = ctx.network.links
-    return links, len(links), ""
+    return len(ctx.network.links), ""
 
 
 def _run_process_graph(ctx: StageContext, params: Dict[str, Any]):
@@ -143,7 +144,7 @@ def _run_process_graph(ctx: StageContext, params: Dict[str, Any]):
 
     graph = build_process_graph(ctx.network, **params)
     detail = "truncated" if graph.graph.get("truncated") else ""
-    return graph, graph.number_of_edges(), detail
+    return graph.number_of_edges(), detail
 
 
 def _run_instances(ctx: StageContext, params: Dict[str, Any]):
@@ -152,7 +153,7 @@ def _run_instances(ctx: StageContext, params: Dict[str, Any]):
     instances = compute_instances(ctx.network, **params)
     if not params:
         ctx._instances = instances
-    return instances, len(instances), ""
+    return len(instances), ""
 
 
 def _run_pathways(ctx: StageContext, params: Dict[str, Any]):
@@ -160,21 +161,21 @@ def _run_pathways(ctx: StageContext, params: Dict[str, Any]):
 
     pathways = route_pathways(ctx.network, instances=ctx.instances(), **params)
     truncated = any(pathway.truncated for pathway in pathways.values())
-    return None, len(pathways), "truncated" if truncated else ""
+    return len(pathways), "truncated" if truncated else ""
 
 
 def _run_address_space(ctx: StageContext, params: Dict[str, Any]):
     from repro.core.address_space import extract_address_space  # noqa: PLC0415
 
     blocks = extract_address_space(ctx.network, **params)
-    return blocks, len(blocks), ""
+    return len(blocks), ""
 
 
 def _run_consistency(ctx: StageContext, params: Dict[str, Any]):
     from repro.core.consistency import audit_configuration  # noqa: PLC0415
 
     report = audit_configuration(ctx.network, **params)
-    return report, len(report), "truncated" if report.truncated else ""
+    return len(report), "truncated" if report.truncated else ""
 
 
 def _run_reachability(ctx: StageContext, params: Dict[str, Any]):
@@ -182,17 +183,17 @@ def _run_reachability(ctx: StageContext, params: Dict[str, Any]):
 
     analysis = ReachabilityAnalysis(ctx.network, instances=ctx.instances(), **params)
     routes = analysis.routes  # force the fixpoint inside the barrier
-    return analysis, len(routes), "approximate" if analysis.approximate else ""
+    return len(routes), "approximate" if analysis.approximate else ""
 
 
 def _run_survivability(ctx: StageContext, params: Dict[str, Any]):
     from repro.core.survivability import analyze_survivability  # noqa: PLC0415
 
     report = analyze_survivability(ctx.network, instances=ctx.instances(), **params)
-    return report, len(report.couplings), "truncated" if report.truncated else ""
+    return len(report.couplings), "truncated" if report.truncated else ""
 
 
-STAGE_RUNNERS: Dict[str, Callable[[StageContext, Dict[str, Any]], tuple]] = {
+STAGE_RUNNERS: Dict[str, Callable[[StageContext, Dict[str, Any]], Tuple[int, str]]] = {
     "links": _run_links,
     "process_graph": _run_process_graph,
     "instances": _run_instances,
@@ -214,18 +215,15 @@ class ExecutorConfig:
     """Policy knobs for one :class:`AnalysisExecutor`."""
 
     stage_deadline: Optional[float] = None  # hard per-attempt wall budget
-    soft_deadline: Optional[float] = None  # diagnostic-only budget
+    soft_deadline: Optional[float] = None  # warn-only budget, never cancels
     run_deadline: Optional[float] = None  # whole-run budget
     resume: bool = False  # replay finished checkpoints
     fail_fast: bool = False  # stop the run at the first timeout/failure
     checkpoints: Optional[CheckpointStore] = None  # None = checkpointing off
     chaos: ChaosPlan = field(default_factory=ChaosPlan)
-    ladders: Mapping[str, Tuple[Rung, ...]] = field(
-        default_factory=lambda: dict(DEFAULT_LADDERS)
-    )
     #: Stage name -> runner; swap entries to substitute a stage
     #: implementation (e.g. the compressed pathway runner).
-    runners: Mapping[str, Callable[["StageContext", Dict[str, Any]], tuple]] = field(
+    runners: Mapping[str, Callable[["StageContext", Dict[str, Any]], Tuple[int, str]]] = field(
         default_factory=lambda: dict(STAGE_RUNNERS)
     )
 
@@ -356,9 +354,14 @@ class AnalysisExecutor:
         return result
 
     def _execute_ladder(self, ctx: StageContext, stage: str) -> StageResult:
-        ladder = tuple(self.config.ladders.get(stage) or (Rung("full"),))
+        ladder = DEFAULT_LADDERS[stage]
         runner = self.config.runners.get(stage) or STAGE_RUNNERS[stage]
         metrics = get_registry()
+
+        def on_soft(elapsed: float) -> None:
+            # The watchdog logs the event; the executor only counts it.
+            metrics.counter("exec.stage.soft_deadline").inc()
+
         total_seconds = 0.0
         last_error = ""
         timed_out = False
@@ -368,15 +371,6 @@ class AnalysisExecutor:
             def call(attempt=attempt, params=params):
                 self.config.chaos.trigger(ctx.archive, stage, attempt)
                 return runner(ctx, params)
-
-            def on_soft(elapsed: float, attempt=attempt) -> None:
-                metrics.counter("exec.stage.soft_deadline").inc()
-                _log.warning(
-                    "stage over soft deadline",
-                    archive=ctx.archive,
-                    stage=stage,
-                    attempt=attempt,
-                )
 
             outcome = run_with_deadline(
                 call,
@@ -423,7 +417,7 @@ class AnalysisExecutor:
                     rung=rung.label,
                 )
                 continue
-            value, items, detail = outcome.value
+            items, detail = outcome.value
             return StageResult(
                 stage=stage,
                 status=STATUS_OK if attempt == 0 else STATUS_DEGRADED,
@@ -432,7 +426,6 @@ class AnalysisExecutor:
                 attempts=attempt + 1,
                 detail=detail,
                 degradation=rung.label if attempt else "",
-                value=value,
             )
         # Ladder exhausted without a finished attempt.
         if timed_out:

@@ -68,11 +68,12 @@ ANALYSIS_STAGES = (
 
 @dataclass
 class StageResult:
-    """The outcome of one (archive, stage) pair.
+    """The outcome of one (archive, stage) pair: the summary a checkpoint
+    stores.
 
-    ``value`` carries the in-memory analysis product for downstream stages
-    of the same run; it is never serialized (checkpoints and manifests
-    keep only the summary).
+    A fresh result and one replayed from a checkpoint carry the same
+    fields and differ only in ``from_checkpoint``; the analysis product
+    itself stays inside the stage runner.
     """
 
     stage: str
@@ -84,12 +85,11 @@ class StageResult:
     error: str = ""
     degradation: str = ""
     from_checkpoint: bool = False
-    #: Optional JSON-ready payload that *does* persist through
-    #: checkpoints (unlike ``value``): small structured summaries a
-    #: resumed run needs to rebuild its report — e.g. one failure
-    #: scenario's reachability delta.  Keep it small and deterministic.
+    #: Optional JSON-ready payload that persists through checkpoints:
+    #: small structured summaries a resumed run needs to rebuild its
+    #: report — e.g. one failure scenario's reachability delta.  Keep it
+    #: small and deterministic.
     data: Dict[str, Any] = field(default_factory=dict)
-    value: Any = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.status not in STATUSES:
@@ -125,7 +125,7 @@ class StageResult:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "StageResult":
-        """Rebuild a summary-only result (e.g. from a checkpoint entry)."""
+        """Rebuild a result from its summary (e.g. a checkpoint entry)."""
         return cls(
             stage=data["stage"],
             status=data["status"],

@@ -5,8 +5,9 @@ BFS that never drains — must not take the whole corpus run down with it.
 :func:`run_with_deadline` runs the stage in a worker thread while the
 calling thread keeps the clock:
 
-* at the **soft deadline** the ``on_soft`` callback fires (diagnostic +
-  metric; the stage keeps running);
+* at the **soft deadline** the watchdog logs one ``stage over soft
+  deadline`` warning and calls ``on_soft`` (where the executor counts
+  ``exec.stage.soft_deadline``); the stage keeps running;
 * at the **hard deadline** a :class:`StageCancelled` exception is
   injected into the worker thread (CPython async-exception injection),
   which unwinds pure-Python loops at the next bytecode boundary.  A

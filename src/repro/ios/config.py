@@ -123,10 +123,6 @@ class InterfaceConfig:
             return None
         return Prefix.from_netmask(self.address.value, self.netmask.value)
 
-    @property
-    def is_loopback(self) -> bool:
-        return self.kind == "Loopback"
-
 
 @dataclass
 class NetworkStatement:
@@ -597,6 +593,3 @@ class RouterConfig:
 
     def access_list(self, name: str) -> Optional[AccessList]:
         return self.access_lists.get(str(name))
-
-    def numbered_interfaces(self) -> List[InterfaceConfig]:
-        return [iface for iface in self.interfaces.values() if iface.is_numbered]

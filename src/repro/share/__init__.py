@@ -41,6 +41,7 @@ from repro.share.pipeline import (
     ShareResult,
     check_decoy_admissible,
     share_corpus,
+    shared_file_name,
 )
 
 __all__ = [
@@ -61,5 +62,6 @@ __all__ = [
     "default_mapping_path",
     "ensure_mapping_outside",
     "share_corpus",
+    "shared_file_name",
     "synthesize_decoys",
 ]

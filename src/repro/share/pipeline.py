@@ -115,7 +115,7 @@ class ShareResult:
         }
 
 
-def _shared_file_name(anonymizer: Anonymizer, file_name: str) -> str:
+def shared_file_name(anonymizer: Anonymizer, file_name: str) -> str:
     """Pseudo-name for an output file: hash the stem, keep the extension.
 
     The stem is hashed with the same ``hash_name`` that scrubbed the
@@ -310,7 +310,7 @@ def share_corpus(root: str, outdir: str, options: ShareOptions) -> ShareResult:
         for file in files:
             if file.text is None:
                 continue
-            out_name = _shared_file_name(anonymizer, file.name)
+            out_name = shared_file_name(anonymizer, file.name)
             if out_name in shared_files:
                 raise ShareError(
                     f"pseudo-name collision on {out_name!r} in archive "
@@ -350,4 +350,5 @@ __all__ = [
     "ShareResult",
     "check_decoy_admissible",
     "share_corpus",
+    "shared_file_name",
 ]

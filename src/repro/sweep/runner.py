@@ -66,7 +66,6 @@ from repro.obs.logging import get_logger
 from repro.obs.metrics import get_registry
 from repro.routing.engine import RoutingSimulation
 from repro.sweep.baseline import (
-    SAMPLE_LIMIT,
     BaselineSnapshot,
     compute_baseline,
     scenario_delta,
@@ -141,13 +140,12 @@ class SweepConfig:
     jobs: Optional[int] = None
     #: Hard per-scenario wall-clock deadline (seconds); ``None`` = none.
     scenario_deadline: Optional[float] = None
-    #: Soft per-scenario deadline: logs + counts, never cancels.
+    #: Soft per-scenario deadline: logs a warning, never cancels.
     scenario_soft_deadline: Optional[float] = None
     fail_fast: bool = False
     checkpoints: Optional[CheckpointStore] = None
     resume: bool = False
     chaos: ChaosPlan = field(default_factory=ChaosPlan)
-    sample_limit: int = SAMPLE_LIMIT
 
 
 @dataclass
@@ -201,7 +199,6 @@ def _simulate(
     scenario: Scenario,
     baseline: BaselineSnapshot,
     max_iterations: int,
-    sample_limit: int,
 ) -> Dict[str, Any]:
     """Simulate one scenario and return its delta payload.
 
@@ -215,7 +212,7 @@ def _simulate(
         failed_subnets=scenario.failed_subnets,
         validate=False,
     ).run(max_iterations=max_iterations, on_divergence="degrade")
-    return scenario_delta(baseline, simulation, scenario, sample_limit)
+    return scenario_delta(baseline, simulation, scenario)
 
 
 def _execute_scenario(
@@ -225,7 +222,6 @@ def _execute_scenario(
     baseline: BaselineSnapshot,
     chaos: ChaosPlan,
     max_iterations: int,
-    sample_limit: int,
     hard_deadline: Optional[float],
     soft_deadline: Optional[float],
 ) -> StageResult:
@@ -239,7 +235,7 @@ def _execute_scenario(
 
     def attempt() -> Dict[str, Any]:
         chaos.trigger(archive, scenario.scenario_id, 0)
-        return _simulate(network, scenario, baseline, max_iterations, sample_limit)
+        return _simulate(network, scenario, baseline, max_iterations)
 
     outcome = run_with_deadline(
         attempt,
@@ -298,7 +294,6 @@ def _sweep_worker(scenario: Scenario) -> StageResult:
         baseline=state["baseline"],
         chaos=state["chaos"],
         max_iterations=state["max_iterations"],
-        sample_limit=state["sample_limit"],
         hard_deadline=state["hard_deadline"],
         soft_deadline=state["soft_deadline"],
     )
@@ -412,7 +407,6 @@ def run_network_sweep(
                     baseline=baseline,
                     chaos=config.chaos,
                     max_iterations=config.max_iterations,
-                    sample_limit=config.sample_limit,
                     hard_deadline=config.scenario_deadline,
                     soft_deadline=config.scenario_soft_deadline,
                 ),
@@ -424,7 +418,6 @@ def run_network_sweep(
             "baseline": baseline,
             "chaos": config.chaos,
             "max_iterations": config.max_iterations,
-            "sample_limit": config.sample_limit,
             "hard_deadline": config.scenario_deadline,
             "soft_deadline": config.scenario_soft_deadline,
         }

@@ -93,6 +93,3 @@ class NetworkAddressPlan:
 
     def external_subnet(self) -> Prefix:
         return self.external.allocate(30)
-
-    def external_lan(self, length: int = 24) -> Prefix:
-        return self.external.allocate(length)

@@ -376,6 +376,3 @@ class NetworkBuilder:
     def serialize(self) -> Dict[str, str]:
         """Serialize every router to IOS text, keyed by router name."""
         return {name: serialize_config(config) for name, config in self.routers.items()}
-
-    def router_names(self) -> List[str]:
-        return list(self.routers)

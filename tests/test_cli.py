@@ -1,10 +1,11 @@
 """CLI tests (exercised in-process via repro.cli.main)."""
 
+import argparse
 import os
 
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 from repro.exec import ANALYSIS_STAGES
 from repro.synth.templates.example_fig1 import build_example_networks
 
@@ -335,6 +336,108 @@ class TestIngestFlags:
             main(argv + [config_dir])
         assert exit_info.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+_OBS = {"-h", "--help", "--log-level", "--log-json"}
+_MODE = {"--strict", "--lenient"}
+_REPORT = {"--trace", "--run-report"}
+_CACHE = {"--cache-dir", "--no-cache"}
+_CHECKPOINTS = {"--checkpoint-dir", "--no-checkpoint"}
+_ARCHIVE = _OBS | _MODE | _REPORT | _CACHE | {"--jobs"}
+
+#: Every subcommand's option strings; a flag added, dropped or renamed
+#: anywhere must show up here.
+OPTION_STRINGS = {
+    "analyze": _ARCHIVE,
+    "anonymize": _OBS | {"--key", "--mapping"},
+    "audit": _ARCHIVE,
+    "corpus": _ARCHIVE
+    | _CHECKPOINTS
+    | {
+        "--archive-jobs",
+        "--compress",
+        "--deadline",
+        "--fail-fast",
+        "--json",
+        "--resume",
+        "--soft-deadline",
+        "--stage-deadline",
+    },
+    "diff": _ARCHIVE,
+    "flow": _ARCHIVE | {"--port", "--protocol"},
+    "generate": _OBS | {"--routers", "--seed"},
+    "graph": _ARCHIVE | {"-o", "--output"},
+    "instances": _ARCHIVE,
+    "lint": _ARCHIVE,
+    "pathway": _ARCHIVE,
+    "report": _ARCHIVE | {"-o", "--output"},
+    "serve": _OBS
+    | _CACHE
+    | _CHECKPOINTS
+    | {
+        "--backoff",
+        "--generation-deadline",
+        "--grace",
+        "--host",
+        "--max-backoff",
+        "--poll-interval",
+        "--port",
+        "--soft-deadline",
+        "--stage-deadline",
+    },
+    "share": _OBS
+    | _MODE
+    | _REPORT
+    | {
+        "--certify",
+        "--decoy-template",
+        "--decoys",
+        "--diff-out",
+        "--json",
+        "--key",
+        "--mapping",
+        "--salt-probes",
+    },
+    "survivability": _ARCHIVE,
+    "sweep": _ARCHIVE
+    | _CHECKPOINTS
+    | {
+        "--depth",
+        "--double-budget",
+        "--fail-fast",
+        "--json",
+        "--max-scenarios",
+        "--resume",
+        "--scenario-deadline",
+        "--seed",
+        "--soft-deadline",
+        "--top",
+    },
+}
+
+
+def _subcommands():
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
+
+
+class TestOptionTable:
+    def test_every_subcommand_keeps_its_option_strings(self):
+        table = {
+            name: {option for action in p._actions for option in action.option_strings}
+            for name, p in _subcommands().items()
+        }
+        assert table == OPTION_STRINGS
+
+    def test_each_store_flag_has_one_help_text(self):
+        helps = {}
+        for p in _subcommands().values():
+            for action in p._actions:
+                for option in set(action.option_strings) & (_CACHE | _CHECKPOINTS):
+                    helps.setdefault(option, set()).add(action.help)
+        assert set(helps) == _CACHE | _CHECKPOINTS
+        assert all(len(texts) == 1 for texts in helps.values())
 
 
 class TestCorpus:

@@ -1,27 +1,34 @@
 """CLI-level resilience: exit-code contract, chaos runs, checkpoint resume."""
 
+import gc
 import json
 import os
+import weakref
 
 import pytest
 
 from repro.cli import main
 from repro.exec import ANALYSIS_STAGES, CHAOS_ENV
 from repro.exec.budget import BENCH_RESULTS_ENV, SAFETY_FACTOR
+from repro.model import Network
 from repro.synth.templates.example_fig1 import build_example_networks
 
 
-@pytest.fixture()
-def corpus_dir(tmp_path):
+def _write_corpus(root, archives):
     configs, _meta = build_example_networks()
-    for archive in ("alpha", "beta"):
-        d = tmp_path / "corpus" / archive
+    for archive in archives:
+        d = root / archive
         d.mkdir(parents=True)
         for name, text in configs.items():
             # Distinct bytes per archive: identical archives would share
             # one content-addressed digest (and thus one checkpoint set).
             (d / name).write_text(f"! {archive}\n{text}")
-    return os.fspath(tmp_path / "corpus")
+    return os.fspath(root)
+
+
+@pytest.fixture()
+def corpus_dir(tmp_path):
+    return _write_corpus(tmp_path / "corpus", ("alpha", "beta"))
 
 
 @pytest.fixture()
@@ -198,10 +205,18 @@ class TestRunManifest:
                 os.fspath(report),
             )
         )
-        capsys.readouterr()
+        payload = json.loads(capsys.readouterr().out)
         assert code == 3
         manifest = json.loads(report.read_text())
         assert manifest["exit_code"] == 3
+        # Each archive's manifest entry is taken against that archive:
+        # alpha is clean and beta carries the failed stage's error.
+        names = [entry["archive"] for entry in payload["archives"]]
+        assert [entry["name"] for entry in manifest["archives"]] == names
+        keys = ("routers", "files", "exit_code", "execution")
+        for entry, printed in zip(manifest["archives"], payload["archives"]):
+            assert {key: entry[key] for key in keys} == {key: printed[key] for key in keys}
+        assert [entry["exit_code"] for entry in manifest["archives"]] == [0, 2]
         assert manifest["totals"]["stages"]["failed"] == 1
         assert (
             manifest["totals"]["stages"]["ok"] == 2 * len(ANALYSIS_STAGES) - 1
@@ -227,3 +242,41 @@ class TestRunManifest:
         manifest = json.loads(report.read_text())
         assert payload["execution"] == manifest["environment"]["execution"]
         assert payload["execution"]["stage_deadline_source"] == {"source": "cli"}
+
+
+class TestOneArchiveAtATime:
+    """``repro corpus`` and ``repro sweep`` account for each archive when
+    its work ends: when the next archive loads, no earlier one is alive."""
+
+    @pytest.fixture()
+    def three_archives(self, tmp_path):
+        return _write_corpus(tmp_path / "three", ("alpha", "beta", "gamma"))
+
+    @staticmethod
+    def _alive_at_each_load(monkeypatch, argv):
+        loaded = []
+        alive = []
+        from_directory = Network.from_directory.__func__
+
+        def tracked(cls, *args, **kwargs):
+            gc.collect()
+            alive.append(sum(ref() is not None for ref in loaded))
+            network = from_directory(cls, *args, **kwargs)
+            loaded.append(weakref.ref(network))
+            return network
+
+        monkeypatch.setattr(Network, "from_directory", classmethod(tracked))
+        main(argv)
+        return alive
+
+    @pytest.mark.parametrize("command", ["corpus", "sweep"])
+    def test_holds_one_archive_at_a_time(
+        self, command, three_archives, tmp_path, capsys, monkeypatch
+    ):
+        report = tmp_path / "report.json"
+        argv = [command, "--no-cache", "--no-checkpoint", "--json"]
+        argv += ["--run-report", os.fspath(report), three_archives]
+        assert self._alive_at_each_load(monkeypatch, argv) == [0, 0, 0]
+        capsys.readouterr()
+        manifest = json.loads(report.read_text())
+        assert [entry["name"] for entry in manifest["archives"]] == ["alpha", "beta", "gamma"]

@@ -71,11 +71,6 @@ class TestStageResult:
         rebuilt = StageResult.from_dict(original.as_dict())
         assert rebuilt == original
 
-    def test_value_never_serialized_and_never_compared(self):
-        result = StageResult(stage="links", value=object())
-        assert "value" not in result.as_dict()
-        assert result == StageResult(stage="links", value="different")
-
     def test_data_payload_roundtrips(self):
         original = StageResult(
             stage="sweep1.router-r1",
