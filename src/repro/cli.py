@@ -237,7 +237,7 @@ def cmd_pathway(args: argparse.Namespace) -> int:
         raise SystemExit(f"error: unknown router {args.router!r}")
     print(f"route pathway of {args.router}:")
     for node, depth in sorted(pathway.layers.items(), key=lambda kv: kv[1]):
-        label = pathway.graph.nodes.get(node, {}).get("label", str(node))
+        label = pathway.labels[node]
         if node == ROUTER_RIB:
             label = f"{label} ({args.router})"
         print(f"  depth {depth}: {label}")
@@ -1469,25 +1469,44 @@ def main(argv: Optional[List[str]] = None) -> int:
     # from those accounted for, and their --run-report entries.
     args._held, args._archive_code, args._archive_entries = [], 0, []
     start = time.perf_counter()
-    with use_registry(registry), activate_tracer(tracer):
-        if tracer is not None:
-            with tracer.span("run", command=args.command):
+
+    def finish(code: int, fold: bool) -> int:
+        """Account for the archives still held, fold their exit codes into
+        *code* when *fold*, and write the trace and the run report."""
+        for _path, network in list(args._held):
+            _finish_archive(args, network)
+        if fold and args.func is not cmd_lint:
+            code = max(code, args._archive_code)
+        total_seconds = time.perf_counter() - start
+        if trace_path:
+            with open(trace_path, "w") as handle:
+                json.dump(tracer.chrome_trace(), handle, indent=2)
+                handle.write("\n")
+            print(f"wrote trace to {trace_path}", file=sys.stderr)
+        if report_path:
+            _emit_run_report(args, argv, code, registry, tracer, total_seconds)
+        return code
+
+    try:
+        with use_registry(registry), activate_tracer(tracer):
+            if tracer is not None:
+                with tracer.span("run", command=args.command):
+                    code = args.func(args)
+            else:
                 code = args.func(args)
+    except SystemExit as exc:
+        # A failed run is the one a report best explains: record the
+        # status the process ends with (None is 0, a message 1), then
+        # let the exit go on.
+        if isinstance(exc.code, int):
+            finish(exc.code, False)
         else:
-            code = args.func(args)
-    for _path, network in list(args._held):
-        _finish_archive(args, network)
-    if args.func is not cmd_lint:
-        code = max(code, args._archive_code)
-    total_seconds = time.perf_counter() - start
-    if trace_path:
-        with open(trace_path, "w") as handle:
-            json.dump(tracer.chrome_trace(), handle, indent=2)
-            handle.write("\n")
-        print(f"wrote trace to {trace_path}", file=sys.stderr)
-    if report_path:
-        _emit_run_report(args, argv, code, registry, tracer, total_seconds)
-    return code
+            finish(0 if exc.code is None else 1, False)
+        raise
+    except Exception:
+        finish(1, False)
+        raise
+    return finish(code, True)
 
 
 if __name__ == "__main__":

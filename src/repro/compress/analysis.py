@@ -23,8 +23,8 @@ from typing import Any, Callable, Dict, List, Optional
 
 from repro.compress.payload import Certificate, analysis_payload, certify
 from repro.compress.plan import CompressionPlan, build_compression_plan
-from repro.core.instances import RoutingInstance, build_instance_graph, compute_instances
-from repro.core.pathways import RoutePathway, route_pathway
+from repro.core.instances import RoutingInstance, compute_instances
+from repro.core.pathways import RoutePathway, feeder_table, route_pathway
 from repro.model.network import Network
 from repro.obs.metrics import get_registry
 
@@ -46,15 +46,11 @@ def analyze_compressed(
         instances = compute_instances(network)
     if plan is None:
         plan = build_compression_plan(network, instances=instances)
-    instance_graph = build_instance_graph(network, instances)
+    feeders = feeder_table(network, instances)
     pathways: Dict[str, RoutePathway] = {}
     for cls in plan.classes:
         pathway = route_pathway(
-            network,
-            cls.representative,
-            instances=instances,
-            instance_graph=instance_graph,
-            max_depth=max_depth,
+            network, cls.representative, max_depth=max_depth, feeders=feeders
         )
         for member in cls.members:
             pathways[member] = replace(pathway, router=member)

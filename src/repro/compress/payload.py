@@ -59,8 +59,7 @@ def pathway_payload(pathway: RoutePathway) -> Dict[str, Any]:
     return {
         "layers": {_ref(node): depth for node, depth in pathway.layers.items()},
         "edges": sorted(
-            [_ref(source), _ref(target), data["kind"]]
-            for source, target, data in pathway.graph.edges(data=True)
+            [_ref(source), _ref(target), kind] for source, target, kind in pathway.edges
         ),
         "policies": sorted(
             [_ref(source), _ref(target), route_map]

@@ -8,7 +8,10 @@ the instances the search passes through.
 The search reads only the router's *attachment signature* — the instance
 ids of its processes, in ``processes_on`` order — plus the instance graph
 and the depth bound.  :func:`route_pathways` therefore runs one search per
-signature and hands the result to every router that shares it.
+signature and hands the result to every router that shares it.  Searches
+read the instance graph through a :class:`FeederTable` compiled from it
+once, and record what they find as plain data; a pathway's graph is built
+only when :attr:`RoutePathway.graph` is read.
 """
 
 from __future__ import annotations
@@ -19,14 +22,10 @@ from typing import Dict, List, Optional, Tuple, Union
 
 import networkx as nx
 
-from repro.core.instances import (
-    RoutingInstance,
-    build_instance_graph,
-    compute_instances,
-    instance_of,
-)
+from repro.core.instances import RoutingInstance, build_instance_graph, compute_instances
 from repro.core.process_graph import EXTERNAL_NODE
 from repro.model.network import Network
+from repro.model.processes import ProcessKey
 from repro.obs.trace import traced
 
 #: Pathway nodes are instance ids, the external-world sentinel, or the
@@ -40,18 +39,21 @@ ROUTER_RIB = "router-rib"
 class RoutePathway:
     """The result of a pathway search for one router.
 
-    ``graph`` is a directed graph with edges pointing along route flow
-    (source instance → consumer), rooted at the ``ROUTER_RIB`` node.  No
-    node label names the router, so routers with one attachment signature
-    can share the graph.
-    ``layers`` maps each node to its BFS depth from the router RIB — the
-    "number of layers of routing protocols and redistributions" §5.1 counts
-    for net5's router 3.
+    ``layers`` maps each node, in discovery order, to its BFS depth from
+    the router RIB — the "number of layers of routing protocols and
+    redistributions" §5.1 counts for net5's router 3.  ``labels`` names
+    each node; no label names the router, so routers with one attachment
+    signature can share the result.  ``edges`` are the traversed edges,
+    pointing along route flow (source instance → consumer), in the order
+    the search first met them.
     """
 
     router: str
-    graph: nx.DiGraph
     layers: Dict[PathwayNode, int] = field(default_factory=dict)
+    labels: Dict[PathwayNode, str] = field(default_factory=dict)
+    #: ``(source, target, kind)``; ``kind`` is ``selection`` into the RIB,
+    #: else the kind of the first instance-graph edge between the two.
+    edges: List[Tuple[PathwayNode, PathwayNode, str]] = field(default_factory=list)
     #: Policies applied on the traversed edges: (source, target, route map).
     #: §3.3: pathways "locate all the routing policies that affect the
     #: routes seen by any particular router, and pinpoint where the
@@ -62,12 +64,24 @@ class RoutePathway:
     truncated: bool = False
 
     @property
+    def graph(self) -> nx.DiGraph:
+        """The pathway as a directed graph rooted at ``ROUTER_RIB``: the
+        nodes in ``layers`` order with their ``label``, then the edges with
+        their ``kind``.  Built anew on each read."""
+        graph = nx.DiGraph()
+        for node in self.layers:
+            graph.add_node(node, label=self.labels[node])
+        for source, target, kind in self.edges:
+            graph.add_edge(source, target, kind=kind)
+        return graph
+
+    @property
     def instances(self) -> List[int]:
-        return sorted(node for node in self.graph.nodes if isinstance(node, int))
+        return sorted(node for node in self.layers if isinstance(node, int))
 
     @property
     def reaches_external(self) -> bool:
-        return EXTERNAL_NODE in self.graph.nodes
+        return EXTERNAL_NODE in self.layers
 
     @property
     def depth(self) -> int:
@@ -79,6 +93,62 @@ class RoutePathway:
         return self.layers.get(EXTERNAL_NODE)
 
 
+@dataclass(frozen=True)
+class FeederTable:
+    """An instance graph compiled for pathway searches.
+
+    :func:`feeder_table` derives each node's feeders once; every search
+    over the graph reads them from here.
+    """
+
+    #: Process key → (its instance id, the instance's label).
+    starts: Dict[ProcessKey, Tuple[int, str]]
+    #: Instance-graph node → its distinct feeders in ``in_edges`` order,
+    #: each ``(source, kind of the first parallel edge, source label)``.
+    #: Empty exactly when the node has no in-edge.
+    feeders: Dict[PathwayNode, Tuple[Tuple[PathwayNode, str, str], ...]]
+    #: Instance-graph node → ``(source, node, route map)`` for each of its
+    #: in-edges that carries a route map, in ``in_edges`` order, each once.
+    policies: Dict[PathwayNode, Tuple[Tuple[PathwayNode, PathwayNode, str], ...]]
+
+
+def feeder_table(
+    network: Network,
+    instances: Optional[List[RoutingInstance]] = None,
+    instance_graph: Optional[nx.MultiDiGraph] = None,
+) -> FeederTable:
+    """Compile *instance_graph* (built from *instances* when not given)."""
+    if instances is None:
+        instances = compute_instances(network)
+    if instance_graph is None:
+        instance_graph = build_instance_graph(network, instances)
+    labels = {
+        node: data.get("label", str(node)) for node, data in instance_graph.nodes(data=True)
+    }
+    starts = {}
+    for instance in instances:
+        # One entry per instance: a BGP label reads every process's ASN.
+        start = (instance.instance_id, instance.label)
+        for key in instance.processes:
+            starts[key] = start
+    feeders = {}
+    policies = {}
+    for node, by_source in instance_graph.pred.items():
+        feeders[node] = tuple(
+            (source, next(iter(parallel.values())).get("kind", "unknown"), labels[source])
+            for source, parallel in by_source.items()
+        )
+        policies[node] = tuple(
+            dict.fromkeys(
+                (source, node, data["route_map"])
+                for source, parallel in by_source.items()
+                for data in parallel.values()
+                if data.get("route_map")
+            )
+        )
+    return FeederTable(starts=starts, feeders=feeders, policies=policies)
+
+
 @traced("pathways")
 def route_pathway(
     network: Network,
@@ -86,6 +156,8 @@ def route_pathway(
     instances: Optional[List[RoutingInstance]] = None,
     instance_graph: Optional[nx.MultiDiGraph] = None,
     max_depth: Optional[int] = None,
+    *,
+    feeders: Optional[FeederTable] = None,
 ) -> RoutePathway:
     """Compute the route pathway graph for *router* (§3.3).
 
@@ -97,58 +169,55 @@ def route_pathway(
     ``max_depth`` is the degraded-mode bound: nodes at that BFS depth are
     recorded but not expanded, and ``truncated`` is set on the result when
     the bound actually cut anything off.
+
+    *feeders* is the instance graph already compiled by
+    :func:`feeder_table`; without it the search compiles its own from
+    *instances* and *instance_graph*.
     """
     if router not in network.routers:
         raise KeyError(f"unknown router: {router}")
-    if instances is None:
-        instances = compute_instances(network)
-    if instance_graph is None:
-        instance_graph = build_instance_graph(network, instances)
-    membership = instance_of(instances)
+    if feeders is None:
+        feeders = feeder_table(network, instances, instance_graph)
 
-    pathway = nx.DiGraph()
-    pathway.add_node(ROUTER_RIB, label="Router RIB")
     layers: Dict[PathwayNode, int] = {ROUTER_RIB: 0}
+    labels: Dict[PathwayNode, str] = {ROUTER_RIB: "Router RIB"}
+    edges: List[Tuple[PathwayNode, PathwayNode, str]] = []
     queue: deque = deque()
 
     # Depth 1: the instances whose processes run on this router feed the
     # router RIB directly through route selection.
     for proc in network.processes_on(router):
-        instance = membership[proc.key]
-        node = instance.instance_id
+        node, label = feeders.starts[proc.key]
         if node not in layers:
             layers[node] = 1
-            pathway.add_node(node, label=instance.label)
+            labels[node] = label
+            edges.append((node, ROUTER_RIB, "selection"))
             queue.append(node)
-        pathway.add_edge(node, ROUTER_RIB, kind="selection")
 
-    # BFS backwards along route flow.
+    # BFS backwards along route flow.  Each node is expanded at most once,
+    # so its edges and policies are never met twice.
     policies: List[Tuple[PathwayNode, PathwayNode, str]] = []
     truncated = False
     while queue:
         node = queue.popleft()
         if max_depth is not None and layers[node] >= max_depth:
             # Depth bound: record the node but do not expand its feeders.
-            if instance_graph.in_degree(node) > 0:
-                truncated = True
+            truncated = truncated or bool(feeders.feeders[node])
             continue
-        for source, _target, data in instance_graph.in_edges(node, data=True):
+        depth = layers[node] + 1
+        for source, kind, label in feeders.feeders[node]:
             if source not in layers:
-                layers[source] = layers[node] + 1
-                label = instance_graph.nodes[source].get("label", str(source))
-                pathway.add_node(source, label=label)
+                layers[source] = depth
+                labels[source] = label
                 queue.append(source)
-            if data.get("route_map"):
-                entry = (source, node, data["route_map"])
-                if entry not in policies:
-                    policies.append(entry)
-            if not pathway.has_edge(source, node):
-                pathway.add_edge(source, node, kind=data.get("kind", "unknown"))
+            edges.append((source, node, kind))
+        policies.extend(feeders.policies[node])
 
     return RoutePathway(
         router=router,
-        graph=pathway,
         layers=layers,
+        labels=labels,
+        edges=edges,
         policies=policies,
         truncated=truncated,
     )
@@ -164,30 +233,20 @@ def route_pathways(
 
     Routers whose processes belong to the same sequence of instances get
     the same pathway, so :func:`route_pathway` runs once per distinct
-    sequence and each member receives the shared result under its own
-    name (the graph, layers and policies are shared, not copied).  Keys
-    are in sorted router order.
+    sequence, over one :class:`FeederTable`, and each member receives the
+    shared result under its own name (the layers, edges and policies are
+    shared, not copied).  Keys are in sorted router order.
     """
-    if instances is None:
-        instances = compute_instances(network)
-    if instance_graph is None:
-        instance_graph = build_instance_graph(network, instances)
-    membership = instance_of(instances)
+    feeders = feeder_table(network, instances, instance_graph)
     shared: Dict[Tuple[int, ...], RoutePathway] = {}
     pathways: Dict[str, RoutePathway] = {}
     for router in sorted(network.routers):
-        signature = tuple(
-            membership[proc.key].instance_id for proc in network.processes_on(router)
-        )
+        signature = tuple(feeders.starts[proc.key][0] for proc in network.processes_on(router))
         if signature not in shared:
             # A module-global lookup: a wrapper set on the module
             # attribute sees every search.
             shared[signature] = route_pathway(
-                network,
-                router,
-                instances=instances,
-                instance_graph=instance_graph,
-                max_depth=max_depth,
+                network, router, max_depth=max_depth, feeders=feeders
             )
         pathways[router] = replace(shared[signature], router=router)
     return pathways

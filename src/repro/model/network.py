@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple, Union
 
@@ -468,25 +469,26 @@ class Network:
             else:
                 multipoint_unmatched.append((router, name))
 
-        # Gather next-hop addresses that point at external destinations.
-        external_next_hops: List[int] = []
+        # Gather next-hop addresses that point at external destinations
+        # and that no in-network interface owns, sorted, so each subnet
+        # asks one bisect.
+        external_next_hops: Set[int] = set()
         for router in self.routers.values():
             for route in router.config.static_routes:
                 if route.next_hop is None:
                     continue
                 if not self.is_internal_destination(route.prefix):
-                    external_next_hops.append(route.next_hop.value)
+                    external_next_hops.add(route.next_hop.value)
             bgp = router.config.bgp_process
             if bgp is not None:
                 for nbr in bgp.neighbors:
-                    if nbr.address.value not in self.address_map:
-                        external_next_hops.append(nbr.address.value)
+                    external_next_hops.add(nbr.address.value)
+        hops = sorted(hop for hop in external_next_hops if hop not in self.address_map)
 
         def next_hop_rule_fires(subnet: Prefix) -> bool:
-            return any(
-                subnet.contains_address(hop) and hop not in self.address_map
-                for hop in external_next_hops
-            )
+            low, high = subnet.span
+            index = bisect_left(hops, low)
+            return index < len(hops) and hops[index] < high
 
         for link in self.links:
             if link.may_have_external and next_hop_rule_fires(link.subnet):

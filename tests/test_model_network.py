@@ -14,6 +14,9 @@ from repro.ios.config import (
 from repro.model import Network
 from repro.model.processes import covered_interface_names
 from repro.net import IPv4Address, Prefix, classful_prefix
+from repro.net.ipv4 import prefix_len_to_mask
+
+from tests.test_routing_differential import TEMPLATES
 
 
 def make_network(configs, name="test"):
@@ -97,6 +100,119 @@ class TestExternalClassification:
         net = make_network({"r1": r1, "r2": shared.format(host=2)})
         assert net.is_external_interface("r1", "Ethernet0")
         assert net.is_external_interface("r2", "Ethernet0")
+
+
+def per_hop_external_interfaces(network):
+    """§5.2's classification with the next-hop rule as a scan of every
+    external next hop against every subnet, as it was written first."""
+    external = set()
+    multipoint_unmatched = []
+    for router, name in network.unmatched_interfaces:
+        iface = network.interface_index[(router, name)]
+        prefix = iface.prefix
+        if prefix is not None and (prefix.length >= 30 or iface.point_to_point):
+            external.add((router, name))
+        else:
+            multipoint_unmatched.append((router, name))
+    hops = []
+    for router in network.routers.values():
+        for route in router.config.static_routes:
+            if route.next_hop is not None and not network.is_internal_destination(route.prefix):
+                hops.append(route.next_hop.value)
+        bgp = router.config.bgp_process
+        if bgp is not None:
+            hops.extend(
+                nbr.address.value
+                for nbr in bgp.neighbors
+                if nbr.address.value not in network.address_map
+            )
+
+    def fires(subnet):
+        return any(
+            subnet.contains_address(hop) and hop not in network.address_map for hop in hops
+        )
+
+    for link in network.links:
+        if link.may_have_external and fires(link.subnet):
+            external.update((end.router, end.interface) for end in link.ends)
+    for router, name in multipoint_unmatched:
+        iface = network.interface_index[(router, name)]
+        if iface.prefix is not None and fires(iface.prefix):
+            external.add((router, name))
+    return external
+
+
+def random_lan_network(seed):
+    """Routers on shared and lone subnets of /24 to /30, with static routes
+    and BGP neighbors whose next hops sit inside, on the edges of, just
+    outside or far from each subnet, or on an in-network interface."""
+    rng = random.Random(seed)
+    routers = [f"r{i}" for i in range(rng.randint(2, 6))]
+    lines = {router: [f"hostname {router}"] for router in routers}
+    neighbors = {router: [] for router in routers}
+    owned, subnets = [], []
+    for index in range(rng.randint(2, 8)):
+        length = rng.choice([24, 25, 26, 28, 29, 30])
+        subnet = Prefix(IPv4Address(f"10.{index}.0.0").value, length)
+        low, high = subnet.span
+        mask = IPv4Address(prefix_len_to_mask(length))
+        hosts = range(low + 1, high - 1)
+        attached = rng.sample(routers, rng.randint(1, min(3, len(routers), len(hosts))))
+        for router, host in zip(attached, rng.sample(hosts, len(attached))):
+            lines[router] += [
+                f"interface Ethernet{index}",
+                f" ip address {IPv4Address(host)} {mask}",
+                "!",
+            ]
+            owned.append(host)
+        subnets.append(subnet)
+    candidates = list(owned)
+    for subnet in subnets:
+        low, high = subnet.span
+        candidates += [low, high - 1, low - 1, high, rng.randrange(low, high)]
+    candidates += [rng.randrange(1 << 32) for _ in range(4)]
+    for k, hop in enumerate(rng.sample(candidates, rng.randint(1, len(candidates)))):
+        router = rng.choice(routers)
+        if rng.random() < 0.3:
+            neighbors[router].append(f" neighbor {IPv4Address(hop)} remote-as 7018")
+            continue
+        # External and internal destinations; only the former count.
+        destination = f"192.0.2.{k}" if rng.random() < 0.5 else f"10.{k % 8}.0.{k}"
+        lines[router].append(f"ip route {destination} 255.255.255.255 {IPv4Address(hop)}")
+    for router, statements in neighbors.items():
+        if statements:
+            lines[router] += ["router bgp 65000", *statements, "!"]
+    return make_network({r: "\n".join(text) + "\n" for r, text in lines.items()})
+
+
+class TestExternalNextHopRule:
+    """The sorted-hop bisect answers each subnet as the per-hop scan did."""
+
+    @pytest.mark.parametrize("template", sorted(TEMPLATES))
+    def test_templates(self, template):
+        network = make_network(TEMPLATES[template](), name=template)
+        assert network.external_interfaces == per_hop_external_interfaces(network)
+
+    def test_seeded_hop_sets(self):
+        fired = quiet = 0
+        for seed in range(60):
+            network = random_lan_network(seed)
+            expected = per_hop_external_interfaces(network)
+            assert network.external_interfaces == expected, seed
+            multipoint = {
+                (end.router, end.interface)
+                for link in network.links
+                if link.may_have_external
+                for end in link.ends
+            } | {
+                key
+                for key in network.unmatched_interfaces
+                if network.interface_index[key].prefix.length < 30
+            }
+            fired += bool(expected & multipoint)
+            quiet += bool(multipoint - expected)
+        # Both outcomes of the rule occur among the seeds.
+        assert fired and quiet
 
 
 class TestIgpAdjacency:

@@ -195,6 +195,76 @@ class TestCorpusManifest:
         )
 
 
+class TestFailedRuns:
+    """A command that exits through an error still writes its trace and
+    run report, with the status the process ends with, and the error
+    goes on unchanged."""
+
+    @staticmethod
+    def _artifacts(tmp_path):
+        report, trace = tmp_path / "r.json", tmp_path / "t.json"
+        return report, trace, ["--run-report", os.fspath(report), "--trace", os.fspath(trace)]
+
+    @staticmethod
+    def _load(report, trace):
+        with open(trace) as handle:
+            events = json.load(handle)["traceEvents"]
+        assert "run" in [event["name"] for event in events]
+        with open(report) as handle:
+            return json.load(handle)
+
+    def test_message_exit_records_status_1(self, tmp_path, capsys):
+        archive = tmp_path / "fig1"
+        assert main(["generate", "fig1", os.fspath(archive)]) == 0
+        report, trace, flags = self._artifacts(tmp_path)
+        with pytest.raises(SystemExit) as raised:
+            main(["pathway", os.fspath(archive), "NOPE", *flags])
+        capsys.readouterr()
+        assert raised.value.code == "error: unknown router 'NOPE'"
+        manifest = self._load(report, trace)
+        assert manifest["exit_code"] == 1
+        assert [entry["name"] for entry in manifest["archives"]] == ["fig1"]
+        assert manifest["archives"][0]["routers"] == 6
+
+    def test_uncaught_exception_records_status_1(self, tmp_path, capsys):
+        from repro.ios.parser import ConfigParseError
+
+        archive = tmp_path / "fig1"
+        assert main(["generate", "fig1", os.fspath(archive)]) == 0
+        config = archive / "R1"
+        text = config.read_text()
+        first = next(line for line in text.splitlines() if line.startswith(" ip address "))
+        config.write_text(text.replace(first, " ip address 10.0.0.999 255.255.255.252", 1))
+        report, trace, flags = self._artifacts(tmp_path)
+        with pytest.raises(ConfigParseError):
+            main(["analyze", os.fspath(archive), "--no-cache", *flags])
+        capsys.readouterr()
+        manifest = self._load(report, trace)
+        assert manifest["exit_code"] == 1
+        assert manifest["archives"] == []
+
+    @pytest.mark.parametrize("status", [0, 3])
+    def test_integer_exit_records_its_status(self, tmp_path, capsys, monkeypatch, status):
+        import repro.cli as cli
+
+        archive = tmp_path / "fig1"
+        assert main(["generate", "fig1", os.fspath(archive)]) == 0
+
+        def exits(args):
+            cli._load(args)
+            raise SystemExit(status)
+
+        monkeypatch.setattr(cli, "cmd_pathway", exits)
+        report, trace, flags = self._artifacts(tmp_path)
+        with pytest.raises(SystemExit) as raised:
+            main(["pathway", os.fspath(archive), "R1", *flags])
+        capsys.readouterr()
+        assert raised.value.code == status
+        manifest = self._load(report, trace)
+        assert manifest["exit_code"] == status
+        assert [entry["name"] for entry in manifest["archives"]] == ["fig1"]
+
+
 class TestManifestBuilders:
     def test_archive_entry_without_inventory(self):
         from repro.model import Network
