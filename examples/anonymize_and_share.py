@@ -11,7 +11,7 @@ Run:  python examples/anonymize_and_share.py
 
 from collections import Counter
 
-from repro import Anonymizer, Network, classify_design, compute_instances
+from repro import Anonymizer, Network, classify_design
 from repro.synth.templates.enterprise import build_enterprise
 
 
@@ -39,13 +39,12 @@ def main() -> None:
     shared = Network.from_configs(anonymized, name="shared")
 
     def summary(net):
-        instances = compute_instances(net)
         return {
             "routers": len(net),
             "links": len(net.links),
             "external interfaces": len(net.external_interfaces),
-            "instances": dict(Counter(i.protocol for i in instances)),
-            "design": classify_design(net, instances).design.value,
+            "instances": dict(Counter(i.protocol for i in net.instances)),
+            "design": classify_design(net).design.value,
         }
 
     print("\n=== analysis comparison ===")

@@ -14,8 +14,8 @@ import sys
 
 import networkx as nx
 
-from repro import Network, classify_design, compute_instances, route_pathway
-from repro.core.instances import build_instance_graph, instance_of
+from repro import Network, classify_design, route_pathway
+from repro.core.instances import build_instance_graph
 from repro.core.process_graph import EXTERNAL_NODE
 from repro.synth.templates.net5 import build_net5
 
@@ -26,7 +26,7 @@ def main(scale: float = 0.25) -> None:
     print(f"net5 at scale {scale}: {len(network)} routers\n")
 
     # --- instance structure (Figure 9) ------------------------------------
-    instances = compute_instances(network)
+    instances = network.instances
     print(f"{len(instances)} routing instances:")
     for instance in sorted(instances, key=lambda i: -i.size):
         print(f"  {instance.label}: {instance.size} routers")
@@ -34,7 +34,6 @@ def main(scale: float = 0.25) -> None:
     print(f"\n{len(asns)} internal BGP ASs — all inside one network")
 
     # --- the glue routers ----------------------------------------------------
-    membership = instance_of(instances)
     glue = spec.notes["glue_ab_routers"]
     print(f"\nredundant redistribution routers between compartments: {glue}")
 
@@ -44,11 +43,10 @@ def main(scale: float = 0.25) -> None:
         {name: text for name, text in configs.items() if name not in set(glue)},
         name="net5-degraded",
     )
-    degraded_instances = compute_instances(degraded)
-    graph = build_instance_graph(degraded, degraded_instances).to_undirected()
+    graph = build_instance_graph(degraded).to_undirected()
     graph.remove_node(EXTERNAL_NODE)
     eigrp = sorted(
-        (i for i in degraded_instances if i.protocol == "eigrp"), key=lambda i: -i.size
+        (i for i in degraded.instances if i.protocol == "eigrp"), key=lambda i: -i.size
     )
     big = eigrp[0].instance_id
     b_compartment = next(
@@ -64,14 +62,14 @@ def main(scale: float = 0.25) -> None:
 
     # --- pathway layering (Figure 10) -----------------------------------------
     middle = spec.notes["middle_router"]
-    pathway = route_pathway(network, middle, instances=instances)
+    pathway = route_pathway(network, middle)
     print(
         f"\nroute pathway of {middle} (middle of the big compartment): "
         f"external routes cross {pathway.external_depth()} layers"
     )
 
     # --- classification ---------------------------------------------------------
-    evidence = classify_design(network, instances)
+    evidence = classify_design(network)
     print(
         f"\ndesign class: {evidence.design.value} "
         f"(IGP-to-IGP redistribution statements: "

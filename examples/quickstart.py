@@ -17,7 +17,6 @@ from repro import (
     Network,
     build_instance_graph,
     classify_design,
-    compute_instances,
     extract_address_space,
     route_pathway,
 )
@@ -39,15 +38,14 @@ def main() -> None:
     print(f"external-facing interfaces: {sorted(network.external_interfaces)}\n")
 
     # --- 3. routing instances (§3.2) ---------------------------------------
-    instances = compute_instances(network)
     print("routing instances (Figure 6):")
-    for instance in instances:
+    for instance in network.instances:
         print(f"  {instance.label}: routers {sorted(instance.routers)}")
     print()
 
     # --- 4. route pathways (§3.3) ------------------------------------------
     for router in ("R1", "R5"):
-        pathway = route_pathway(network, router, instances=instances)
+        pathway = route_pathway(network, router)
         print(
             f"route pathway of {router}: depth {pathway.depth}, "
             f"external routes arrive after {pathway.external_depth()} hops"
@@ -61,13 +59,13 @@ def main() -> None:
     print()
 
     # --- 6. design classification (§7) ---------------------------------------
-    evidence = classify_design(network, instances)
+    evidence = classify_design(network)
     print(f"design class: {evidence.design.value}")
     for note in evidence.notes:
         print(f"  {note}")
 
     # --- 7. instance graph for further analysis -------------------------------
-    graph = build_instance_graph(network, instances)
+    graph = build_instance_graph(network)
     print(
         f"\ninstance graph: {graph.number_of_nodes()} nodes, "
         f"{graph.number_of_edges()} edges (including the external world)"

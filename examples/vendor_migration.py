@@ -11,7 +11,7 @@ bottom.
 Run:  python examples/vendor_migration.py
 """
 
-from repro import Network, classify_design, compute_instances
+from repro import Network, classify_design
 from repro.core import diff_designs
 from repro.synth.templates.mixed import build_mixed
 
@@ -50,9 +50,9 @@ def main() -> None:
         print(f"  {line}")
 
     before_instances = sorted(
-        (i.protocol, i.size) for i in compute_instances(before)
+        (i.protocol, i.size) for i in before.instances
     )
-    after_instances = sorted((i.protocol, i.size) for i in compute_instances(after))
+    after_instances = sorted((i.protocol, i.size) for i in after.instances)
     print(f"\ninstance structure identical: {before_instances == after_instances}")
     print(
         "design class: "

@@ -9,7 +9,7 @@ survive a specific link or router failure, per-process route loads).
 Run:  python examples/what_if_analysis.py
 """
 
-from repro import Network, RoutingSimulation, compute_instances
+from repro import Network, RoutingSimulation
 from repro.core import analyze_survivability
 from repro.synth.templates.enterprise import build_enterprise
 
@@ -36,9 +36,8 @@ def main() -> None:
 
     # --- route loads (§3.1: "how many routes will a process handle?") -------
     baseline = RoutingSimulation(network).run()
-    instances = compute_instances(network)
     print("per-process route loads (simulated):")
-    for instance in instances:
+    for instance in network.instances:
         loads = [baseline.process_route_count(key) for key in instance.processes]
         print(f"  {instance.label}: max {max(loads)}, min {min(loads)} routes")
     print()

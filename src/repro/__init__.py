@@ -11,10 +11,10 @@ standing in for the paper's proprietary configuration dumps.
 
 Quickstart::
 
-    from repro import Network, compute_instances, classify_design
+    from repro import Network, classify_design
     net = Network.from_directory("configs/net5")
-    instances = compute_instances(net)
-    print(classify_design(net, instances).design)
+    print(len(net.instances), "routing instances")
+    print(classify_design(net).design)
 """
 
 from repro.anonymize import Anonymizer

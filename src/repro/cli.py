@@ -68,7 +68,6 @@ from repro.anonymize import Anonymizer
 from repro.core import (
     analyze_survivability,
     classify_design,
-    compute_instances,
     diff_designs,
     extract_address_space,
     route_pathway,
@@ -189,15 +188,14 @@ def _finish_archive(args: argparse.Namespace, network: Network, execution=None) 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     network = _load(args)
-    instances = compute_instances(network)
-    evidence = classify_design(network, instances)
-    roles = classify_roles(network, instances)
+    evidence = classify_design(network)
+    roles = classify_roles(network)
     filters = analyze_filter_placement(network)
 
     print(f"network: {network.name}")
     print(f"routers: {len(network)}   links: {len(network.links)}")
     print(f"external-facing interfaces: {len(network.external_interfaces)}")
-    print(f"routing instances: {len(instances)}")
+    print(f"routing instances: {len(network.instances)}")
     print(f"design class: {evidence.design.value}")
     for note in evidence.notes:
         print(f"  {note}")
@@ -220,10 +218,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def cmd_instances(args: argparse.Namespace) -> int:
     network = _load(args)
-    instances = compute_instances(network)
     rows = [
         (inst.instance_id, inst.protocol, inst.asn or "", inst.size)
-        for inst in sorted(instances, key=lambda i: -i.size)
+        for inst in sorted(network.instances, key=lambda i: -i.size)
     ]
     print(format_table(["id", "protocol", "asn", "routers"], rows))
     return 0

@@ -19,11 +19,10 @@ the direct runner, so ``--compress`` output and pathway work equal
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, Optional
 
 from repro.compress.payload import Certificate, analysis_payload, certify
 from repro.compress.plan import CompressionPlan, build_compression_plan
-from repro.core.instances import RoutingInstance, compute_instances
 from repro.core.pathways import RoutePathway, feeder_table, route_pathway
 from repro.model.network import Network
 from repro.obs.metrics import get_registry
@@ -32,7 +31,6 @@ from repro.obs.metrics import get_registry
 def analyze_compressed(
     network: Network,
     max_depth: Optional[int] = None,
-    instances: Optional[List[RoutingInstance]] = None,
     plan: Optional[CompressionPlan] = None,
 ) -> Dict[str, Any]:
     """The compressed pipeline: one pathway per equivalence class.
@@ -42,11 +40,9 @@ def analyze_compressed(
     membership — the provenance
     :func:`~repro.compress.payload.canonicalize` drops.
     """
-    if instances is None:
-        instances = compute_instances(network)
     if plan is None:
-        plan = build_compression_plan(network, instances=instances)
-    feeders = feeder_table(network, instances)
+        plan = build_compression_plan(network)
+    feeders = feeder_table(network)
     pathways: Dict[str, RoutePathway] = {}
     for cls in plan.classes:
         pathway = route_pathway(
@@ -54,7 +50,7 @@ def analyze_compressed(
         )
         for member in cls.members:
             pathways[member] = replace(pathway, router=member)
-    payload = analysis_payload(network, instances=instances, pathways=pathways)
+    payload = analysis_payload(network, pathways=pathways)
     for router, entry in payload["pathways"].items():
         entry["expanded_from"] = plan.router_class[router]
     payload["compression"] = plan.as_dict()
@@ -88,12 +84,12 @@ def compressed_stage_runners() -> Dict[str, Callable]:
 
     run_pathways = STAGE_RUNNERS["pathways"]
 
-    def run_pathways_compressed(ctx, params: Dict[str, Any]):
-        plan = build_compression_plan(ctx.network, instances=ctx.instances())
+    def run_pathways_compressed(network: Network, params: Dict[str, Any]):
+        plan = build_compression_plan(network)
         expanded = plan.n_routers - plan.n_classes
         if expanded > 0:
             get_registry().counter("analysis.pathways.expanded").inc(expanded)
-        return run_pathways(ctx, params)
+        return run_pathways(network, params)
 
     runners = dict(STAGE_RUNNERS)
     runners["pathways"] = run_pathways_compressed

@@ -30,14 +30,10 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro.core.address_space import extract_address_space
-from repro.core.instances import (
-    RoutingInstance,
-    compute_instances,
-    find_external_adjacent_instances,
-)
+from repro.core.instances import find_external_adjacent_instances
 from repro.core.pathways import ROUTER_RIB, RoutePathway, route_pathways
 from repro.core.process_graph import EXTERNAL_NODE
 from repro.core.survivability import analyze_survivability
@@ -71,7 +67,6 @@ def pathway_payload(pathway: RoutePathway) -> Dict[str, Any]:
 
 def analysis_payload(
     network: Network,
-    instances: Optional[List[RoutingInstance]] = None,
     pathways: Optional[Dict[str, RoutePathway]] = None,
     max_depth: Optional[int] = None,
 ) -> Dict[str, Any]:
@@ -81,12 +76,10 @@ def analysis_payload(
     at *max_depth*; the compressed pipeline passes its class-expanded
     pathways instead.
     """
-    if instances is None:
-        instances = compute_instances(network)
     if pathways is None:
-        pathways = route_pathways(network, instances=instances, max_depth=max_depth)
-    external = find_external_adjacent_instances(network, instances)
-    report = analyze_survivability(network, instances=instances)
+        pathways = route_pathways(network, max_depth=max_depth)
+    external = find_external_adjacent_instances(network)
+    report = analyze_survivability(network)
     return {
         "instances": [
             {
@@ -95,7 +88,7 @@ def analysis_payload(
                 "processes": sorted((list(key) for key in instance.processes), key=repr),
                 "external": instance.instance_id in external,
             }
-            for instance in instances
+            for instance in network.instances
         ],
         "pathways": {router: pathway_payload(pathways[router]) for router in sorted(pathways)},
         "address_tree": [

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from repro.core.instances import RoutingInstance, compute_instances, instance_of
+from repro.core.instances import RoutingInstance, instance_of
 from repro.core.roles import classify_router_roles
 from repro.compress.signature import signature_colors
 from repro.model.network import Network
@@ -109,10 +109,11 @@ def build_compression_plan(
     Deterministic: classes are ordered (and numbered) by their first
     member's name, members are sorted, and every refinement layer
     assigns ids by sorting — the same network yields the same plan
-    whatever order its configs were ingested in.
+    whatever order its configs were ingested in.  *instances* defaults
+    to ``network.instances``.
     """
     if instances is None:
-        instances = compute_instances(network)
+        instances = network.instances
     colors = signature_colors(network)
     roles = classify_router_roles(network)
     instance_sets = _instance_sets(network, instances)

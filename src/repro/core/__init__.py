@@ -4,8 +4,8 @@ Given a :class:`repro.model.Network`, this package derives the four
 abstractions of §3 plus the analyses of §5–§7:
 
 * :mod:`repro.core.process_graph` — routing process graphs (§3.1),
-* :mod:`repro.core.instances` — routing instances and the instance graph
-  (§3.2),
+* :mod:`repro.core.instances` — the routing instance graph (§3.2) over
+  ``Network.instances``,
 * :mod:`repro.core.pathways` — route pathway graphs (§3.3),
 * :mod:`repro.core.address_space` — address space structure (§3.4),
 * :mod:`repro.core.roles` — IGP/EGP role classification (§5.2, Table 1),
@@ -37,7 +37,6 @@ from repro.core.process_graph import (
     NodeKind,
     build_process_graph,
     local_rib_node,
-    process_node,
     router_rib_node,
 )
 from repro.core.reachability import ReachabilityAnalysis, RouteSet
@@ -79,7 +78,6 @@ __all__ = [
     "find_suspect_external_interfaces",
     "interface_census",
     "local_rib_node",
-    "process_node",
     "route_pathway",
     "route_pathways",
     "router_rib_node",

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set
 
-from repro.core.instances import RoutingInstance, compute_instances
 from repro.model.network import Network
 
 
@@ -72,14 +71,10 @@ class OspfAreaStructure:
         return len(self.border_routers)
 
 
-def analyze_ospf_areas(
-    network: Network, instances: Optional[List[RoutingInstance]] = None
-) -> List[OspfAreaStructure]:
+def analyze_ospf_areas(network: Network) -> List[OspfAreaStructure]:
     """Recover the area structure of every OSPF instance in a network."""
-    if instances is None:
-        instances = compute_instances(network)
     structures = []
-    for instance in instances:
+    for instance in network.instances:
         if instance.protocol != "ospf":
             continue
         structure = OspfAreaStructure(instance_id=instance.instance_id)

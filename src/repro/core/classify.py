@@ -21,11 +21,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import List, Optional, Set
+from typing import List, Set
 
 from repro.core.instances import (
     RoutingInstance,
-    compute_instances,
     find_external_adjacent_instances,
     instance_of,
 )
@@ -74,13 +73,10 @@ def is_staging_instance(
     )
 
 
-def classify_design(
-    network: Network, instances: Optional[List[RoutingInstance]] = None
-) -> DesignEvidence:
+def classify_design(network: Network) -> DesignEvidence:
     """Classify one network's routing design against the textbook patterns."""
-    if instances is None:
-        instances = compute_instances(network)
-    external_ids = find_external_adjacent_instances(network, instances)
+    instances = network.instances
+    external_ids = find_external_adjacent_instances(network)
 
     igp_instances = [
         inst for inst in instances if inst.protocol in ("ospf", "eigrp", "igrp", "rip")
@@ -108,7 +104,7 @@ def classify_design(
         if session.crosses_network_boundary and session.remote_as is not None
     }
 
-    igp_to_igp, bgp_fed = _redistribution_structure(network, instances)
+    igp_to_igp, bgp_fed = _redistribution_structure(network)
     core_igp_ids = {inst.instance_id for inst in core_igp}
     redistributes_bgp_into_igp = bool(bgp_fed)
 
@@ -139,7 +135,7 @@ def classify_design(
     return evidence
 
 
-def _redistribution_structure(network: Network, instances):
+def _redistribution_structure(network: Network):
     """Measure how routes cross instance boundaries on shared routers.
 
     Returns ``(igp_to_igp, bgp_fed)``: the number of redistribution
@@ -147,7 +143,7 @@ def _redistribution_structure(network: Network, instances):
     instances (a thing textbook designs never do), and the set of IGP
     instance ids that receive routes redistributed from BGP.
     """
-    membership = instance_of(instances)
+    membership = instance_of(network.instances)
     igp_to_igp = 0
     bgp_fed = set()
     for record in network.route_exchange:

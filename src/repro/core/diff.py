@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Set, Tuple
 
-from repro.core.instances import RoutingInstance, compute_instances
+from repro.core.instances import RoutingInstance
 from repro.model.network import Network
 from repro.net import Prefix
 
@@ -130,9 +130,7 @@ def diff_designs(before: Network, after: Network) -> DesignDiff:
     links_before = {link.subnet for link in before.links}
     links_after = {link.subnet for link in after.links}
 
-    instances_before = compute_instances(before)
-    instances_after = compute_instances(after)
-    pairs, lost, gained = _match_instances(instances_before, instances_after)
+    pairs, lost, gained = _match_instances(before.instances, after.instances)
 
     changes = []
     for old, new in pairs:

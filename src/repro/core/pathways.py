@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Tuple, Union
 
 import networkx as nx
 
-from repro.core.instances import RoutingInstance, build_instance_graph, compute_instances
+from repro.core.instances import RoutingInstance, build_instance_graph
 from repro.core.process_graph import EXTERNAL_NODE
 from repro.model.network import Network
 from repro.model.processes import ProcessKey
@@ -117,9 +117,12 @@ def feeder_table(
     instances: Optional[List[RoutingInstance]] = None,
     instance_graph: Optional[nx.MultiDiGraph] = None,
 ) -> FeederTable:
-    """Compile *instance_graph* (built from *instances* when not given)."""
+    """Compile *instance_graph* (built from *instances* when not given).
+
+    *instances* defaults to ``network.instances``.
+    """
     if instances is None:
-        instances = compute_instances(network)
+        instances = network.instances
     if instance_graph is None:
         instance_graph = build_instance_graph(network, instances)
     labels = {

@@ -47,11 +47,6 @@ class NodeKind(str, Enum):
     EXTERNAL = "external"
 
 
-def process_node(key: ProcessKey) -> ProcessKey:
-    """The graph node for a routing process (identity function, for clarity)."""
-    return key
-
-
 #: The graph node for a router's local RIB.
 local_rib_node = local_rib_key
 

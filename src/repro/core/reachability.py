@@ -22,11 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
-from repro.core.instances import (
-    RoutingInstance,
-    compute_instances,
-    instance_of,
-)
+from repro.core.instances import instance_of
 from repro.core.process_graph import EXTERNAL_NODE
 from repro.model.exchange import Peering, Redistribution
 from repro.model.network import Network
@@ -272,14 +268,9 @@ class ReachEdge:
 class ReachabilityAnalysis:
     """Reachability over the routing instance model of one network."""
 
-    def __init__(
-        self,
-        network: Network,
-        instances: Optional[List[RoutingInstance]] = None,
-        max_atoms: Optional[int] = None,
-    ):
+    def __init__(self, network: Network, max_atoms: Optional[int] = None):
         self.network = network
-        self.instances = instances if instances is not None else compute_instances(network)
+        self.instances = network.instances
         self.membership = instance_of(self.instances)
         self.edges: List[ReachEdge] = []
         self.origins: Dict[ReachNode, RouteSet] = {}

@@ -10,13 +10,9 @@ intra-domain when both ends are inside.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
-from repro.core.instances import (
-    RoutingInstance,
-    compute_instances,
-    find_external_adjacent_instances,
-)
+from repro.core.instances import find_external_adjacent_instances
 from repro.model.network import Network
 
 #: Protocols reported in Table 1's IGP columns.
@@ -137,18 +133,14 @@ def _fold_protocol(protocol: str) -> str:
     return "eigrp" if protocol == "igrp" else protocol
 
 
-def classify_roles(
-    network: Network, instances: Optional[List[RoutingInstance]] = None
-) -> RoleCensus:
+def classify_roles(network: Network) -> RoleCensus:
     """Compute the Table 1 role census for one network."""
-    if instances is None:
-        instances = compute_instances(network)
     census = RoleCensus(
         igp_intra={protocol: 0 for protocol in IGP_PROTOCOLS},
         igp_inter={protocol: 0 for protocol in IGP_PROTOCOLS},
     )
-    external_ids = find_external_adjacent_instances(network, instances)
-    for instance in instances:
+    external_ids = find_external_adjacent_instances(network)
+    for instance in network.instances:
         protocol = _fold_protocol(instance.protocol)
         if protocol not in IGP_PROTOCOLS:
             continue

@@ -27,7 +27,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 import networkx as nx
 
-from repro.core.instances import RoutingInstance, compute_instances, instance_of
+from repro.core.instances import instance_of
 from repro.model.exchange import Peering, Redistribution
 from repro.model.network import Network
 from repro.obs.trace import traced
@@ -103,9 +103,7 @@ def bridge_links(network: Network) -> List[Prefix]:
 
 
 def instance_couplings(
-    network: Network,
-    instances: Optional[List[RoutingInstance]] = None,
-    max_couplings: Optional[int] = None,
+    network: Network, max_couplings: Optional[int] = None
 ) -> List[InstanceCoupling]:
     """Which routers carry the route exchange between each instance pair.
 
@@ -120,9 +118,7 @@ def instance_couplings(
     :func:`analyze_survivability` via its own ``max_couplings`` to have
     the report's ``truncated`` flag reflect the drop.
     """
-    if instances is None:
-        instances = compute_instances(network)
-    membership = instance_of(instances)
+    membership = instance_of(network.instances)
     couplings: Dict[Tuple[int, int], InstanceCoupling] = {}
 
     dropped = [False]
@@ -190,16 +186,14 @@ def static_route_conflicts(
 
 @traced("survivability")
 def analyze_survivability(
-    network: Network,
-    instances: Optional[List[RoutingInstance]] = None,
-    max_couplings: Optional[int] = None,
+    network: Network, max_couplings: Optional[int] = None
 ) -> SurvivabilityReport:
     """Run the full §8.1 what-if battery.
 
     ``max_couplings`` is the degraded-mode bound on distinct instance
     pairs tracked; the report is marked ``truncated`` when it bit.
     """
-    couplings = instance_couplings(network, instances, max_couplings=max_couplings)
+    couplings = instance_couplings(network, max_couplings=max_couplings)
     return SurvivabilityReport(
         articulation_routers=articulation_routers(network),
         bridge_links=bridge_links(network),

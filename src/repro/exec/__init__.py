@@ -24,7 +24,6 @@ from repro.exec.executor import (
     ArchiveExecution,
     ExecutorConfig,
     Rung,
-    StageContext,
 )
 from repro.exec.stage import (
     ANALYSIS_STAGES,
@@ -64,7 +63,6 @@ __all__ = [
     "STATUS_TIMEOUT",
     "SimulatedKill",
     "StageCancelled",
-    "StageContext",
     "StageResult",
     "WatchdogOutcome",
     "default_checkpoint_dir",

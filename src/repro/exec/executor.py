@@ -105,95 +105,76 @@ DEFAULT_LADDERS: Dict[str, Tuple[Rung, ...]] = {
 }
 
 
-@dataclass
-class StageContext:
-    """Shared state the stage runners of one archive draw on.
-
-    ``instances`` is the one hand-off between stages: it memoizes the
-    *full-fidelity* instance computation only, so a degraded instances
-    stage cannot silently poison downstream stages.  When the instances
-    stage degraded or was replayed from a checkpoint, the first
-    dependent computes the instances inside its own watchdog barrier.
-    The memo dies with :meth:`AnalysisExecutor.run_archive`.
-    """
-
-    network: Any
-    archive: str
-    _instances: Any = field(default=None, repr=False)
-
-    def instances(self):
-        if self._instances is None:
-            from repro.core.instances import compute_instances  # noqa: PLC0415
-
-            self._instances = compute_instances(self.network)
-        return self._instances
-
-
 # -- stage runners -----------------------------------------------------------
-# Each runner: (ctx, params) -> (items, detail), the two fields of the
+# Each runner: (network, params) -> (items, detail), the two fields of the
 # StageResult it yields.  ``detail`` is a short deterministic marker
-# ("truncated", "approximate", ...), never timing data.
+# ("truncated", "approximate", ...), never timing data.  The one hand-off
+# between stages is ``Network.instances``: the instances stage fills it
+# at full fidelity, and a stage that finds it empty (the instances stage
+# degraded, timed out or replayed from a checkpoint) computes it inside
+# its own barrier.
 
 
-def _run_links(ctx: StageContext, params: Dict[str, Any]):
-    return len(ctx.network.links), ""
+def _run_links(network: Any, params: Dict[str, Any]):
+    return len(network.links), ""
 
 
-def _run_process_graph(ctx: StageContext, params: Dict[str, Any]):
+def _run_process_graph(network: Any, params: Dict[str, Any]):
     from repro.core.process_graph import build_process_graph  # noqa: PLC0415
 
-    graph = build_process_graph(ctx.network, **params)
+    graph = build_process_graph(network, **params)
     detail = "truncated" if graph.graph.get("truncated") else ""
     return graph.number_of_edges(), detail
 
 
-def _run_instances(ctx: StageContext, params: Dict[str, Any]):
-    from repro.core.instances import compute_instances  # noqa: PLC0415
-
-    instances = compute_instances(ctx.network, **params)
+def _run_instances(network: Any, params: Dict[str, Any]):
     if not params:
-        ctx._instances = instances
-    return len(instances), ""
+        return len(network.instances), ""
+    from repro.model.instances import compute_instances  # noqa: PLC0415
+
+    # A degraded rung's list never enters the cache, so it cannot
+    # poison the stages that read ``network.instances`` after it.
+    return len(compute_instances(network, **params)), ""
 
 
-def _run_pathways(ctx: StageContext, params: Dict[str, Any]):
+def _run_pathways(network: Any, params: Dict[str, Any]):
     from repro.core.pathways import route_pathways  # noqa: PLC0415
 
-    pathways = route_pathways(ctx.network, instances=ctx.instances(), **params)
+    pathways = route_pathways(network, **params)
     truncated = any(pathway.truncated for pathway in pathways.values())
     return len(pathways), "truncated" if truncated else ""
 
 
-def _run_address_space(ctx: StageContext, params: Dict[str, Any]):
+def _run_address_space(network: Any, params: Dict[str, Any]):
     from repro.core.address_space import extract_address_space  # noqa: PLC0415
 
-    blocks = extract_address_space(ctx.network, **params)
+    blocks = extract_address_space(network, **params)
     return len(blocks), ""
 
 
-def _run_consistency(ctx: StageContext, params: Dict[str, Any]):
+def _run_consistency(network: Any, params: Dict[str, Any]):
     from repro.core.consistency import audit_configuration  # noqa: PLC0415
 
-    report = audit_configuration(ctx.network, **params)
+    report = audit_configuration(network, **params)
     return len(report), "truncated" if report.truncated else ""
 
 
-def _run_reachability(ctx: StageContext, params: Dict[str, Any]):
+def _run_reachability(network: Any, params: Dict[str, Any]):
     from repro.core.reachability import ReachabilityAnalysis  # noqa: PLC0415
 
-    analysis = ReachabilityAnalysis(ctx.network, instances=ctx.instances(), **params)
+    analysis = ReachabilityAnalysis(network, **params)
     routes = analysis.routes  # force the fixpoint inside the barrier
     return len(routes), "approximate" if analysis.approximate else ""
 
 
-def _run_survivability(ctx: StageContext, params: Dict[str, Any]):
+def _run_survivability(network: Any, params: Dict[str, Any]):
     from repro.core.survivability import analyze_survivability  # noqa: PLC0415
 
-    report = analyze_survivability(ctx.network, instances=ctx.instances(), **params)
+    report = analyze_survivability(network, **params)
     return len(report.couplings), "truncated" if report.truncated else ""
 
 
-STAGE_RUNNERS: Dict[str, Callable[[StageContext, Dict[str, Any]], Tuple[int, str]]] = {
+STAGE_RUNNERS: Dict[str, Callable[[Any, Dict[str, Any]], Tuple[int, str]]] = {
     "links": _run_links,
     "process_graph": _run_process_graph,
     "instances": _run_instances,
@@ -223,7 +204,7 @@ class ExecutorConfig:
     chaos: ChaosPlan = field(default_factory=ChaosPlan)
     #: Stage name -> runner; swap entries to substitute a stage
     #: implementation (e.g. the compressed pathway runner).
-    runners: Mapping[str, Callable[["StageContext", Dict[str, Any]], Tuple[int, str]]] = field(
+    runners: Mapping[str, Callable[[Any, Dict[str, Any]], Tuple[int, str]]] = field(
         default_factory=lambda: dict(STAGE_RUNNERS)
     )
 
@@ -305,11 +286,10 @@ class AnalysisExecutor:
         inventory = getattr(network, "inventory", None) or []
         digest = archive_digest((record.path, record.sha256) for record in inventory)
         execution = ArchiveExecution(archive=archive, digest=digest)
-        ctx = StageContext(network=network, archive=archive)
         metrics = get_registry()
         for stage in ANALYSIS_STAGES:
             with span(f"stage:{stage}") as opened:
-                result = self._run_stage(ctx, digest, stage)
+                result = self._run_stage(archive, network, digest, stage)
                 opened.set(items=result.items, status=result.status)
             execution.results.append(result)
             metrics.counter(f"exec.stage.{result.status}").inc()
@@ -327,14 +307,14 @@ class AnalysisExecutor:
                 )
         return execution
 
-    def _run_stage(self, ctx: StageContext, digest: str, stage: str) -> StageResult:
+    def _run_stage(
+        self, archive: str, network: Any, digest: str, stage: str
+    ) -> StageResult:
         store = self.config.checkpoints
         if store is not None and self.config.resume:
             cached = store.load(digest, stage)
             if cached is not None:
-                _log.info(
-                    "stage replayed from checkpoint", archive=ctx.archive, stage=stage
-                )
+                _log.info("stage replayed from checkpoint", archive=archive, stage=stage)
                 return cached
         if self.aborted:
             return StageResult(
@@ -348,12 +328,12 @@ class AnalysisExecutor:
                 attempts=0,
                 detail="run deadline exhausted",
             )
-        result = self._execute_ladder(ctx, stage)
+        result = self._execute_ladder(archive, network, stage)
         if store is not None and result.finished:
-            store.store(digest, ctx.archive, result)
+            store.store(digest, archive, result)
         return result
 
-    def _execute_ladder(self, ctx: StageContext, stage: str) -> StageResult:
+    def _execute_ladder(self, archive: str, network: Any, stage: str) -> StageResult:
         ladder = DEFAULT_LADDERS[stage]
         runner = self.config.runners.get(stage) or STAGE_RUNNERS[stage]
         metrics = get_registry()
@@ -369,12 +349,12 @@ class AnalysisExecutor:
             params = dict(rung.params)
 
             def call(attempt=attempt, params=params):
-                self.config.chaos.trigger(ctx.archive, stage, attempt)
-                return runner(ctx, params)
+                self.config.chaos.trigger(archive, stage, attempt)
+                return runner(network, params)
 
             outcome = run_with_deadline(
                 call,
-                name=f"{ctx.archive}:{stage}",
+                name=f"{archive}:{stage}",
                 hard_deadline=self._effective_hard_deadline(),
                 soft_deadline=self.config.soft_deadline,
                 on_soft=on_soft,
@@ -392,7 +372,7 @@ class AnalysisExecutor:
                     )
                     _log.warning(
                         "stage exhausted resources, degrading",
-                        archive=ctx.archive,
+                        archive=archive,
                         stage=stage,
                         attempt=attempt,
                         error=last_error,
@@ -411,7 +391,7 @@ class AnalysisExecutor:
                 last_error = ""
                 _log.warning(
                     "stage attempt timed out",
-                    archive=ctx.archive,
+                    archive=archive,
                     stage=stage,
                     attempt=attempt,
                     rung=rung.label,
@@ -486,5 +466,4 @@ __all__ = [
     "ExecutorConfig",
     "Rung",
     "STAGE_RUNNERS",
-    "StageContext",
 ]

@@ -7,7 +7,9 @@ the files of one network into the router-level model of §2 of the paper:
   (§2.1),
 * classification of interfaces as internal- or external-facing (§2.1, §5.2),
 * **routing processes** with their covered interfaces, and the
-  **adjacencies** between processes on different routers (§2.2).
+  **adjacencies** between processes on different routers (§2.2),
+* the **routing instances** those adjacencies connect (§3.2,
+  :mod:`repro.model.instances`), cached as ``Network.instances``.
 
 The routing-design abstractions of §3 are built on top of this model by
 :mod:`repro.core`.

@@ -7,7 +7,8 @@ mapping of router name → configuration (text or parsed), and lazily derives:
 * logical links and external-facing interfaces (§2.1, §5.2 heuristics),
 * routing processes with covered interfaces,
 * IGP adjacencies and BGP sessions (§2.2 adjacency rules),
-* the route-exchange table (:mod:`repro.model.exchange`).
+* the route-exchange table (:mod:`repro.model.exchange`),
+* the routing instances (§3.2, :mod:`repro.model.instances`).
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from repro.obs.trace import Span, span
 _log = get_logger("model")
 from repro.ios.config import InterfaceConfig, RouterConfig
 from repro.model.exchange import ExchangeRecord, build_route_exchange
+from repro.model.instances import RoutingInstance, compute_instances
 from repro.model.links import Link, infer_links
 from repro.model.processes import (
     ProcessKey,
@@ -203,6 +205,7 @@ class Network:
         self._igp_adjacencies: Optional[List[Tuple[ProcessKey, ProcessKey, Link]]] = None
         self._bgp_sessions: Optional[List[BgpSession]] = None
         self._route_exchange: Optional[Tuple[ExchangeRecord, ...]] = None
+        self._instances: Optional[List[RoutingInstance]] = None
         self._internal_space: Optional[List[Prefix]] = None
 
     # -- constructors ------------------------------------------------------
@@ -627,6 +630,21 @@ class Network:
         if self._route_exchange is None:
             self._route_exchange = build_route_exchange(self)
         return self._route_exchange
+
+    @property
+    def instances(self) -> List[RoutingInstance]:
+        """The routing instances (§3.2), flood-filled once at full fidelity.
+
+        See :mod:`repro.model.instances`.  The cache is hand-written, not
+        ``functools.cached_property``: on Python 3.11 that holds one lock
+        per descriptor, shared by every ``Network``, so a stage thread
+        abandoned in the middle of a flood fill would block every later
+        read.  A flood fill cancelled at a hard deadline leaves the cache
+        empty, and the next reader computes it.
+        """
+        if self._instances is None:
+            self._instances = compute_instances(self)
+        return self._instances
 
     # -- statistics ----------------------------------------------------------
 

@@ -4,7 +4,6 @@ from repro.report.corpus import span_row, stage_row
 from repro.report.design_report import generate_design_report
 from repro.report.diagnostics import format_diagnostics
 from repro.report.execution import format_execution_lines, format_status_counts
-from repro.report.manifest import format_run_report
 from repro.report.sweep import format_sweep_report
 from repro.report.tables import format_cdf, format_histogram, format_table
 
@@ -13,7 +12,6 @@ __all__ = [
     "format_diagnostics",
     "format_execution_lines",
     "format_histogram",
-    "format_run_report",
     "format_status_counts",
     "format_sweep_report",
     "format_table",

@@ -9,27 +9,17 @@ actually hand around after pointing the tool at a config archive.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
-from repro.core import (
-    analyze_survivability,
-    classify_design,
-    compute_instances,
-    extract_address_space,
-)
+from repro.core import analyze_survivability, classify_design, extract_address_space
 from repro.core.areas import analyze_ospf_areas
 from repro.core.filters import analyze_filter_placement
-from repro.core.instances import RoutingInstance
 from repro.core.roles import classify_roles
 from repro.model.network import Network
 
 
-def generate_design_report(
-    network: Network, instances: Optional[List[RoutingInstance]] = None
-) -> str:
+def generate_design_report(network: Network) -> str:
     """Render a markdown routing-design report for *network*."""
-    if instances is None:
-        instances = compute_instances(network)
     lines: List[str] = []
     out = lines.append
 
@@ -56,7 +46,7 @@ def generate_design_report(
     out("")
 
     # --- design class ---------------------------------------------------------
-    evidence = classify_design(network, instances)
+    evidence = classify_design(network)
     out("## Design classification")
     out("")
     out(f"**{evidence.design.value}**")
@@ -79,7 +69,7 @@ def generate_design_report(
     out("")
     out("| id | protocol | AS | routers |")
     out("|---|---|---|---|")
-    for instance in sorted(instances, key=lambda i: -i.size):
+    for instance in sorted(network.instances, key=lambda i: -i.size):
         out(
             f"| {instance.instance_id} | {instance.protocol} | "
             f"{instance.asn or ''} | {instance.size} |"
@@ -87,7 +77,7 @@ def generate_design_report(
     out("")
 
     # --- roles ----------------------------------------------------------------------
-    roles = classify_roles(network, instances)
+    roles = classify_roles(network)
     out("## Protocol roles (IGP/EGP)")
     out("")
     for protocol in ("ospf", "eigrp", "rip"):
@@ -128,7 +118,7 @@ def generate_design_report(
     out("")
 
     # --- areas ---------------------------------------------------------------
-    structures = [s for s in analyze_ospf_areas(network, instances) if s.areas]
+    structures = [s for s in analyze_ospf_areas(network) if s.areas]
     if structures:
         out("## OSPF areas")
         out("")
@@ -143,7 +133,7 @@ def generate_design_report(
         out("")
 
     # --- survivability ------------------------------------------------------------
-    report = analyze_survivability(network, instances)
+    report = analyze_survivability(network)
     out("## Survivability")
     out("")
     out(f"- articulation routers: {len(report.articulation_routers)}")

@@ -7,9 +7,7 @@ world, redistribution arrows, and heavy EBGP edges.
 
 from __future__ import annotations
 
-from typing import List, Optional
-
-from repro.core.instances import RoutingInstance, build_instance_graph, compute_instances
+from repro.core.instances import build_instance_graph
 from repro.core.process_graph import EXTERNAL_NODE
 from repro.model.network import Network
 
@@ -18,13 +16,9 @@ def _quote(text: str) -> str:
     return '"' + text.replace('"', r"\"") + '"'
 
 
-def instance_graph_to_dot(
-    network: Network, instances: Optional[List[RoutingInstance]] = None
-) -> str:
+def instance_graph_to_dot(network: Network) -> str:
     """Render the routing instance graph as Graphviz DOT text."""
-    if instances is None:
-        instances = compute_instances(network)
-    graph = build_instance_graph(network, instances)
+    graph = build_instance_graph(network)
 
     lines = [f"digraph {_quote(network.name)} {{"]
     lines.append("    rankdir=LR;")
@@ -33,7 +27,7 @@ def instance_graph_to_dot(
         f"    {_quote('external')} [label=\"External World\", shape=ellipse, "
         "style=dashed];"
     )
-    for instance in instances:
+    for instance in network.instances:
         label = f"{instance.label}\\n{instance.size} router(s)"
         lines.append(f"    inst{instance.instance_id} [label={_quote(label)}];")
 

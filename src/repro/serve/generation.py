@@ -9,9 +9,10 @@ checkpoints), followed by the query payload the HTTP surface serves.
 
 The publish rule is all-or-nothing: a generation is *complete* iff every
 stage finished (``ok`` or ``degraded`` — degraded results are clearly
-labeled, not hidden).  A crashed, hung, or skipped stage makes the whole
-generation incomplete and nothing of it is published — the daemon keeps
-serving the previous generation.  Whatever checkpoints the incomplete
+labeled, not hidden) over exactly the snapshot it was started for.  A
+crashed, hung, or skipped stage, or a file that changed between the
+snapshot and the read, makes the whole generation incomplete and nothing
+of it is published — the daemon keeps serving the previous generation.  Whatever checkpoints the incomplete
 attempt wrote are not wasted: the next attempt resumes from them.
 
 :func:`normalize_generation` is the equivalence gate used in tests and
@@ -83,6 +84,13 @@ def run_generation(
     check_jobs(jobs)
     network = Network.from_directory(corpus, name=name, on_error=on_error, cache=cache)
     execution = executor.run_archive(network.name, network)
+    if execution.digest != digest:
+        # The bytes analyzed are not the snapshot's: publishing them
+        # under its digest would mislabel them.  The next stable tick
+        # retries on the new snapshot.
+        return GenerationOutcome(
+            digest=digest, execution=execution, error="corpus changed during the generation"
+        )
     unfinished = [r.stage for r in execution.results if not r.finished]
     if unfinished or not execution.results or executor.aborted:
         reason = (
@@ -130,10 +138,8 @@ def build_generation_payload(
     diff: Optional[Dict[str, Any]] = None,
 ) -> Dict[str, Any]:
     """The JSON document a complete generation serves."""
-    from repro.core.instances import compute_instances
     from repro.core.pathways import route_pathways
 
-    instances = compute_instances(network)
     instance_rows = [
         {
             "id": instance.instance_id,
@@ -142,7 +148,7 @@ def build_generation_payload(
             "routers": instance.size,
         }
         for instance in sorted(
-            instances, key=lambda i: (-i.size, i.instance_id)
+            network.instances, key=lambda i: (-i.size, i.instance_id)
         )
     ]
     pathways = {
@@ -151,7 +157,7 @@ def build_generation_payload(
             "layers": len(pathway.layers),
             "truncated": pathway.truncated,
         }
-        for router, pathway in route_pathways(network, instances=instances).items()
+        for router, pathway in route_pathways(network).items()
     }
     # From the rows' fields: no Diagnostic is built per unmodeled stanza.
     diagnostics = [

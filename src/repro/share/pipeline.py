@@ -32,7 +32,6 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.anonymize import Anonymizer
 from repro.core.address_space import extract_address_space, mentioned_subnets
-from repro.core.instances import compute_instances
 from repro.ingest.archive import archive_name, discover_archives, read_archive
 from repro.model.network import Network
 from repro.share.decoys import DECOY_TEMPLATES, DecoySet, synthesize_decoys
@@ -200,7 +199,7 @@ def check_decoy_admissible(
 
     # 3. No routing instance mixes real and decoy routers (a shared
     #    private ASN or IGP adjacency would merge instances).
-    for instance in compute_instances(combined):
+    for instance in combined.instances:
         members = instance.routers
         if members & decoy_names and members - decoy_names:
             return (

@@ -22,7 +22,6 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Dict, FrozenSet, List, Optional, Set, Tuple
 
-from repro.core.instances import RoutingInstance, compute_instances
 from repro.model.network import Network
 from repro.routing.engine import RoutingSimulation
 from repro.sweep.scenarios import Scenario
@@ -70,20 +69,15 @@ def _reachability_pairs(
     return pairs, next_hops
 
 
-def compute_baseline(
-    network: Network,
-    max_iterations: int = 1000,
-    instances: Optional[List[RoutingInstance]] = None,
-) -> BaselineSnapshot:
+def compute_baseline(network: Network, max_iterations: int = 1000) -> BaselineSnapshot:
     """Run the no-failure simulation and snapshot it for delta queries."""
     simulation = RoutingSimulation(network).run(
         max_iterations=max_iterations, on_divergence="degrade"
     )
     pairs, next_hops = _reachability_pairs(simulation)
-    if instances is None:
-        instances = compute_instances(network)
     members = {
-        instance.instance_id: frozenset(instance.routers) for instance in instances
+        instance.instance_id: frozenset(instance.routers)
+        for instance in network.instances
     }
     edges: Dict[int, List[Tuple[str, str, str]]] = {
         instance_id: [] for instance_id in members

@@ -44,7 +44,7 @@ import os
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.core.survivability import SurvivabilityReport
 from repro.exec.chaos import ChaosPlan
@@ -224,13 +224,16 @@ def _execute_scenario(
     max_iterations: int,
     hard_deadline: Optional[float],
     soft_deadline: Optional[float],
-) -> StageResult:
+) -> Tuple[StageResult, bool]:
     """One scenario under chaos + deadline + exception barrier.
 
-    Runs on the calling thread (serial path) or inside a worker process
-    (parallel path) — the semantics are identical because the watchdog
-    wraps the attempt in both.  Non-``Exception`` escapees (SimulatedKill,
-    KeyboardInterrupt) are re-raised, never folded into a row.
+    Returns the scenario's result and whether its attempt crossed the
+    soft deadline; the parent counts the latter, so a pool worker's
+    event is not lost.  Runs on the calling thread (serial path) or
+    inside a worker process (parallel path) — the semantics are
+    identical because the watchdog wraps the attempt in both.
+    Non-``Exception`` escapees (SimulatedKill, KeyboardInterrupt) are
+    re-raised, never folded into a row.
     """
 
     def attempt() -> Dict[str, Any]:
@@ -239,7 +242,7 @@ def _execute_scenario(
 
     outcome = run_with_deadline(
         attempt,
-        name=scenario.scenario_id,
+        name=f"{archive}:{scenario.scenario_id}",
         hard_deadline=hard_deadline,
         soft_deadline=soft_deadline,
     )
@@ -247,29 +250,31 @@ def _execute_scenario(
     if outcome.error is not None and not isinstance(outcome.error, Exception):
         raise outcome.error
     if outcome.timed_out:
-        return StageResult(
+        result = StageResult(
             stage=stage,
             status=STATUS_TIMEOUT,
             seconds=outcome.seconds,
             detail=f"hard deadline {hard_deadline}s",
         )
-    if outcome.error is not None:
-        return StageResult(
+    elif outcome.error is not None:
+        result = StageResult(
             stage=stage,
             status=STATUS_FAILED,
             seconds=outcome.seconds,
             error=f"{type(outcome.error).__name__}: {outcome.error}",
         )
-    delta = outcome.value
-    diverged = not delta.get("converged", True)
-    return StageResult(
-        stage=stage,
-        status=STATUS_DEGRADED if diverged else STATUS_OK,
-        seconds=outcome.seconds,
-        items=int(delta.get("lost_pairs", 0)),
-        degradation="diverged" if diverged else "",
-        data=delta,
-    )
+    else:
+        delta = outcome.value
+        diverged = not delta.get("converged", True)
+        result = StageResult(
+            stage=stage,
+            status=STATUS_DEGRADED if diverged else STATUS_OK,
+            seconds=outcome.seconds,
+            items=int(delta.get("lost_pairs", 0)),
+            degradation="diverged" if diverged else "",
+            data=delta,
+        )
+    return result, outcome.soft_deadline_hit
 
 
 # -- process-pool plumbing ---------------------------------------------------
@@ -285,7 +290,7 @@ def _init_sweep_worker(state: Dict[str, Any]) -> None:
     _WORKER_STATE.update(state)
 
 
-def _sweep_worker(scenario: Scenario) -> StageResult:
+def _sweep_worker(scenario: Scenario) -> Tuple[StageResult, bool]:
     state = _WORKER_STATE
     return _execute_scenario(
         network=state["network"],
@@ -361,6 +366,8 @@ def run_network_sweep(
 
     # Replay finished scenarios from the checkpoint store.
     results: Dict[str, StageResult] = {}
+    # Scenarios whose attempt crossed the soft deadline.
+    over_soft: Set[str] = set()
     replayed = 0
     if config.resume and store is not None and digest is not None:
         for scenario in scenarios:
@@ -377,9 +384,11 @@ def run_network_sweep(
     first_bad: Optional[int] = None  # enumeration index of the fail-fast trigger
     index_of = {s.scenario_id: i for i, s in enumerate(scenarios)}
 
-    def note(scenario: Scenario, result: StageResult) -> None:
+    def note(scenario: Scenario, result: StageResult, soft_deadline_hit: bool) -> None:
         nonlocal first_bad
         results[scenario.scenario_id] = result
+        if soft_deadline_hit:
+            over_soft.add(scenario.scenario_id)
         if config.fail_fast and not result.finished:
             index = index_of[scenario.scenario_id]
             if first_bad is None or index < first_bad:
@@ -400,7 +409,7 @@ def run_network_sweep(
                 break
             note(
                 scenario,
-                _execute_scenario(
+                *_execute_scenario(
                     network=network,
                     archive=archive,
                     scenario=scenario,
@@ -435,7 +444,7 @@ def run_network_sweep(
                 for future in done:
                     # SimulatedKill (a BaseException) crosses the process
                     # boundary and re-raises here — the kill path.
-                    note(futures[future], future.result())
+                    note(futures[future], *future.result())
                 if first_bad is not None:
                     for future in remaining:
                         future.cancel()
@@ -453,6 +462,7 @@ def run_network_sweep(
     if first_bad is not None:
         stopped_after = scenarios[first_bad].scenario_id
         for scenario in scenarios[first_bad + 1:]:
+            over_soft.discard(scenario.scenario_id)
             results[scenario.scenario_id] = StageResult(
                 stage=SCENARIO_STAGE_PREFIX + scenario.scenario_id,
                 status=STATUS_SKIPPED,
@@ -464,8 +474,10 @@ def run_network_sweep(
     ordered: List[Tuple[Scenario, StageResult]] = [
         (s, results[s.scenario_id]) for s in scenarios if s.scenario_id in results
     ]
-    for _scenario, result in ordered:
+    for scenario, result in ordered:
         metrics.counter(f"sweep.scenario.{result.status}").inc()
+        if scenario.scenario_id in over_soft:
+            metrics.counter("sweep.scenario.soft_deadline").inc()
         if result.from_checkpoint:
             metrics.counter("sweep.scenario.replayed").inc()
         else:

@@ -66,7 +66,7 @@ class TestStagingDetection:
     def test_staging_definition(self, tier2_net):
         net, _spec = tier2_net
         instances = compute_instances(net)
-        external_ids = find_external_adjacent_instances(net, instances)
+        external_ids = find_external_adjacent_instances(net)
         staging = [
             i for i in instances if is_staging_instance(i, external_ids)
         ]
@@ -76,5 +76,5 @@ class TestStagingDetection:
     def test_multi_router_instance_is_not_staging(self, enterprise_net):
         net, _spec = enterprise_net
         instances = compute_instances(net)
-        external_ids = find_external_adjacent_instances(net, instances)
+        external_ids = find_external_adjacent_instances(net)
         assert not any(is_staging_instance(i, external_ids) for i in instances)

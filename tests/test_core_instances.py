@@ -77,7 +77,7 @@ class TestExternalAdjacency:
     def test_fig1_external_instances(self, fig1):
         net, meta = fig1
         instances = compute_instances(net)
-        external_ids = find_external_adjacent_instances(net, instances)
+        external_ids = find_external_adjacent_instances(net)
         by_id = {i.instance_id: i for i in instances}
         external_protocols = {by_id[i].protocol for i in external_ids}
         # Only the backbone BGP instance peers with the missing R7.
@@ -88,7 +88,7 @@ class TestExternalAdjacency:
     def test_igp_with_external_interface_is_external(self, tier2_net):
         net, spec = tier2_net
         instances = compute_instances(net)
-        external_ids = find_external_adjacent_instances(net, instances)
+        external_ids = find_external_adjacent_instances(net)
         singles = [
             i for i in instances if i.protocol != "bgp" and i.size == 1
         ]

@@ -1,6 +1,5 @@
 """Survivability analysis tests (§8.1)."""
 
-from repro.core import compute_instances
 from repro.core.survivability import (
     analyze_survivability,
     articulation_routers,
@@ -58,8 +57,7 @@ class TestPhysical:
 class TestInstanceCouplings:
     def test_net5_glue_redundancy(self, net5_small):
         net, spec = net5_small
-        instances = compute_instances(net)
-        couplings = instance_couplings(net, instances)
+        couplings = instance_couplings(net)
         glue = set(spec.notes["glue_ab_routers"])
         # Find the coupling carried by the glue routers.
         matching = [c for c in couplings if c.routers == glue]

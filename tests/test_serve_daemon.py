@@ -23,8 +23,10 @@ import pytest
 from repro.exec.chaos import CHAOS_ENV, ChaosPlan
 from repro.exec.checkpoint import CheckpointStore
 from repro.exec.executor import AnalysisExecutor, ExecutorConfig
+from repro.ingest.archive import archive_digest
 from repro.ingest.cache import ParseCache
 from repro.ingest.snapshot import snapshot_corpus
+from repro.model.network import Network
 from repro.serve import ServeConfig, ServeDaemon
 from repro.serve.generation import normalize_generation, run_generation
 from repro.synth.templates.example_fig1 import build_example_networks
@@ -338,6 +340,51 @@ class TestDebounce:
         outcome = daemon.tick()  # stable again: rebuild
         assert outcome is not None and outcome.complete
         assert daemon.tick() is None  # steady state: nothing to do
+
+
+class TestSnapshotRace:
+    def test_bytes_that_moved_during_a_generation_never_publish(
+        self, corpus, stores, monkeypatch
+    ):
+        daemon = make_daemon(corpus, stores)
+        assert daemon.tick() is None
+        assert daemon.tick().complete
+        edited = edit_file(corpus, 0, "gen2")
+        snapshot = snapshot_corpus(corpus).digest
+
+        # One write lands after the snapshot is hashed, before the read.
+        from_directory = Network.from_directory
+        raced = []
+
+        def racing_read(cls, path, *args, **kwargs):
+            if not raced:
+                raced.append(path)
+                with open(os.path.join(path, edited), "a") as handle:
+                    handle.write("! serve-test racing write\n")
+            return from_directory(path, *args, **kwargs)
+
+        monkeypatch.setattr(Network, "from_directory", classmethod(racing_read))
+        assert daemon.tick() is None  # stats moved: debounce
+        racing = daemon.tick()
+        assert raced and racing.digest == snapshot
+        assert not racing.complete
+        assert racing.error == "corpus changed during the generation"
+        assert daemon.state.generation == 1
+
+        # A later stable tick publishes the bytes on disk, under their digest.
+        for _ in range(6):
+            outcome = daemon.tick()
+            if outcome is not None and outcome.complete:
+                break
+        else:
+            raise AssertionError("no generation published after the race")
+        payload = daemon.state.published
+        inventory = payload["manifest"]["inventory"]
+        assert payload["corpus_digest"] == archive_digest(
+            (record["path"], record["sha256"]) for record in inventory
+        )
+        assert payload["corpus_digest"] == snapshot_corpus(corpus).digest
+        assert daemon.state.status_payload()["staleness"]["serving_current_corpus"]
 
 
 def _spawn_serve(corpus, tmp_path, *extra, chaos_env=None):

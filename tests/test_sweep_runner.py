@@ -1,6 +1,7 @@
 """Sweep runner semantics: determinism, barriers, deadlines, resume."""
 
 import hashlib
+import io
 import json
 import random
 
@@ -8,6 +9,7 @@ import pytest
 
 from repro.exec.chaos import ChaosPlan, SimulatedKill
 from repro.exec.checkpoint import CheckpointStore
+from repro.obs.logging import configure_logging
 from repro.obs.manifest import FileRecord, normalize_run
 from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.sweep import (
@@ -173,6 +175,41 @@ class TestScenarioBarriers:
         chaos = ChaosPlan.from_spec(f"fig1:{victim}=kill")
         with pytest.raises(SimulatedKill):
             run_network_sweep(network, "fig1", config=SweepConfig(chaos=chaos))
+
+
+class TestSoftDeadline:
+    """Two scenarios sleep past the soft deadline; neither is cancelled."""
+
+    CHAOS = "fig1:router-R1=hang:0.3;fig1:router-R2=hang:0.3"
+
+    def _sweep(self, network, jobs):
+        config = SweepConfig(
+            jobs=jobs, scenario_soft_deadline=0.1, chaos=ChaosPlan.from_spec(self.CHAOS)
+        )
+        with use_registry(MetricsRegistry()) as registry:
+            result = run_network_sweep(network, "fig1", config=config)
+        return result, registry.snapshot()["counters"]
+
+    def test_counted_once_per_scenario_and_named_by_archive(self, fig1):
+        stream = io.StringIO()
+        configure_logging(level="warning", json_mode=True, stream=stream)
+        try:
+            result, counters = self._sweep(fig1[0], jobs=1)
+        finally:
+            configure_logging(level="warning")
+        assert result.worst_status == "ok"  # soft never cancels
+        assert counters.get("sweep.scenario.soft_deadline", 0) == 2
+        events = [json.loads(line) for line in stream.getvalue().splitlines()]
+        warned = sorted(
+            event["stage"] for event in events if event["event"] == "stage over soft deadline"
+        )
+        assert warned == ["fig1:router-R1", "fig1:router-R2"]
+
+    @pytest.mark.usefixtures("four_cpus")
+    def test_pool_workers_events_are_counted(self, fig1):
+        result, counters = self._sweep(fig1[0], jobs=2)
+        assert result.workers == 2
+        assert counters.get("sweep.scenario.soft_deadline", 0) == 2
 
 
 class TestFailFast:

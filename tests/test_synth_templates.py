@@ -56,7 +56,7 @@ class TestHybridTemplate:
     def test_external_igp_leaves_recovered(self):
         configs, spec = build_hybrid("h2", 25, 60, seed=7, p_leaf_external=0.5)
         net, instances = recovered_instances(configs)
-        external_ids = find_external_adjacent_instances(net, instances)
+        external_ids = find_external_adjacent_instances(net)
         got_external_igp = sum(
             1
             for i in instances
