@@ -59,10 +59,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 from repro.anonymize import Anonymizer
 from repro.core import (
@@ -99,6 +100,44 @@ from repro.report import (
     span_row,
     stage_row,
 )
+
+
+def _int_in(low: int, high: Optional[int] = None) -> Callable[[str], int]:
+    """An argparse ``type`` for an integer in ``[low, high]``, so a bad
+    count or port ends in argparse's ``error:`` line (exit 2)."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < low or (high is not None and value > high):
+            bounds = f">= {low}" if high is None else f"in {low}..{high}"
+            raise argparse.ArgumentTypeError(f"must be {bounds}, got {value}")
+        return value
+
+    return parse
+
+
+_COUNT = _int_in(0)
+_PORT = _int_in(0, 65535)
+
+
+def _seconds(text: str) -> float:
+    """An argparse ``type`` for a deadline or interval: a positive,
+    finite number of seconds."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number of seconds: {text!r}") from None
+    if not (value > 0 and math.isfinite(value)):
+        raise argparse.ArgumentTypeError(f"must be a positive number of seconds, got {text}")
+    return value
+
+
+def _stage_deadline(text: str):
+    """``--stage-deadline``: ``auto`` or a positive number of seconds."""
+    return text if text == "auto" else _seconds(text)
 
 
 def _cache_from_args(args: argparse.Namespace) -> Optional[ParseCache]:
@@ -431,9 +470,12 @@ def cmd_report(args: argparse.Namespace) -> int:
 def cmd_flow(args: argparse.Namespace) -> int:
     from repro.core.packet_reach import Flow, PacketReachability
 
+    try:
+        flow = Flow.between(args.source, args.dest, protocol=args.protocol, port=args.port)
+    except ValueError as exc:
+        raise SystemExit(f"error: {exc}") from None
     network = _load(args)
     reach = PacketReachability(network)
-    flow = Flow.between(args.source, args.dest, protocol=args.protocol, port=args.port)
     verdict = reach.host_flow(flow)
     if not verdict.path:
         print("no attachment or no path between those hosts")
@@ -490,25 +532,16 @@ def _resolve_stage_deadline(args: argparse.Namespace):
 
     ``auto`` promotes the measured per-stage timings of the throughput
     benchmark into the deadline (see :mod:`repro.exec.budget`); a number
-    is taken literally; unset means no per-stage deadline.
+    (checked by the parser) is taken literally; unset means no per-stage
+    deadline.
     """
     from repro.exec import suggest_stage_deadline  # noqa: PLC0415
 
     value = getattr(args, "stage_deadline", None)
-    if value is None:
-        return None, None
     if value == "auto":
         suggestion = suggest_stage_deadline()
         return suggestion.seconds, suggestion
-    try:
-        seconds = float(value)
-    except ValueError:
-        raise SystemExit(
-            f"error: --stage-deadline wants a number of seconds or 'auto', got {value!r}"
-        ) from None
-    if seconds <= 0:
-        raise SystemExit("error: --stage-deadline must be positive")
-    return seconds, None
+    return value, None
 
 
 def _corpus_executor(args: argparse.Namespace):
@@ -661,10 +694,6 @@ def cmd_corpus(args: argparse.Namespace) -> int:
             f"(archives are directories; move it into one to analyze it)",
             file=sys.stderr,
         )
-    archive_jobs = getattr(args, "archive_jobs", None)
-    if archive_jobs is not None and archive_jobs < 0:
-        raise SystemExit(f"error: archive-jobs must be >= 0, got {archive_jobs}")
-
     executor, suggestion = _corpus_executor(args)
     cache = _cache_from_args(args)
     executions: List[tuple] = []
@@ -985,7 +1014,10 @@ def cmd_generate(args: argparse.Namespace) -> int:
             f"error: unknown template {args.template!r} "
             f"(choose from {', '.join(sorted(builders))})"
         )
-    configs, _spec = builders[args.template]()
+    try:
+        configs, _spec = builders[args.template]()
+    except ValueError as exc:
+        raise SystemExit(f"error: {exc}") from None
     os.makedirs(args.outdir, exist_ok=True)
     for name, text in sorted(configs.items()):
         with open(os.path.join(args.outdir, name), "w") as handle:
@@ -1065,7 +1097,7 @@ def build_parser() -> argparse.ArgumentParser:
     ingest = argparse.ArgumentParser(add_help=False, parents=[cache])
     ingest.add_argument(
         "--jobs",
-        type=int,
+        type=_COUNT,
         default=None,
         metavar="N",
         help="repro sweep: simulate scenarios on up to N worker processes "
@@ -1128,7 +1160,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--decoys",
-        type=int,
+        type=_COUNT,
         default=0,
         help="approximate decoy routers to plant per archive (0 = none)",
     )
@@ -1140,7 +1172,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--salt-probes",
-        type=int,
+        type=_int_in(1),
         default=16,
         help="admissibility probe budget per archive",
     )
@@ -1181,7 +1213,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("source", help="source host address")
     p.add_argument("dest", help="destination host address")
     p.add_argument("--protocol", default="ip")
-    p.add_argument("--port", type=int, default=None)
+    p.add_argument("--port", type=_PORT, default=None)
     p.set_defaults(func=cmd_flow)
 
     p = sub.add_parser("lint", help="ingestion diagnostics table", parents=archive)
@@ -1201,7 +1233,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--archive-jobs",
-        type=int,
+        type=_COUNT,
         default=None,
         metavar="N",
         help="accepted for compatibility; archives are always analyzed "
@@ -1209,7 +1241,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--deadline",
-        type=float,
+        type=_seconds,
         default=None,
         metavar="SECONDS",
         help="whole-run analysis budget; stages beyond it are skipped "
@@ -1217,6 +1249,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--stage-deadline",
+        type=_stage_deadline,
         default=None,
         metavar="SECONDS|auto",
         help="hard per-stage wall-clock deadline; 'auto' derives one from "
@@ -1224,7 +1257,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--soft-deadline",
-        type=float,
+        type=_seconds,
         default=None,
         metavar="SECONDS",
         help="per-stage warning threshold (logs a warning, stage keeps running)",
@@ -1270,7 +1303,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--double-budget",
-        type=int,
+        type=_COUNT,
         default=200,
         metavar="N",
         help="max sampled double-failure scenarios per archive (default 200)",
@@ -1283,14 +1316,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--max-scenarios",
-        type=int,
+        type=_COUNT,
         default=None,
         metavar="N",
         help="hard cap on scenarios per archive (truncates the plan)",
     )
     p.add_argument(
         "--scenario-deadline",
-        type=float,
+        type=_seconds,
         default=None,
         metavar="SECONDS",
         help="hard per-scenario wall-clock deadline; a hung simulation "
@@ -1298,7 +1331,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--soft-deadline",
-        type=float,
+        type=_seconds,
         default=None,
         metavar="SECONDS",
         help="per-scenario warning threshold (logs a warning only)",
@@ -1315,7 +1348,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--top",
-        type=int,
+        type=_COUNT,
         default=15,
         metavar="N",
         help="ranked rows shown per archive in the table view (default 15)",
@@ -1340,7 +1373,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--port",
-        type=int,
+        type=_PORT,
         default=0,
         help="bind port; 0 picks an ephemeral port and prints it (default: 0)",
     )
@@ -1361,6 +1394,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--stage-deadline",
+        type=_stage_deadline,
         default=None,
         metavar="SECONDS|auto",
         help="hard per-stage wall-clock deadline inside a generation; "
@@ -1368,14 +1402,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--soft-deadline",
-        type=float,
+        type=_seconds,
         default=None,
         metavar="SECONDS",
         help="per-stage warning threshold (logs a warning only)",
     )
     p.add_argument(
         "--generation-deadline",
-        type=float,
+        type=_seconds,
         default=None,
         metavar="SECONDS",
         help="whole-generation budget; stages beyond it are skipped and "
@@ -1401,7 +1435,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="emit a synthetic network", parents=[obs])
     p.add_argument("template", help="enterprise|backbone|net5|net15|pod|fig1")
     p.add_argument("outdir")
-    p.add_argument("--routers", type=int, default=20)
+    p.add_argument("--routers", type=_int_in(1), default=20)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_generate)
     return parser

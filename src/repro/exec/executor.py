@@ -337,11 +337,6 @@ class AnalysisExecutor:
         ladder = DEFAULT_LADDERS[stage]
         runner = self.config.runners.get(stage) or STAGE_RUNNERS[stage]
         metrics = get_registry()
-
-        def on_soft(elapsed: float) -> None:
-            # The watchdog logs the event; the executor only counts it.
-            metrics.counter("exec.stage.soft_deadline").inc()
-
         total_seconds = 0.0
         last_error = ""
         timed_out = False
@@ -357,14 +352,12 @@ class AnalysisExecutor:
                 name=f"{archive}:{stage}",
                 hard_deadline=self._effective_hard_deadline(),
                 soft_deadline=self.config.soft_deadline,
-                on_soft=on_soft,
             )
             total_seconds += outcome.seconds
+            if outcome.soft_deadline_hit:
+                # The watchdog logs the event; the executor only counts it.
+                metrics.counter("exec.stage.soft_deadline").inc()
             if outcome.error is not None:
-                if not isinstance(outcome.error, Exception):
-                    # KeyboardInterrupt / SimulatedKill: nothing to
-                    # salvage — re-raise on the caller's thread.
-                    raise outcome.error
                 if isinstance(outcome.error, _RETRYABLE):
                     timed_out = False
                     last_error = (

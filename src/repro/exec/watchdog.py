@@ -6,8 +6,8 @@ BFS that never drains — must not take the whole corpus run down with it.
 calling thread keeps the clock:
 
 * at the **soft deadline** the watchdog logs one ``stage over soft
-  deadline`` warning and calls ``on_soft`` (where the executor counts
-  ``exec.stage.soft_deadline``); the stage keeps running;
+  deadline`` warning and sets the outcome's ``soft_deadline_hit`` flag,
+  which is how callers learn of it; the stage keeps running;
 * at the **hard deadline** a :class:`StageCancelled` exception is
   injected into the worker thread (CPython async-exception injection),
   which unwinds pure-Python loops at the next bytecode boundary.  A
@@ -17,6 +17,12 @@ calling thread keeps the clock:
 
 With no deadlines configured the stage runs inline on the calling thread
 — the normal path pays nothing for the protection it does not use.
+
+Either way an ``Exception`` is captured in the outcome, and anything
+else (``KeyboardInterrupt``, :class:`~repro.exec.chaos.SimulatedKill`)
+is raised on the caller's thread: a kill escapes the same way from an
+inline call and from the watchdog's thread, so callers never re-raise
+by hand.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ import ctypes
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from typing import Any, Callable, List, Optional
 
 from repro.obs.logging import get_logger
 from repro.obs.metrics import get_registry, use_registry
@@ -54,11 +60,10 @@ class WatchdogOutcome:
     """What happened to one guarded call."""
 
     value: Any = None
-    error: Optional[BaseException] = None
+    error: Optional[Exception] = None
     timed_out: bool = False
     soft_deadline_hit: bool = False
     seconds: float = 0.0
-    abandoned: bool = False  # worker never unwound (stuck in C code)
 
 
 def _inject_exception(thread_id: int, exc_type: type) -> bool:
@@ -81,14 +86,14 @@ def run_with_deadline(
     name: str = "stage",
     hard_deadline: Optional[float] = None,
     soft_deadline: Optional[float] = None,
-    on_soft: Optional[Callable[[float], None]] = None,
 ) -> WatchdogOutcome:
     """Run ``fn()`` under soft/hard wall-clock deadlines.
 
     Returns a :class:`WatchdogOutcome`; exactly one of ``value`` /
     ``error`` / ``timed_out`` describes the ending.  Deadlines are in
     seconds; ``None`` disables the respective deadline.  With neither
-    deadline set the call is made inline (no thread).
+    deadline set the call is made inline (no thread).  A
+    non-``Exception`` escaping ``fn`` is raised here, inline or threaded.
     """
     start = time.perf_counter()
     if hard_deadline is None and soft_deadline is None:
@@ -101,6 +106,7 @@ def run_with_deadline(
         return outcome
 
     outcome = WatchdogOutcome()
+    escaped: List[BaseException] = []
     done = threading.Event()
     # Observability scoping is thread-local; the worker thread inherits
     # the caller's registry and tracer explicitly so stage metrics and
@@ -114,10 +120,10 @@ def run_with_deadline(
                 result = fn()
         except StageCancelled:
             return  # the watchdog already recorded the timeout
-        except BaseException as exc:  # noqa: BLE001 — barrier; the caller
-            # decides whether non-Exception escapees (KeyboardInterrupt,
-            # SimulatedKill) are re-raised on its own thread.
+        except Exception as exc:  # noqa: BLE001 — barrier: report, don't die
             outcome.error = exc
+        except BaseException as exc:  # raised again on the caller's thread
+            escaped.append(exc)
         else:
             outcome.value = result
         finally:
@@ -143,8 +149,6 @@ def run_with_deadline(
             _log.warning(
                 "stage over soft deadline", stage=name, soft_deadline=soft_deadline
             )
-            if on_soft is not None:
-                on_soft(elapsed)
         if hard_deadline is not None and elapsed >= hard_deadline:
             if done.is_set():  # finished while we were checking — not a timeout
                 break
@@ -160,13 +164,14 @@ def run_with_deadline(
             if thread.is_alive():
                 # Stuck in a C call; nothing more we can do from here.
                 # The daemon thread is abandoned and the run moves on.
-                outcome.abandoned = True
                 _log.error("cancelled stage did not unwind", stage=name)
             outcome.value = None
             outcome.error = None
             break
 
     outcome.seconds = time.perf_counter() - start
+    if escaped:
+        raise escaped[0]
     return outcome
 
 

@@ -109,12 +109,8 @@ def run_generation(
         ),
         name=f"{network.name}:payload",
         hard_deadline=executor.config.stage_deadline,
-        soft_deadline=None,
-        on_soft=None,
     )
     if outcome.error is not None:
-        if not isinstance(outcome.error, Exception):
-            raise outcome.error
         return GenerationOutcome(
             digest=digest,
             execution=execution,

@@ -16,35 +16,41 @@ is simulated under the executor's robustness contract:
   ``(archive digest, "sweep1.<scenario_id>")``; ``resume=True`` replays
   them without re-simulating;
 * **kill semantics** — :class:`~repro.exec.chaos.SimulatedKill` (and any
-  other non-``Exception``) is never converted to a row; it propagates
-  out of the sweep with whatever checkpoints were already written.
+  other non-``Exception``) is never converted to a row; the watchdog
+  raises it, and it propagates out of the sweep with whatever
+  checkpoints were already written.
 
 Determinism: scenario outcomes depend only on the network and the chaos
 rules, never on worker interleaving, so the ranked row list — sorted by
 :func:`~repro.sweep.baseline.severity_key` — is identical at any
-``jobs`` value and for any permutation of the scenario list.  Under
-``fail_fast`` every scenario *after* the first unfinished one (in
-enumeration order) reports ``skipped``, even if a racing worker had
-already finished it — discarding those results is what keeps the
-payload jobs-invariant.
+``jobs`` value and for any permutation of the scenario list.
+
+One loop reads every result in enumeration order, serial or pooled,
+and checkpoints each finished one as it reads it.  Under ``fail_fast``
+it stops at the first unfinished result, and every scenario after that
+one reports ``skipped``; what is stored, and what a later ``--resume``
+replays, is therefore the same at any ``jobs`` value.  A kill at
+scenario *k* leaves exactly the finished scenarios before *k*: a pooled
+result that finished behind a still-running earlier scenario is lost
+with the kill.
 
 Parallel execution ships the pickled network + baseline to each worker
-process once (initializer), then streams scenarios through the pool; the
-pure-Python simulation holds the GIL, so threads would serialize and
-processes are the only parallelism that pays.  This scenario pool is the
-program's one parallel grain: a scenario is a whole routing fixpoint
-(about 0.12 s at 48 routers), so its IPC amortizes, where per-file
-parsing and per-archive threads did not.  The pool never runs
-more workers than the usable CPUs.
+process once (initializer), then maps scenarios through the pool in
+submission order; the pure-Python simulation holds the GIL, so threads
+would serialize and processes are the only parallelism that pays.  This
+scenario pool is the program's one parallel grain: a scenario is a
+whole routing fixpoint (about 0.12 s at 48 routers), so its IPC
+amortizes, where per-file parsing and per-archive threads did not.  The
+pool never runs more workers than the usable CPUs.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.core.survivability import SurvivabilityReport
 from repro.exec.chaos import ChaosPlan
@@ -94,6 +100,10 @@ MAX_AUTO_JOBS = 16
 #: checkpoint when delta semantics change.
 SCENARIO_STAGE_PREFIX = "sweep1."
 
+#: Fixpoint round limit for the baseline and every scenario; a scenario
+#: that reaches it becomes a ``degraded`` (diverged) row.
+MAX_ITERATIONS = 1000
+
 
 def available_cpus() -> int:
     """CPUs this process may actually use (affinity-aware where possible)."""
@@ -136,7 +146,6 @@ class SweepConfig:
     double_budget: int = DEFAULT_DOUBLE_BUDGET
     seed: int = 0
     max_scenarios: Optional[int] = None
-    max_iterations: int = 1000
     jobs: Optional[int] = None
     #: Hard per-scenario wall-clock deadline (seconds); ``None`` = none.
     scenario_deadline: Optional[float] = None
@@ -174,10 +183,6 @@ class SweepResult:
     def worst_status(self) -> Optional[str]:
         return worst_status(row["status"] for row in self.rows)
 
-    @property
-    def degraded(self) -> bool:
-        return any(row["status"] != STATUS_OK for row in self.rows)
-
     def as_dict(self) -> Dict[str, Any]:
         data: Dict[str, Any] = {
             "archive": self.archive,
@@ -195,10 +200,7 @@ class SweepResult:
 
 
 def _simulate(
-    network: Network,
-    scenario: Scenario,
-    baseline: BaselineSnapshot,
-    max_iterations: int,
+    network: Network, scenario: Scenario, baseline: BaselineSnapshot
 ) -> Dict[str, Any]:
     """Simulate one scenario and return its delta payload.
 
@@ -211,44 +213,39 @@ def _simulate(
         failed_routers=scenario.failed_routers,
         failed_subnets=scenario.failed_subnets,
         validate=False,
-    ).run(max_iterations=max_iterations, on_divergence="degrade")
+    ).run(max_iterations=MAX_ITERATIONS, on_divergence="degrade")
     return scenario_delta(baseline, simulation, scenario)
 
 
 def _execute_scenario(
-    network: Network,
-    archive: str,
-    scenario: Scenario,
-    baseline: BaselineSnapshot,
-    chaos: ChaosPlan,
-    max_iterations: int,
-    hard_deadline: Optional[float],
-    soft_deadline: Optional[float],
+    scenario: Scenario, state: Dict[str, Any]
 ) -> Tuple[StageResult, bool]:
     """One scenario under chaos + deadline + exception barrier.
 
-    Returns the scenario's result and whether its attempt crossed the
-    soft deadline; the parent counts the latter, so a pool worker's
-    event is not lost.  Runs on the calling thread (serial path) or
-    inside a worker process (parallel path) — the semantics are
-    identical because the watchdog wraps the attempt in both.
-    Non-``Exception`` escapees (SimulatedKill, KeyboardInterrupt) are
-    re-raised, never folded into a row.
+    *state* holds what every scenario of the sweep shares: the network,
+    archive name, baseline, chaos plan and the two deadlines.  Returns
+    the scenario's result and whether its attempt crossed the soft
+    deadline; the parent counts the latter, so a pool worker's event is
+    not lost.  Runs on the calling thread (serial path) or inside a
+    worker process (parallel path) — the semantics are identical
+    because the watchdog wraps the attempt in both, and raises a
+    non-``Exception`` escapee (SimulatedKill, KeyboardInterrupt) rather
+    than folding it into a row.
     """
+    archive = state["archive"]
 
     def attempt() -> Dict[str, Any]:
-        chaos.trigger(archive, scenario.scenario_id, 0)
-        return _simulate(network, scenario, baseline, max_iterations)
+        state["chaos"].trigger(archive, scenario.scenario_id, 0)
+        return _simulate(state["network"], scenario, state["baseline"])
 
+    hard_deadline = state["hard_deadline"]
     outcome = run_with_deadline(
         attempt,
         name=f"{archive}:{scenario.scenario_id}",
         hard_deadline=hard_deadline,
-        soft_deadline=soft_deadline,
+        soft_deadline=state["soft_deadline"],
     )
     stage = SCENARIO_STAGE_PREFIX + scenario.scenario_id
-    if outcome.error is not None and not isinstance(outcome.error, Exception):
-        raise outcome.error
     if outcome.timed_out:
         result = StageResult(
             stage=stage,
@@ -291,17 +288,7 @@ def _init_sweep_worker(state: Dict[str, Any]) -> None:
 
 
 def _sweep_worker(scenario: Scenario) -> Tuple[StageResult, bool]:
-    state = _WORKER_STATE
-    return _execute_scenario(
-        network=state["network"],
-        archive=state["archive"],
-        scenario=scenario,
-        baseline=state["baseline"],
-        chaos=state["chaos"],
-        max_iterations=state["max_iterations"],
-        hard_deadline=state["hard_deadline"],
-        soft_deadline=state["soft_deadline"],
-    )
+    return _execute_scenario(scenario, _WORKER_STATE)
 
 
 def _build_row(scenario: Scenario, result: StageResult) -> Dict[str, Any]:
@@ -377,92 +364,56 @@ def run_network_sweep(
                 replayed += 1
     pending = [s for s in scenarios if s.scenario_id not in results]
 
-    baseline = compute_baseline(network, max_iterations=config.max_iterations)
+    baseline = compute_baseline(network, max_iterations=MAX_ITERATIONS)
+    state = {
+        "network": network,
+        "archive": archive,
+        "baseline": baseline,
+        "chaos": config.chaos,
+        "hard_deadline": config.scenario_deadline,
+        "soft_deadline": config.scenario_soft_deadline,
+    }
 
+    # The serial path and the pool differ only in how a scenario becomes
+    # its result; both yield results in enumeration order.
     workers = resolve_jobs(config.jobs, len(pending))
-
-    first_bad: Optional[int] = None  # enumeration index of the fail-fast trigger
-    index_of = {s.scenario_id: i for i, s in enumerate(scenarios)}
-
-    def note(scenario: Scenario, result: StageResult, soft_deadline_hit: bool) -> None:
-        nonlocal first_bad
-        results[scenario.scenario_id] = result
-        if soft_deadline_hit:
-            over_soft.add(scenario.scenario_id)
-        if config.fail_fast and not result.finished:
-            index = index_of[scenario.scenario_id]
-            if first_bad is None or index < first_bad:
-                first_bad = index
-        if (
-            result.finished
-            and not result.from_checkpoint
-            and store is not None
-            and digest is not None
-            and first_bad is None
-        ):
-            store.store(digest, archive, result)
-
-    if workers <= 1 or len(pending) <= 1:
-        workers = 1
-        for scenario in pending:
-            if first_bad is not None and index_of[scenario.scenario_id] > first_bad:
-                break
-            note(
-                scenario,
-                *_execute_scenario(
-                    network=network,
-                    archive=archive,
-                    scenario=scenario,
-                    baseline=baseline,
-                    chaos=config.chaos,
-                    max_iterations=config.max_iterations,
-                    hard_deadline=config.scenario_deadline,
-                    soft_deadline=config.scenario_soft_deadline,
-                ),
-            )
-    else:
-        state = {
-            "network": network,
-            "archive": archive,
-            "baseline": baseline,
-            "chaos": config.chaos,
-            "max_iterations": config.max_iterations,
-            "hard_deadline": config.scenario_deadline,
-            "soft_deadline": config.scenario_soft_deadline,
-        }
-        pool = ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_init_sweep_worker,
-            initargs=(state,),
-        )
-        futures: Dict[Any, Scenario] = {}
-        try:
-            futures = {pool.submit(_sweep_worker, s): s for s in pending}
-            remaining = set(futures)
-            while remaining:
-                done, remaining = wait(remaining, return_when=FIRST_COMPLETED)
-                for future in done:
-                    # SimulatedKill (a BaseException) crosses the process
-                    # boundary and re-raises here — the kill path.
-                    note(futures[future], *future.result())
-                if first_bad is not None:
-                    for future in remaining:
-                        future.cancel()
-                    remaining = {f for f in remaining if not f.cancelled()}
-        except BaseException:
-            for future in futures:
-                future.cancel()
-            pool.shutdown(wait=False, cancel_futures=True)
-            raise
-        pool.shutdown(wait=True)
-
-    # Fail-fast determinism: every scenario after the trigger reports
-    # skipped, even those a racing worker finished first.
+    pool: Optional[ProcessPoolExecutor] = None
+    outcomes: Iterator[Tuple[StageResult, bool]]
     stopped_after: Optional[str] = None
-    if first_bad is not None:
-        stopped_after = scenarios[first_bad].scenario_id
-        for scenario in scenarios[first_bad + 1:]:
-            over_soft.discard(scenario.scenario_id)
+    try:
+        if workers > 1:
+            pool = ProcessPoolExecutor(
+                max_workers=workers,
+                initializer=_init_sweep_worker,
+                initargs=(state,),
+            )
+            outcomes = pool.map(_sweep_worker, pending)
+        else:
+            outcomes = (_execute_scenario(scenario, state) for scenario in pending)
+        for scenario, (result, soft_deadline_hit) in zip(pending, outcomes):
+            results[scenario.scenario_id] = result
+            if soft_deadline_hit:
+                over_soft.add(scenario.scenario_id)
+            if result.finished:
+                if store is not None and digest is not None:
+                    store.store(digest, archive, result)
+            elif config.fail_fast:
+                stopped_after = scenario.scenario_id
+                break
+    except BaseException:
+        # A kill (SimulatedKill crosses the process boundary and is
+        # raised here by the pool) ends the sweep without waiting.
+        if pool is not None:
+            pool.shutdown(wait=False, cancel_futures=True)
+        raise
+    if pool is not None:
+        # After a fail-fast stop: drop what has not started, wait for
+        # what is still running.
+        pool.shutdown(cancel_futures=True)
+
+    if stopped_after is not None:
+        ids = [scenario.scenario_id for scenario in scenarios]
+        for scenario in scenarios[ids.index(stopped_after) + 1:]:
             results[scenario.scenario_id] = StageResult(
                 stage=SCENARIO_STAGE_PREFIX + scenario.scenario_id,
                 status=STATUS_SKIPPED,
@@ -472,7 +423,7 @@ def run_network_sweep(
     # Metrics are recorded parent-side, in enumeration order, so the
     # registry reads identically at any jobs value.
     ordered: List[Tuple[Scenario, StageResult]] = [
-        (s, results[s.scenario_id]) for s in scenarios if s.scenario_id in results
+        (s, results[s.scenario_id]) for s in scenarios
     ]
     for scenario, result in ordered:
         metrics.counter(f"sweep.scenario.{result.status}").inc()
@@ -513,6 +464,7 @@ def run_network_sweep(
 
 __all__ = [
     "MAX_AUTO_JOBS",
+    "MAX_ITERATIONS",
     "PARALLEL_THRESHOLD",
     "SCENARIO_STAGE_PREFIX",
     "SweepConfig",

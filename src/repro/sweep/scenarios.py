@@ -199,6 +199,8 @@ def enumerate_scenarios(
         raise ValueError(f"sweep depth must be 1 or 2, got {depth}")
     if double_budget < 0:
         raise ValueError(f"double budget must be >= 0, got {double_budget}")
+    if max_scenarios is not None and max_scenarios < 0:
+        raise ValueError(f"max scenarios must be >= 0, got {max_scenarios}")
     if survivability is None:
         survivability = analyze_survivability(network)
     router_tags = _router_tags(survivability)

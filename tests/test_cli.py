@@ -316,9 +316,10 @@ class TestIngestFlags:
         assert os.path.isdir(os.path.join(cache, "objects"))
 
     def test_negative_jobs_rejected(self, config_dir, capsys):
-        with pytest.raises(ValueError):
+        with pytest.raises(SystemExit) as raised:
             main(["analyze", "--no-cache", "--jobs", "-2", config_dir])
-        capsys.readouterr()
+        assert raised.value.code == 2
+        assert "error: argument --jobs" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv",
@@ -414,6 +415,55 @@ OPTION_STRINGS = {
         "--top",
     },
 }
+
+
+#: Every out-of-range number a command must refuse with an ``error:``
+#: line; ``DIR`` is the fig1 archive and ``OUT`` a fresh output path.
+_BAD_NUMBERS = [
+    ["sweep", "DIR", "--max-scenarios", "-1"],
+    ["sweep", "DIR", "--max-scenarios", "-5"],
+    ["sweep", "DIR", "--top", "-1"],
+    ["sweep", "DIR", "--scenario-deadline", "-1"],
+    ["sweep", "DIR", "--scenario-deadline", "0"],
+    ["sweep", "DIR", "--depth", "2", "--double-budget", "-1"],
+    ["share", "DIR", "OUT", "--decoys", "-1"],
+    ["share", "DIR", "OUT", "--salt-probes", "0"],
+    ["generate", "enterprise", "OUT", "--routers", "1"],
+    ["generate", "pod", "OUT", "--routers", "2"],
+    ["flow", "DIR", "notanip", "10.0.0.1"],
+    ["serve", "DIR", "--port", "99999"],
+    *(
+        [*command, "--jobs", "-1"]
+        for command in (
+            ["analyze", "DIR"],
+            ["instances", "DIR"],
+            ["pathway", "DIR", "R1"],
+            ["survivability", "DIR"],
+            ["audit", "DIR"],
+            ["graph", "DIR"],
+            ["report", "DIR"],
+            ["flow", "DIR", "10.0.0.1", "10.0.0.2"],
+            ["diff", "DIR", "DIR"],
+            ["lint", "DIR"],
+            ["corpus", "DIR"],
+            ["sweep", "DIR"],
+        )
+    ),
+]
+
+
+@pytest.mark.parametrize("argv", _BAD_NUMBERS, ids=" ".join)
+def test_bad_numbers_end_in_an_error_line(config_dir, tmp_path, capsys, argv):
+    paths = {"DIR": config_dir, "OUT": os.fspath(tmp_path / "out")}
+    with pytest.raises(SystemExit) as raised:
+        main([paths.get(arg, arg) for arg in argv])
+    code = raised.value.code
+    # argparse prints its message and exits 2; a command exits with its
+    # "error: ..." message, which the interpreter prints on stderr.
+    message = capsys.readouterr().err if isinstance(code, int) else code
+    assert code != 0
+    assert "error:" in message
+    assert "Traceback" not in message
 
 
 def _subcommands():

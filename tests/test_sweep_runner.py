@@ -3,6 +3,7 @@
 import hashlib
 import io
 import json
+import os
 import random
 
 import pytest
@@ -242,6 +243,67 @@ class TestFailFast:
         assert normalized(serial) == normalized(parallel)
 
 
+@pytest.mark.usefixtures("four_cpus")
+class TestFailFastCheckpointsAreJobsInvariant:
+    """A fail-fast or killed sweep stores the same scenarios, and the next
+    ``resume`` replays the same ones, serial and pooled.  Chaos specs name
+    scenarios by their enumeration index; each case gives the stores a
+    serial sweep makes."""
+
+    CASES = {
+        # The first scenario hangs past the deadline: nothing precedes it.
+        "first-times-out": ("fig1:{0}=hang", 0.5, False, 0),
+        # The first finishes late, the second fails: the first is kept.
+        "late-then-failed": ("fig1:{0}=hang:0.6;fig1:{1}=raise", None, False, 1),
+        # The third finishes late, the fourth kills the sweep from the
+        # watchdog's thread (a deadline is set).
+        "late-then-kill": ("fig1:{2}=hang:0.5;fig1:{3}=kill", 5.0, True, 3),
+    }
+
+    def _sweep_then_resume(self, network, root, jobs, spec, deadline, killed):
+        ids = [s.scenario_id for s in enumerate_scenarios(network).scenarios]
+        store = CheckpointStore(root=str(root))
+        config = SweepConfig(
+            jobs=jobs,
+            fail_fast=True,
+            scenario_deadline=deadline,
+            checkpoints=store,
+            chaos=ChaosPlan.from_spec(spec.format(*ids)),
+        )
+        inventory = _inventory(network)
+        if killed:
+            with pytest.raises(SimulatedKill):
+                run_network_sweep(network, "fig1", inventory=inventory, config=config)
+        else:
+            result = run_network_sweep(network, "fig1", inventory=inventory, config=config)
+            assert result.stopped_after is not None
+        entries = sorted(os.path.basename(path) for path in store.disk.entries())
+        resumed = run_network_sweep(
+            network,
+            "fig1",
+            inventory=inventory,
+            config=SweepConfig(
+                jobs=jobs, checkpoints=CheckpointStore(root=str(root)), resume=True
+            ),
+        )
+        replayed = sorted(row["scenario"] for row in resumed.rows if row.get("from_checkpoint"))
+        return entries, store.stats.stores, replayed
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_same_checkpoints_and_replays_at_any_jobs(self, fig1, tmp_path, case):
+        spec, deadline, killed, serial_stores = self.CASES[case]
+        network, _meta = fig1
+        serial = self._sweep_then_resume(
+            network, tmp_path / "serial", 1, spec, deadline, killed
+        )
+        pooled = self._sweep_then_resume(
+            network, tmp_path / "pooled", 2, spec, deadline, killed
+        )
+        entries, stores, replayed = serial
+        assert stores == len(entries) == len(replayed) == serial_stores
+        assert pooled == serial
+
+
 class TestCheckpointResume:
     def test_kill_then_resume_matches_uninterrupted(self, fig1, tmp_path):
         network, _meta = fig1
@@ -311,13 +373,12 @@ class TestCheckpointResume:
 
 
 class TestDivergenceRow:
-    def test_diverging_scenario_degrades_instead_of_raising(self, fig1):
+    def test_diverging_scenario_degrades_instead_of_raising(self, fig1, monkeypatch):
         network, _meta = fig1
-        # max_iterations=1 guarantees the fixpoint is not reached; every
+        # One fixpoint round guarantees the fixpoint is not reached; every
         # scenario must degrade to a diagnostic row, never raise.
-        result = run_network_sweep(
-            network, "fig1", config=SweepConfig(max_iterations=1)
-        )
+        monkeypatch.setattr("repro.sweep.runner.MAX_ITERATIONS", 1)
+        result = run_network_sweep(network, "fig1")
         assert result.rows
         for row in result.rows:
             assert row["status"] == "degraded"

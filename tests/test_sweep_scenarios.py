@@ -129,3 +129,9 @@ class TestBounds:
         network, _meta = fig1
         with pytest.raises(ValueError, match="budget"):
             enumerate_scenarios(network, depth=2, double_budget=-1)
+
+    def test_negative_max_scenarios_rejected(self, fig1):
+        # A negative cap would slice from the end: a partial plan.
+        network, _meta = fig1
+        with pytest.raises(ValueError, match="max scenarios"):
+            enumerate_scenarios(network, max_scenarios=-1)
