@@ -889,12 +889,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             )
             continue
         network = _load(args, path, default_mode="lenient")
-        result = run_network_sweep(
-            network,
-            archive=archive_name(path),
-            inventory=getattr(network, "inventory", None) or None,
-            config=config,
-        )
+        result = run_network_sweep(network, archive=archive_name(path), config=config)
         _finish_archive(args, network)
         del network  # the next archive loads without this one alive
         entries.append(result.as_dict())
@@ -1379,7 +1374,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--poll-interval",
-        type=float,
+        type=_seconds,
         default=2.0,
         metavar="SECONDS",
         help="corpus poll cadence (default: 2.0)",

@@ -6,9 +6,9 @@ finished result.  The executor checkpoints each *finished* stage
 from the **bytes** of the archive's configuration files, so ``--resume``
 replays exactly the work whose inputs have not changed:
 
-* the archive digest is :func:`repro.ingest.archive.archive_digest`,
-  the SHA-256 over the sorted ``(path, sha256)`` inventory of the
-  archive — the same per-file digests the run manifest records;
+* the archive digest is ``Network.digest``, the SHA-256 over the sorted
+  ``(path, sha256)`` inventory (the run manifest's per-file digests); a
+  network not read from bytes has none and is never checkpointed;
 * the entry stores that digest *again* in its payload and ``load``
   re-validates it, so an entry that was written under one inventory can
   never be replayed against another (the edit-between-runs race);

@@ -48,7 +48,6 @@ from repro.exec.stage import (
     worst_status,
 )
 from repro.exec.watchdog import run_with_deadline
-from repro.ingest.archive import archive_digest
 from repro.obs.logging import get_logger
 from repro.obs.metrics import get_registry
 from repro.obs.trace import span
@@ -211,10 +210,10 @@ class ExecutorConfig:
 
 @dataclass
 class ArchiveExecution:
-    """All stage results of one archive, plus its digest."""
+    """All stage results of one archive, plus its network's digest."""
 
     archive: str
-    digest: str
+    digest: Optional[str]
     results: List[StageResult] = field(default_factory=list)
 
     @property
@@ -282,9 +281,10 @@ class AnalysisExecutor:
 
         Each stage runs (or replays) inside one ``stage:<name>`` span, so
         the analysis spans it opens nest under it in the trace.
+        Checkpoints are keyed by ``network.digest``; a network without
+        one (not read from bytes) is neither replayed nor stored.
         """
-        inventory = getattr(network, "inventory", None) or []
-        digest = archive_digest((record.path, record.sha256) for record in inventory)
+        digest = network.digest
         execution = ArchiveExecution(archive=archive, digest=digest)
         metrics = get_registry()
         for stage in ANALYSIS_STAGES:
@@ -308,9 +308,9 @@ class AnalysisExecutor:
         return execution
 
     def _run_stage(
-        self, archive: str, network: Any, digest: str, stage: str
+        self, archive: str, network: Any, digest: Optional[str], stage: str
     ) -> StageResult:
-        store = self.config.checkpoints
+        store = self.config.checkpoints if digest is not None else None
         if store is not None and self.config.resume:
             cached = store.load(digest, stage)
             if cached is not None:

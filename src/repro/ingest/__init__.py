@@ -10,18 +10,20 @@ time went.  This package provides those pieces:
   directories are archives, which files belong to one, which files are
   config text, the archive's name and its digest — one rule each, for
   every command;
-* :mod:`repro.ingest.parse` — the serial parse pass: per-file sinks
-  merged in file order, strict-mode errors re-raised at their file, and
-  the ``stage:parse`` span that times it;
+* :mod:`repro.ingest.parse` — :func:`parse_stage`, the serial parse
+  pass over ``(source, text, bytes)`` files as the ``stage:parse`` span:
+  one outcome per file, strict-mode errors carried back in it;
 * :mod:`repro.ingest.cache` — a persistent content-addressed parse cache
   keyed by file bytes + parser version + mode, replaying diagnostics
   faithfully on hits;
 * :mod:`repro.ingest.snapshot` — stat-level corpus snapshots for the
   serve daemon's change detection.
 
-:class:`repro.model.network.Network`'s ``from_directory``/``from_configs``
-constructors drive this pass via their ``cache=`` keyword and record
-its ``stage:read``/``stage:parse`` spans as ``Network.ingest_stages``.
+:class:`repro.model.network.Network`'s ``from_directory`` and
+``from_configs`` share one ingestion pass over these pieces: it merges
+the outcomes in file order, raises a strict error at its file, records
+the inventory and its ``archive_digest`` as ``Network.digest``, and
+keeps the ``stage:read``/``stage:parse`` spans as ``Network.ingest_stages``.
 """
 
 from repro.ingest.cache import (
@@ -33,9 +35,6 @@ from repro.ingest.cache import (
 from repro.ingest.parse import (
     ON_ERROR_POLICIES,
     ParseOutcome,
-    ParseTask,
-    parse_many,
-    parse_one,
     parse_stage,
 )
 from repro.ingest.snapshot import (
@@ -55,12 +54,9 @@ __all__ = [
     "ON_ERROR_POLICIES",
     "ParseCache",
     "ParseOutcome",
-    "ParseTask",
     "SnapshotDiff",
     "default_cache_dir",
     "diff_snapshots",
-    "parse_many",
-    "parse_one",
     "parse_stage",
     "scan_stats",
     "snapshot_corpus",

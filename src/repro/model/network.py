@@ -17,12 +17,12 @@ import hashlib
 import os
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from repro.diag import PHASE_BUILD, DiagnosticSink
-from repro.ingest.archive import archive_name, read_archive
+from repro.ingest.archive import ArchiveFile, archive_digest, archive_name, read_archive
 from repro.ingest.cache import ParseCache
-from repro.ingest.parse import ON_ERROR_POLICIES, ParseTask, check_jobs, parse_stage
+from repro.ingest.parse import check_jobs, check_on_error, parse_stage
 from repro.obs.logging import get_logger
 from repro.obs.manifest import (
     DISPOSITION_CACHED,
@@ -32,8 +32,6 @@ from repro.obs.manifest import (
 )
 from repro.obs.metrics import get_registry
 from repro.obs.trace import Span, span
-
-_log = get_logger("model")
 from repro.ios.config import InterfaceConfig, RouterConfig
 from repro.model.exchange import ExchangeRecord, build_route_exchange
 from repro.model.instances import RoutingInstance, compute_instances
@@ -45,6 +43,8 @@ from repro.model.processes import (
     process_key,
 )
 from repro.net import IPv4Address, Prefix, summarize_prefixes
+
+_log = get_logger("model")
 
 
 @dataclass
@@ -148,8 +148,8 @@ class Network:
     Networks built through :meth:`from_configs`/:meth:`from_directory`
     carry the ingestion run's :class:`repro.diag.DiagnosticSink` as
     ``diagnostics``, the list of files that could not be ingested at
-    all as ``quarantined``, and the ingestion's stage spans as
-    ``ingest_stages``.
+    all as ``quarantined``, the ingestion's stage spans as
+    ``ingest_stages`` and, when read from bytes, their ``digest``.
     """
 
     def __init__(
@@ -162,6 +162,7 @@ class Network:
         on_duplicate: str = "error",
         inventory: Optional[Iterable[FileRecord]] = None,
         ingest_stages: Iterable[Span] = (),
+        digest: Optional[str] = None,
     ):
         if on_duplicate not in ("error", "rename"):
             raise ValueError(f"unknown on_duplicate policy: {on_duplicate!r}")
@@ -177,6 +178,9 @@ class Network:
         #: parse stage the parse attempts (``parsed``) and cache replays
         #: (``cached``).  Timed whether or not a tracer was active.
         self.ingest_stages: Tuple[Span, ...] = tuple(ingest_stages)
+        #: The ``archive_digest`` of the inventory, which keys checkpoints;
+        #: ``None`` (never checkpointed) when a router was not read from bytes.
+        self.digest = digest
         self.routers: Dict[str, Router] = {}
         for router in routers:
             router_name = router.name
@@ -236,55 +240,21 @@ class Network:
         are identical.  ``jobs`` is still accepted (negative values raise
         :class:`ValueError`) but no longer changes ingestion, which is
         one serial pass.
+
+        Texts are ingested as their UTF-8 bytes, like the files of
+        :meth:`from_directory`; a parsed :class:`RouterConfig` passes
+        through, and then the network has no ``digest``.
         """
-        if on_error not in ON_ERROR_POLICIES:
-            raise ValueError(f"unknown on_error policy: {on_error!r}")
+        check_on_error(on_error)
         check_jobs(jobs)
-        sink = diagnostics if diagnostics is not None else DiagnosticSink()
-        entries = list(configs.items())
-        tasks = [
-            ParseTask(source=router_name, text=config, on_error=on_error)
-            for router_name, config in entries
-            if isinstance(config, str)
+        files = [
+            ArchiveFile(key, DiagnosticSink(), value, value.encode("utf-8"))
+            if isinstance(value, str)
+            else Router(name=key, config=value, source=key)
+            for key, value in configs.items()
         ]
-        results, parse = parse_stage(tasks, cache=cache)
-        outcomes = iter(results)
-        routers = []
-        quarantined: List[str] = []
-        inventory: List[FileRecord] = []
-        for router_name, config in entries:
-            if isinstance(config, str):
-                data = config.encode("utf-8")
-                outcome = next(outcomes)
-                sink.merge(outcome.diagnostics)
-                if outcome.error is not None:
-                    raise outcome.error
-                if outcome.config is None:
-                    inventory.append(
-                        _file_record(router_name, data, DISPOSITION_QUARANTINED)
-                    )
-                    quarantined.append(router_name)
-                    continue
-                inventory.append(
-                    _file_record(
-                        router_name,
-                        data,
-                        DISPOSITION_CACHED if outcome.cached else DISPOSITION_PARSED,
-                        router=router_name,
-                    )
-                )
-                config = outcome.config
-            routers.append(Router(name=router_name, config=config, source=router_name))
-        _record_ingest_observations(name, sink, inventory)
-        return cls(
-            routers,
-            name=name,
-            diagnostics=sink,
-            quarantined=quarantined,
-            on_duplicate="error" if on_error == "strict" else "rename",
-            inventory=inventory,
-            ingest_stages=(parse,),
-        )
+        sink = diagnostics if diagnostics is not None else DiagnosticSink()
+        return cls._ingest(name, files, on_error, cache, sink)
 
     @classmethod
     def from_directory(
@@ -313,69 +283,79 @@ class Network:
         per-file parse diagnostics are folded back in directory order, so
         the diagnostic stream does not depend on cache hits.
         """
-        if on_error not in ON_ERROR_POLICIES:
-            raise ValueError(f"unknown on_error policy: {on_error!r}")
+        check_on_error(on_error)
         check_jobs(jobs)
-        sink = DiagnosticSink()
-        routers: List[Router] = []
-        quarantined: List[str] = []
-        inventory: List[FileRecord] = []
-        # Read phase: pull every file into memory, sniffing out binary
-        # droppings.  Read diagnostics are buffered per file so the final
-        # merge loop can interleave them with parse diagnostics in file
-        # order.
         with span("stage:read") as read:
             files = read_archive(path)
             read.set(items=len(files))
-        tasks = [
-            ParseTask(source=entry, text=text, on_error=on_error, data=raw)
-            for entry, _sink, text, raw in files
-            if text is not None
+        network_name = name or archive_name(path)
+        return cls._ingest(network_name, files, on_error, cache, DiagnosticSink(), read)
+
+    @classmethod
+    def _ingest(
+        cls,
+        name: str,
+        files: Sequence[Union[ArchiveFile, Router]],
+        on_error: str,
+        cache: Union[ParseCache, str, None],
+        sink: DiagnosticSink,
+        read: Optional[Span] = None,
+    ) -> "Network":
+        """The ingestion pass behind both constructors, in file order.
+
+        Each file's read rows, then its parse rows, go into ``sink``; a
+        strict failure is raised at its file; a file without a config is
+        quarantined; every file gets an inventory record.  A router read
+        from disk (``read`` is its span) is named by its hostname, else
+        its file name's stem; from texts, by its key.  A :class:`Router`
+        passes through and leaves the network without a ``digest``.
+        """
+        texts = [
+            (f.name, f.text, f.data)
+            for f in files
+            if isinstance(f, ArchiveFile) and f.text is not None
         ]
-        results, parse = parse_stage(tasks, cache=cache)
+        results, parse = parse_stage(texts, on_error, cache=cache)
         outcomes = iter(results)
-        for entry, file_sink, text, raw in files:
-            sink.merge(file_sink)
-            if text is None:
-                inventory.append(_file_record(entry, raw, DISPOSITION_QUARANTINED))
-                quarantined.append(entry)
+        routers: List[Router] = []
+        quarantined: List[str] = []
+        inventory: List[FileRecord] = []
+        for item in files:
+            if isinstance(item, Router):
+                routers.append(item)
                 continue
-            outcome = next(outcomes)
-            sink.merge(outcome.diagnostics)
-            if outcome.error is not None:
-                raise outcome.error
-            if outcome.config is None:
+            entry, raw = item.name, item.data
+            sink.merge(item.diagnostics)
+            outcome = next(outcomes) if item.text is not None else None
+            if outcome is not None:
+                sink.merge(outcome.diagnostics)
+                if outcome.error is not None:
+                    raise outcome.error
+            if outcome is None or outcome.config is None:
                 inventory.append(_file_record(entry, raw, DISPOSITION_QUARANTINED))
                 quarantined.append(entry)
                 continue
             config = outcome.config
-            router_name = config.hostname or os.path.splitext(entry)[0]
-            if not config.hostname:
-                sink.info(
-                    PHASE_BUILD,
-                    f"no hostname; router named after file {entry!r}",
-                    file=entry,
-                    router=router_name,
-                )
-            inventory.append(
-                _file_record(
-                    entry,
-                    raw,
-                    DISPOSITION_CACHED if outcome.cached else DISPOSITION_PARSED,
-                    router=router_name,
-                )
-            )
+            router_name = entry
+            if read is not None:  # an archive's file names are anonymous
+                router_name = config.hostname or os.path.splitext(entry)[0]
+                if not config.hostname:
+                    message = f"no hostname; router named after file {entry!r}"
+                    sink.info(PHASE_BUILD, message, file=entry, router=router_name)
+            disposition = DISPOSITION_CACHED if outcome.cached else DISPOSITION_PARSED
+            inventory.append(_file_record(entry, raw, disposition, router=router_name))
             routers.append(Router(name=router_name, config=config, source=entry))
-        network_name = name or archive_name(path)
-        _record_ingest_observations(network_name, sink, inventory)
+        _record_ingest_observations(name, sink, inventory)
+        from_bytes = all(isinstance(item, ArchiveFile) for item in files)
         return cls(
             routers,
-            name=network_name,
+            name=name,
             diagnostics=sink,
             quarantined=quarantined,
             on_duplicate="error" if on_error == "strict" else "rename",
             inventory=inventory,
-            ingest_stages=(read, parse),
+            ingest_stages=(parse,) if read is None else (read, parse),
+            digest=archive_digest((r.path, r.sha256) for r in inventory) if from_bytes else None,
         )
 
     # -- indexes -----------------------------------------------------------

@@ -66,12 +66,10 @@ class ServeConfig:
     """Everything a :class:`ServeDaemon` needs to run one corpus."""
 
     corpus: str
-    name: Optional[str] = None
     host: str = "127.0.0.1"
     port: int = 0  # 0 = ephemeral; the bound port is printed/logged
     poll_interval: float = 2.0
     grace: float = 10.0  # drain budget for the in-flight generation
-    on_error: str = "skip-block"  # lenient: a daemon analyzes what it can
     jobs: Optional[int] = 1  # accepted (not negative); ingestion is one serial pass
     cache: Optional[ParseCache] = None
     checkpoints: Optional[CheckpointStore] = None
@@ -228,8 +226,6 @@ class ServeDaemon:
                 self.config.corpus,
                 digest,
                 executor=executor,
-                name=self.config.name,
-                on_error=self.config.on_error,
                 cache=self.config.cache,
                 diff=diff,
             )

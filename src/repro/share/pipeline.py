@@ -164,13 +164,16 @@ def check_decoy_admissible(
     a disjoint address plan), so stripping decoy-attributed results
     recovers exactly the real-only analysis.
     """
+    return _admission(*_probe_networks(real_files, decoy_set), decoy_set)
+
+
+def _admission(
+    real_net: Network, decoy_net: Network, combined: Network, decoy_set: DecoySet
+) -> Optional[str]:
+    """:func:`check_decoy_admissible` over the networks the probe built."""
     decoy_names = set(decoy_set.routers)
-    decoy_net_expected = len(decoy_names)
-
-    real_net, decoy_net, combined = _probe_networks(real_files, decoy_set)
-
     if (
-        len(decoy_net) != decoy_net_expected
+        len(decoy_net) != len(decoy_names)
         or decoy_net.quarantined
         or decoy_net.diagnostics.exit_code() != 0
     ):
@@ -230,7 +233,7 @@ def check_decoy_admissible(
     return None
 
 
-def _stamp_roles(real_files: Dict[str, str], decoy_set: DecoySet) -> None:
+def _stamp_roles(combined: Network, decoy_set: DecoySet) -> None:
     """Record each decoy's equivalence class in the combined network.
 
     Trusted-party metadata only (it names no real router): the audit
@@ -239,7 +242,6 @@ def _stamp_roles(real_files: Dict[str, str], decoy_set: DecoySet) -> None:
     """
     from repro.compress import build_compression_plan  # noqa: PLC0415
 
-    _real, _decoy, combined = _probe_networks(real_files, decoy_set)
     plan = build_compression_plan(combined)
     decoy_names = set(decoy_set.routers)
     stamps: Dict[str, str] = {}
@@ -256,7 +258,8 @@ def _stamp_roles(real_files: Dict[str, str], decoy_set: DecoySet) -> None:
 def _expand_with_decoys(
     archive: str, shared_files: Dict[str, str], options: ShareOptions
 ) -> DecoySet:
-    """Probe salts until an admissible decoy component is found."""
+    """Probe salts until an admissible decoy component is found; each
+    salt's probe networks are built once, for the check and the stamps."""
     reasons = []
     for salt in range(options.max_salt_probes):
         candidate = synthesize_decoys(
@@ -266,9 +269,10 @@ def _expand_with_decoys(
             options.decoys,
             template=options.decoy_template,
         )
-        reason = check_decoy_admissible(shared_files, candidate)
+        real_net, decoy_net, combined = _probe_networks(shared_files, candidate)
+        reason = _admission(real_net, decoy_net, combined, candidate)
         if reason is None:
-            _stamp_roles(shared_files, candidate)
+            _stamp_roles(combined, candidate)
             return candidate
         reasons.append(f"salt {salt}: {reason}")
     raise ShareError(

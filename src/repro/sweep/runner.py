@@ -66,7 +66,6 @@ from repro.exec.stage import (
     worst_status,
 )
 from repro.exec.watchdog import run_with_deadline
-from repro.ingest.archive import archive_digest
 from repro.model.network import Network
 from repro.obs.logging import get_logger
 from repro.obs.metrics import get_registry
@@ -314,15 +313,14 @@ def _build_row(scenario: Scenario, result: StageResult) -> Dict[str, Any]:
 def run_network_sweep(
     network: Network,
     archive: str = "network",
-    inventory: Optional[List[Any]] = None,
     survivability: Optional[SurvivabilityReport] = None,
     config: Optional[SweepConfig] = None,
     plan: Optional[ScenarioPlan] = None,
 ) -> SweepResult:
     """Sweep every failure scenario of one network.
 
-    *inventory* (``FileRecord``-like rows) keys the checkpoint store; a
-    sweep without one runs uncheckpointed even when a store is
+    ``network.digest`` keys the checkpoint store; a network without one
+    (not read from bytes) runs uncheckpointed even when a store is
     configured.  *plan* overrides scenario enumeration (tests permute
     it); the ranked output is order-invariant either way.  The baseline
     is always recomputed — it is deterministic from the network and
@@ -346,17 +344,15 @@ def run_network_sweep(
     scenarios = dedupe_scenario_ids(list(plan.scenarios), network)
     metrics = get_registry()
 
-    digest: Optional[str] = None
-    store = config.checkpoints
-    if store is not None and inventory is not None:
-        digest = archive_digest((record.path, record.sha256) for record in inventory)
+    digest = network.digest
+    store = config.checkpoints if digest is not None else None
 
     # Replay finished scenarios from the checkpoint store.
     results: Dict[str, StageResult] = {}
     # Scenarios whose attempt crossed the soft deadline.
     over_soft: Set[str] = set()
     replayed = 0
-    if config.resume and store is not None and digest is not None:
+    if config.resume and store is not None:
         for scenario in scenarios:
             loaded = store.load(digest, SCENARIO_STAGE_PREFIX + scenario.scenario_id)
             if loaded is not None and loaded.finished:
@@ -395,7 +391,7 @@ def run_network_sweep(
             if soft_deadline_hit:
                 over_soft.add(scenario.scenario_id)
             if result.finished:
-                if store is not None and digest is not None:
+                if store is not None:
                     store.store(digest, archive, result)
             elif config.fail_fast:
                 stopped_after = scenario.scenario_id

@@ -432,6 +432,8 @@ _BAD_NUMBERS = [
     ["generate", "pod", "OUT", "--routers", "2"],
     ["flow", "DIR", "notanip", "10.0.0.1"],
     ["serve", "DIR", "--port", "99999"],
+    ["serve", "DIR", "--poll-interval", "0"],
+    ["serve", "DIR", "--poll-interval", "-1"],
     *(
         [*command, "--jobs", "-1"]
         for command in (

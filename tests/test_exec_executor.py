@@ -15,9 +15,11 @@ from repro.exec import (
     ExecutorConfig,
     SimulatedKill,
 )
-from repro.model import Network
+from repro.model import Network, Router
+from repro.model.dialect import parse_any_config
 from repro.obs.logging import configure_logging
 from repro.obs.metrics import MetricsRegistry, use_registry
+from repro.synth.templates.enterprise import build_enterprise
 from repro.synth.templates.example_fig1 import build_example_networks
 
 
@@ -244,3 +246,42 @@ class TestCheckpointsAndResume:
         fresh = [r.stage for r in execution.results if not r.from_checkpoint]
         assert fresh == ["consistency"]
         assert store2.stats.stores == 1  # the repaired pair is now saved
+
+
+class TestNetworksNotReadFromBytes:
+    """Checkpoints are keyed by ``Network.digest``; a network without one
+    is never checkpointed, so two such networks cannot replay each
+    other's results."""
+
+    @staticmethod
+    def _hand_built(configs, name):
+        return Network(
+            [Router(key, parse_any_config(text), source=key) for key, text in configs.items()],
+            name=name,
+        )
+
+    def test_hand_built_networks_never_replay_each_other(self, tmp_path):
+        fig1 = self._hand_built(build_example_networks()[0], "fig1")
+        enterprise = self._hand_built(build_enterprise("gen", 1, 12, seed=0)[0], "ent")
+        runs = []
+        for network in (fig1, enterprise):
+            store = CheckpointStore(root=os.fspath(tmp_path))
+            _executor, execution, _registry = _run(
+                network, archive=network.name, checkpoints=store, resume=True
+            )
+            runs.append((execution, store.stats))
+        (_fig1_run, fig1_stats), (ent_run, ent_stats) = runs
+        # The enterprise has 2 instances; a replay of fig1's stages says 5.
+        assert ent_run.result("instances").items == 2
+        assert not any(result.from_checkpoint for result in ent_run.results)
+        for stats in (fig1_stats, ent_stats):
+            assert (stats.hits, stats.misses, stats.stores) == (0, 0, 0)
+        assert CheckpointStore(root=os.fspath(tmp_path)).disk.entries() == ()
+
+    def test_from_configs_given_parsed_configs_has_no_digest(self):
+        texts = build_example_networks()[0]
+        assert Network.from_configs(texts).digest is not None
+        parsed = {key: parse_any_config(text) for key, text in texts.items()}
+        assert Network.from_configs(parsed).digest is None
+        mixed = {**texts, "R1": parsed["R1"]}
+        assert Network.from_configs(mixed).digest is None

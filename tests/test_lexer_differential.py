@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.diag import DiagnosticSink
-from repro.ingest import ParseCache, ParseTask, parse_many
+from repro.ingest import ParseCache, parse_stage
 from repro.ios.parser import parse_config
 from repro.ios.serializer import serialize_config
 from repro.synth.faults import fault_kinds, inject_fault
@@ -62,9 +62,9 @@ def parse_every_way(text, cache):
             results[(mode, "plain")] = _view(config, sink.diagnostics)
         except ValueError as exc:
             results[(mode, "plain")] = ("raised", str(exc))
-        tasks = [ParseTask("d.cfg", text, on_error)]
+        files = [("d.cfg", text, text.encode("utf-8"))]
         for variant in ("ingest", "replayed"):
-            (outcome,) = parse_many(tasks, cache=cache)
+            (outcome,), _stage = parse_stage(files, on_error, cache=cache)
             if outcome.error is not None:
                 results[(mode, variant)] = ("raised", str(outcome.error))
             else:

@@ -214,10 +214,11 @@ class TestDecoyAdmissibility:
         _write_corpus(root, n_networks=1)
         import repro.share.pipeline as pipeline_module
 
+        # Each salt's admission runs on the networks its probe built.
         monkeypatch.setattr(
             pipeline_module,
-            "check_decoy_admissible",
-            lambda files, decoy: "vetoed by test",
+            "_admission",
+            lambda real_net, decoy_net, combined, decoy: "vetoed by test",
         )
         with pytest.raises(ShareError, match="vetoed by test"):
             share_corpus(

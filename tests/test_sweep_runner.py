@@ -1,6 +1,5 @@
 """Sweep runner semantics: determinism, barriers, deadlines, resume."""
 
-import hashlib
 import io
 import json
 import os
@@ -10,8 +9,9 @@ import pytest
 
 from repro.exec.chaos import ChaosPlan, SimulatedKill
 from repro.exec.checkpoint import CheckpointStore
+from repro.model import Network
 from repro.obs.logging import configure_logging
-from repro.obs.manifest import FileRecord, normalize_run
+from repro.obs.manifest import normalize_run
 from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.sweep import (
     SCENARIO_STAGE_PREFIX,
@@ -26,21 +26,6 @@ from repro.sweep.runner import MAX_AUTO_JOBS, PARALLEL_THRESHOLD, resolve_jobs
 def _registry():
     with use_registry(MetricsRegistry()):
         yield
-
-
-def _inventory(network):
-    inventory = getattr(network, "inventory", None)
-    if inventory:
-        return list(inventory)
-    return [
-        FileRecord(
-            path=name,
-            size=1,
-            sha256=hashlib.sha256(name.encode()).hexdigest(),
-            disposition="parsed",
-        )
-        for name in sorted(network.routers)
-    ]
 
 
 def normalized(result):
@@ -270,18 +255,16 @@ class TestFailFastCheckpointsAreJobsInvariant:
             checkpoints=store,
             chaos=ChaosPlan.from_spec(spec.format(*ids)),
         )
-        inventory = _inventory(network)
         if killed:
             with pytest.raises(SimulatedKill):
-                run_network_sweep(network, "fig1", inventory=inventory, config=config)
+                run_network_sweep(network, "fig1", config=config)
         else:
-            result = run_network_sweep(network, "fig1", inventory=inventory, config=config)
+            result = run_network_sweep(network, "fig1", config=config)
             assert result.stopped_after is not None
         entries = sorted(os.path.basename(path) for path in store.disk.entries())
         resumed = run_network_sweep(
             network,
             "fig1",
-            inventory=inventory,
             config=SweepConfig(
                 jobs=jobs, checkpoints=CheckpointStore(root=str(root)), resume=True
             ),
@@ -307,8 +290,7 @@ class TestFailFastCheckpointsAreJobsInvariant:
 class TestCheckpointResume:
     def test_kill_then_resume_matches_uninterrupted(self, fig1, tmp_path):
         network, _meta = fig1
-        inventory = _inventory(network)
-        uninterrupted = run_network_sweep(network, "fig1", inventory=inventory)
+        uninterrupted = run_network_sweep(network, "fig1")
 
         store = CheckpointStore(root=str(tmp_path / "ckpt"))
         victim = enumerate_scenarios(network).scenarios[-2].scenario_id
@@ -317,7 +299,6 @@ class TestCheckpointResume:
             run_network_sweep(
                 network,
                 "fig1",
-                inventory=inventory,
                 config=SweepConfig(chaos=chaos, checkpoints=store),
             )
         stored_before_kill = store.stats.stores
@@ -326,7 +307,6 @@ class TestCheckpointResume:
         resumed = run_network_sweep(
             network,
             "fig1",
-            inventory=inventory,
             config=SweepConfig(checkpoints=store, resume=True),
         )
         assert resumed.replayed == stored_before_kill
@@ -339,7 +319,6 @@ class TestCheckpointResume:
         result = run_network_sweep(
             network,
             "fig1",
-            inventory=_inventory(network),
             config=SweepConfig(checkpoints=store, resume=True),
         )
         assert result.replayed == 0
@@ -353,7 +332,6 @@ class TestCheckpointResume:
         run_network_sweep(
             network,
             "fig1",
-            inventory=_inventory(network),
             config=SweepConfig(chaos=chaos, checkpoints=store),
         )
         assert not any(
@@ -364,12 +342,26 @@ class TestCheckpointResume:
         resumed = run_network_sweep(
             network,
             "fig1",
-            inventory=_inventory(network),
             config=SweepConfig(checkpoints=store, resume=True),
         )
         by_id = {row["scenario"]: row for row in resumed.rows}
         assert by_id[victim]["status"] == "ok"
         assert not by_id[victim].get("from_checkpoint")
+
+    def test_network_without_a_digest_is_never_checkpointed(self, fig1, tmp_path):
+        # A hand-built network was not read from bytes: nothing keys its
+        # checkpoints, so the sweep neither stores nor replays any.
+        network, _meta = fig1
+        hand_built = Network(network.routers.values(), name="fig1")
+        assert hand_built.digest is None
+        root = tmp_path / "ckpt"
+        store = CheckpointStore(root=str(root))
+        result = run_network_sweep(
+            hand_built, "fig1", config=SweepConfig(checkpoints=store, resume=True)
+        )
+        assert result.worst_status == "ok" and result.replayed == 0
+        assert (store.stats.hits, store.stats.misses, store.stats.stores) == (0, 0, 0)
+        assert store.disk.entries() == ()
 
 
 class TestDivergenceRow:
