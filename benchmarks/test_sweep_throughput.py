@@ -30,9 +30,9 @@ from benchmarks.conftest import record, record_json
 
 N_ROUTERS = 48
 
-#: Serial floor: a 48-router scenario simulation costs ~0.12 s on a
-#: 2-CPU container (8.1 scenarios/s serial), so even a badly-starved box
-#: clears 1/s.
+#: Serial floor: a 48-router scenario simulation costs ~18 ms on a
+#: 2-CPU container (54–57 scenarios/s serial, 1.7–1.8 s for the 96), so
+#: even a badly-starved box clears 1/s.
 MIN_SERIAL_SCENARIOS_PER_SECOND = 1.0
 
 #: Parallel floor on a ≥ 4-core host: workers are independent processes

@@ -44,7 +44,9 @@ from repro.ios.config import RouterConfig
 from repro.store import Store, StoreStats
 
 #: Bump when the on-disk entry layout changes (independent of the parser).
-CACHE_FORMAT = 1
+#: 2: ``Prefix`` gained its cached-hash slot; a format-1 entry would load
+#: prefixes without it and fail at their first hash, so it must miss.
+CACHE_FORMAT = 2
 
 
 def default_cache_dir() -> str:

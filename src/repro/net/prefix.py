@@ -30,9 +30,15 @@ class Prefix:
 
     The network address is canonicalized (host bits are cleared), so
     ``Prefix("10.0.0.1/24")`` equals ``Prefix("10.0.0.0/24")``.
+
+    The hash is computed once, at construction: prefixes key the routing
+    simulator's RIBs and the sweep's deltas, where hashing was a large
+    share of the cost.  It is still ``hash((network, length))``, so sets
+    of prefixes iterate in the same order.  (The slot changed the pickled
+    layout; ``repro.ingest.cache.CACHE_FORMAT`` moved with it.)
     """
 
-    __slots__ = ("_network", "_length")
+    __slots__ = ("_network", "_length", "_hash")
 
     def __init__(self, network: Union[str, int, IPv4Address], length: int = None):
         if isinstance(network, str) and length is None:
@@ -51,6 +57,7 @@ class Prefix:
             raise AddressError(f"prefix length out of range: {length}")
         self._length = length
         self._network = network & prefix_len_to_mask(length)
+        self._hash = hash((self._network, length))
 
     # -- constructors ------------------------------------------------------
 
@@ -193,7 +200,7 @@ class Prefix:
         return (self._network, self._length) < (other._network, other._length)
 
     def __hash__(self) -> int:
-        return hash((self._network, self._length))
+        return self._hash
 
 
 def classful_prefix(address: Union[str, int, IPv4Address]) -> Prefix:

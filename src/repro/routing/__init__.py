@@ -13,10 +13,11 @@ control-plane simulator over the :class:`repro.model.Network` model:
   EBGP with AS-path loop prevention),
 * redistribution with route-map/distribute-list filters and tag setting,
 * route selection into the router RIB by administrative distance,
-* failure injection (links and routers) for what-if analysis.
+* failure injection (links and routers) for what-if analysis, over one
+  :class:`TransferTable` per network that simulations of it can share.
 """
 
-from repro.routing.engine import RoutingSimulation
+from repro.routing.engine import RoutingSimulation, TransferTable
 from repro.routing.route import ADMIN_DISTANCE, Route
 
-__all__ = ["ADMIN_DISTANCE", "Route", "RoutingSimulation"]
+__all__ = ["ADMIN_DISTANCE", "Route", "RoutingSimulation", "TransferTable"]

@@ -18,22 +18,42 @@ transfer depends only on the route and on static configuration, so
 re-sending a route the edge already sent can never install anything.  The
 RIBs after every round, their insertion order, the iteration count and
 divergence are those of re-sending every route over every edge each round.
+
+Everything a run reads from static configuration is compiled once per
+network into a :class:`TransferTable`: each edge's constants (a
+redistribution's route map and summaries; an IGP direction's
+distribute-list ACLs, metric increment and sending router; a BGP session's
+neighbor options and inbound filters) and every seed route (connected,
+static, originated), built once and shared.  A run only masks the table
+by its failures — a failed router's processes and routes, a failed
+subnet's adjacencies and connected routes — so a failure sweep compiles
+one table for its baseline and every scenario.
+
+The IGP exchange prices each offered route before building it: the
+route's stored preference key (``Route.rank``) with the metric increment
+added is compared with the installed entry's, and the advanced copy is
+built only when it strictly wins.  That is exact too: advancing changes
+only ``metric`` and ``via_router``, and ``via_router`` is not in the key.
 """
 
 from __future__ import annotations
 
 import difflib
 from dataclasses import replace
-from typing import Dict, Hashable, Iterable, List, Optional, Set, Tuple, Union
-
-from repro.ios.config import RedistributeConfig
-from repro.model.network import BgpSession, Network
-from repro.model.processes import (
-    LOCAL_RIB,
-    ProcessKey,
-    RoutingProcess,
-    redistribute_source,
+from typing import (
+    Dict,
+    Iterable,
+    List,
+    NamedTuple,
+    Optional,
+    Set,
+    Tuple,
+    Union,
 )
+
+from repro.ios.config import AccessList, PrefixList, RouteMap, RouterConfig
+from repro.model.network import BgpSession, Network
+from repro.model.processes import LOCAL_RIB, ProcessKey, redistribute_source
 from repro.net import IPv4Address, Prefix
 from repro.routing.policy import (
     acl_permits_route,
@@ -60,8 +80,287 @@ class _Stamps(dict):
         self.latest = 0
 
 
-#: The stamps of a RIB that does not exist: nothing is ever new in it.
-_NO_STAMPS = _Stamps()
+# -- the transfer table --------------------------------------------------------
+
+
+class _Redistribution(NamedTuple):
+    """One ``redistribute`` statement: *source*'s routes into *target*."""
+
+    edge: int
+    target: ProcessKey
+    #: The RIB it reads (``None`` when the statement names no process).
+    source: Optional[ProcessKey]
+    #: ``connected``/``static``: only the local RIB's routes of that protocol.
+    only: Optional[str]
+    route_map: Optional[RouteMap]
+    config: RouterConfig
+    protocol: str
+    metric: Optional[int]
+    tag: Optional[int]
+    summaries: Tuple[Prefix, ...]
+
+
+class _IgpDirection(NamedTuple):
+    """One direction of an IGP adjacency: *src*'s routes into *dst*."""
+
+    edge: int
+    src: ProcessKey
+    dst: ProcessKey
+    #: The sending router, the advanced routes' ``via_router``.
+    via: str
+    #: Out-ACLs of *src*, then in-ACLs of *dst*, that apply on this link;
+    #: a route crosses only when every one permits it.
+    filters: Tuple[AccessList, ...]
+    #: OSPF-style interface cost, or 1 (hop count).
+    increment: int
+
+
+class _BgpTransfer(NamedTuple):
+    """One configured session, remote (*src*) → local (*dst*)."""
+
+    edge: int
+    src: ProcessKey
+    dst: ProcessKey
+    ebgp: bool
+    src_asn: int
+    dst_asn: int
+    sends_communities: bool
+    #: *src* reflects IBGP-learned routes to *dst* (RFC 4456 client).
+    src_treats_dst_as_client: bool
+    #: Routes arriving at *dst* count as learned from a client.
+    dst_treats_src_as_client: bool
+    in_acl: Optional[AccessList]
+    in_plist: Optional[PrefixList]
+    in_map: Optional[RouteMap]
+    dst_config: RouterConfig
+
+
+class TransferTable:
+    """What every fixpoint round reads from static configuration, per network.
+
+    Compiled once from *network* and shared, read-only, by every
+    :class:`RoutingSimulation` given it — the sweep's baseline and each
+    of its scenarios.  A run masks it by its failures and binds the live
+    edges to its RIBs.  Its routes and prefixes are shared too, so every
+    run's RIBs probe with the same ``Prefix`` objects.
+    """
+
+    def __init__(self, network: Network) -> None:
+        self.network = network
+        #: Each router's processes, in ``network.processes`` order.
+        self.router_processes: Dict[str, List[ProcessKey]] = {
+            name: [] for name in network.routers
+        }
+        for key in network.processes:
+            self.router_processes[key[0]].append(key)
+        edges = 0
+        # One object per prefix value, so RIB probes hit on identity.
+        shared: Dict[Prefix, Prefix] = {}
+
+        def share(prefix: Prefix) -> Prefix:
+            return shared.setdefault(prefix, prefix)
+
+        #: Per router: its connected routes (with the subnet that must be
+        #: up) and static routes (``None``: always up), in seeding order.
+        self.local_seeds: List[Tuple[str, List[Tuple[Optional[Prefix], Route]]]] = []
+        for name, router in network.routers.items():
+            seeds: List[Tuple[Optional[Prefix], Route]] = []
+            for iface in router.config.interfaces.values():
+                if iface.shutdown or iface.prefix is None:
+                    continue
+                prefix = share(iface.prefix)
+                route = Route(prefix=prefix, protocol="connected", origin_router=name)
+                seeds.append((prefix, route))
+            for static in router.config.static_routes:
+                route = Route(
+                    prefix=share(static.prefix), protocol="static", tag=static.tag, origin_router=name
+                )
+                seeds.append((None, route))
+            self.local_seeds.append((name, seeds))
+
+        #: Originated routes in seeding order, each with its process and
+        #: the subnet that must be up (``None``: none).  IGP processes
+        #: originate their covered subnets; OSPF "default-information
+        #: originate" injects a default route (as IOS does when the router
+        #: has one; we always inject — the "always" variant — which is the
+        #: common design use); BGP network statements originate
+        #: unconditionally (simplification: IOS requires an IGP/connected
+        #: route to exist first).
+        self.origins: List[Tuple[ProcessKey, Optional[Prefix], Route]] = []
+        for key, proc in network.processes.items():
+            if proc.is_bgp:
+                continue
+            interfaces = network.routers[key[0]].config.interfaces
+            for iface_name in proc.covered_interfaces:
+                iface = interfaces.get(iface_name)
+                if iface is None or iface.shutdown or iface.prefix is None:
+                    continue
+                prefix = share(iface.prefix)
+                route = Route(prefix=prefix, protocol=proc.protocol, origin_router=key[0])
+                self.origins.append((key, prefix, route))
+        default = share(Prefix(0, 0))
+        for key, proc in network.processes.items():
+            if key[1] == "ospf" and getattr(proc.config, "default_information_originate", False):
+                route = Route(
+                    prefix=default, protocol="ospf", redistributed=True, origin_router=key[0]
+                )
+                self.origins.append((key, None, route))
+        for key, proc in network.processes.items():
+            if proc.is_bgp:
+                for statement in proc.config.networks:
+                    route = Route(
+                        prefix=share(statement.prefix()), protocol="bgp", origin_router=key[0]
+                    )
+                    self.origins.append((key, None, route))
+
+        #: Every ``redistribute`` statement in step order: processes in
+        #: ``network.processes`` order, statements in config order.
+        self.redistributions: List[_Redistribution] = []
+        for router in network.routers:
+            processes = network.processes_on(router)
+            keys = [proc.key for proc in processes]
+            config = network.routers[router].config
+            for proc in processes:
+                summaries = tuple(
+                    share(summary)
+                    for summary in getattr(proc.config, "summary_addresses", None) or ()
+                )
+                for statement in proc.config.redistributes:
+                    only = statement.source_protocol
+                    self.redistributions.append(
+                        _Redistribution(
+                            edge=edges,
+                            target=proc.key,
+                            source=redistribute_source(router, statement, keys),
+                            only=only if only in ("connected", "static") else None,
+                            route_map=(
+                                config.route_maps.get(statement.route_map)
+                                if statement.route_map is not None
+                                else None
+                            ),
+                            config=config,
+                            protocol="bgp" if proc.is_bgp else proc.protocol,
+                            metric=statement.metric,
+                            tag=statement.tag,
+                            summaries=summaries,
+                        )
+                    )
+                    edges += 1
+
+        #: Per IGP adjacency, in ``network.igp_adjacencies`` order: the
+        #: link's subnet and its two directions.
+        self.igp: List[Tuple[Optional[Prefix], _IgpDirection, _IgpDirection]] = []
+        for key_a, key_b, link in network.igp_adjacencies:
+            interfaces = {end.router: end.interface for end in link.ends}
+            forward = self._compile_igp(edges, key_a, key_b, interfaces)
+            backward = self._compile_igp(edges + 1, key_b, key_a, interfaces)
+            self.igp.append((link.subnet, forward, backward))
+            edges += 2
+
+        #: Per resolved BGP session, in ``network.bgp_sessions`` order.
+        self.bgp: List[_BgpTransfer] = []
+        for session in network.bgp_sessions:
+            if session.remote_key is None:
+                continue
+            self.bgp.append(self._compile_bgp(edges, session))
+            edges += 1
+
+        #: How many transfer edges (and so marks) a run keeps.
+        self.edges = edges
+
+    def _compile_igp(
+        self, edge: int, src: ProcessKey, dst: ProcessKey, interfaces: Dict[str, str]
+    ) -> _IgpDirection:
+        network = self.network
+        src_config = network.routers[src[0]].config
+        dst_config = network.routers[dst[0]].config
+        src_iface = interfaces.get(src[0])
+        dst_iface = interfaces.get(dst[0])
+        dst_proc = network.processes[dst]
+        # Interface-qualified distribute-lists apply only to routes crossing
+        # that interface (the paper's "distribute-list 44 in Serial1/0.5").
+        # A list naming no defined ACL filters nothing.
+        filters = [
+            src_config.access_lists.get(d.acl)
+            for d in network.processes[src].config.distribute_lists
+            if d.direction == "out" and d.interface in (None, src_iface)
+        ] + [
+            dst_config.access_lists.get(d.acl)
+            for d in dst_proc.config.distribute_lists
+            if d.direction == "in" and d.interface in (None, dst_iface)
+        ]
+        # OSPF-style interface cost: reference bandwidth 100 Mbit over the
+        # receiving router's interface bandwidth; hop count when unset.
+        increment = 1
+        if dst_proc.protocol == "ospf" and dst_iface is not None:
+            iface = dst_config.interfaces.get(dst_iface)
+            if iface is not None and iface.bandwidth_kbit:
+                increment = max(1, 100_000 // iface.bandwidth_kbit)
+        return _IgpDirection(
+            edge=edge,
+            src=src,
+            dst=dst,
+            via=src[0],
+            filters=tuple(acl for acl in filters if acl is not None),
+            increment=increment,
+        )
+
+    def _compile_bgp(self, edge: int, session: BgpSession) -> _BgpTransfer:
+        network = self.network
+        src, dst = session.remote_key, session.local
+        is_ebgp = session.is_ebgp
+        dst_config = network.routers[dst[0]].config
+        bgp = dst_config.bgp_process
+        nbr = bgp.neighbor(str(session.neighbor_address)) if bgp else None
+        # Find src's own neighbor statement whose address belongs to dst:
+        # it carries src's per-neighbor sending options (route reflection,
+        # send-community).
+        src_entry_for_dst = None
+        src_bgp = network.routers[src[0]].config.bgp_process
+        if src_bgp is not None:
+            for src_nbr in src_bgp.neighbors:
+                owner = network.address_map.get(src_nbr.address.value)
+                if owner is not None and owner[0] == dst[0]:
+                    src_entry_for_dst = src_nbr
+                    break
+        return _BgpTransfer(
+            edge=edge,
+            src=src,
+            dst=dst,
+            ebgp=is_ebgp,
+            src_asn=src[2],
+            dst_asn=dst[2],
+            sends_communities=bool(
+                src_entry_for_dst is not None and src_entry_for_dst.send_community
+            ),
+            src_treats_dst_as_client=bool(
+                src_entry_for_dst is not None
+                and not is_ebgp
+                and src_entry_for_dst.route_reflector_client
+            ),
+            # Does dst treat src as a client (so routes arriving here count
+            # as client-learned when dst reflects them onward)?
+            dst_treats_src_as_client=bool(nbr and nbr.route_reflector_client),
+            in_acl=(
+                dst_config.access_lists.get(nbr.distribute_list_in)
+                if nbr and nbr.distribute_list_in
+                else None
+            ),
+            in_plist=(
+                dst_config.prefix_lists.get(nbr.prefix_list_in)
+                if nbr and nbr.prefix_list_in
+                else None
+            ),
+            in_map=(
+                dst_config.route_maps.get(nbr.route_map_in)
+                if nbr and nbr.route_map_in
+                else None
+            ),
+            dst_config=dst_config,
+        )
+
+
+# -- the simulation --------------------------------------------------------------
 
 
 class RoutingSimulation:
@@ -77,6 +376,10 @@ class RoutingSimulation:
     failed_subnets:
         Link subnets taken down (adjacencies over them are down and their
         connected routes vanish).
+    table:
+        The network's compiled :class:`TransferTable` (keyword-only).  A
+        simulation given none compiles its own; pass one to share it
+        between simulations of the same network.
 
     Failure inputs are validated against the network: an unknown router
     name, or a subnet matching no link and no interface prefix, raises a
@@ -91,7 +394,11 @@ class RoutingSimulation:
         failed_routers: Iterable[str] = (),
         failed_subnets: Iterable[Union[str, Prefix]] = (),
         validate: bool = True,
+        *,
+        table: Optional[TransferTable] = None,
     ):
+        if table is not None and table.network is not network:
+            raise ValueError("the transfer table was compiled for another network")
         self.network = network
         self.failed_routers: Set[str] = set(failed_routers)
         self.failed_subnets: Set[Prefix] = {
@@ -100,27 +407,18 @@ class RoutingSimulation:
         }
         if validate:
             self._validate_failures()
-        #: Every ``redistribute`` statement in step order (processes in
-        #: ``network.processes`` order, then statements in config order),
-        #: with its index and the key of the RIB it reads.
-        self._redistributions: List[
-            Tuple[RoutingProcess, int, RedistributeConfig, Optional[ProcessKey]]
-        ] = []
-        for router in network.routers:
-            processes = network.processes_on(router)
-            keys = [proc.key for proc in processes]
-            self._redistributions.extend(
-                (proc, index, statement, redistribute_source(router, statement, keys))
-                for proc in processes
-                for index, statement in enumerate(proc.config.redistributes)
-            )
+        self._table = table if table is not None else TransferTable(network)
         self.process_ribs: Dict[ProcessKey, Rib] = {}
         self.local_ribs: Dict[str, Rib] = {}
         self.router_ribs: Dict[str, Rib] = {}
         self._process_stamps: Dict[ProcessKey, _Stamps] = {}
         self._local_stamps: Dict[str, _Stamps] = {}
         self._clock = 0
-        self._marks: Dict[Hashable, int] = {}
+        self._marks: List[int] = []
+        #: The table's live edges, bound to this run's RIBs by :meth:`_seed`.
+        self._redistributions: List[tuple] = []
+        self._igp: List[tuple] = []
+        self._bgp: List[tuple] = []
         self._ran = False
         self._diverged = False
         self._iterations = 0
@@ -162,129 +460,111 @@ class RoutingSimulation:
                 f"failed subnet(s) match no link or interface: {'; '.join(hints)}"
             )
 
-    # -- failure predicates --------------------------------------------------
-
-    def _router_up(self, router: str) -> bool:
-        return router not in self.failed_routers
-
-    def _subnet_up(self, prefix: Optional[Prefix]) -> bool:
-        return prefix is not None and prefix not in self.failed_subnets
-
     # -- seeding ---------------------------------------------------------------
 
     def _seed(self) -> None:
+        """Fresh RIBs seeded from the table, and the live edges bound to them.
+
+        A failed router keeps no RIB, so "both ends have a RIB" is the
+        router half of every edge's liveness test.
+        """
+        table = self._table
+        failed_routers, failed_subnets = self.failed_routers, self.failed_subnets
         self._clock = 0
-        self._marks = {}
+        self._marks = [0] * table.edges
+        process_ribs, process_stamps = self.process_ribs, self._process_stamps
         for key in self.network.processes:
-            if self._router_up(key[0]):
-                self.process_ribs[key] = {}
-                self._process_stamps[key] = _Stamps()
-        for name, router in self.network.routers.items():
-            if not self._router_up(name):
+            if key[0] not in failed_routers:
+                process_ribs[key] = {}
+                process_stamps[key] = _Stamps()
+        for name, seeds in table.local_seeds:
+            if name in failed_routers:
                 continue
             rib: Rib = {}
             stamps = _Stamps()
-            for iface in router.config.interfaces.values():
-                prefix = iface.prefix
-                if iface.shutdown or not self._subnet_up(prefix):
-                    continue
-                self._install(
-                    rib,
-                    stamps,
-                    Route(prefix=prefix, protocol="connected", origin_router=name),
-                )
-            for static in router.config.static_routes:
-                self._install(
-                    rib,
-                    stamps,
-                    Route(
-                        prefix=static.prefix,
-                        protocol="static",
-                        tag=static.tag,
-                        origin_router=name,
-                    ),
-                )
+            for subnet, route in seeds:
+                if subnet is None or subnet not in failed_subnets:
+                    self._install(rib, stamps, route)
             self.local_ribs[name] = rib
             self._local_stamps[name] = stamps
+        for key, subnet, route in table.origins:
+            if key in process_ribs and (subnet is None or subnet not in failed_subnets):
+                self._install(process_ribs[key], process_stamps[key], route)
 
-        # Origination: IGP processes originate their covered subnets.
-        for key, proc in self.network.processes.items():
-            if not self._router_up(key[0]) or proc.is_bgp:
-                continue
-            router = self.network.routers[key[0]]
-            for iface_name in proc.covered_interfaces:
-                iface = router.config.interfaces.get(iface_name)
-                if iface is None or iface.shutdown:
-                    continue
-                if not self._subnet_up(iface.prefix):
-                    continue
-                self._originate(
-                    key,
-                    Route(
-                        prefix=iface.prefix,
-                        protocol=proc.protocol,
-                        origin_router=key[0],
-                    ),
+        self._redistributions = []
+        for redistribution in table.redistributions:
+            target = redistribution.target
+            source = self._rib_of(redistribution.source)
+            if target in process_ribs and source is not None:
+                self._redistributions.append(
+                    (redistribution, *source, process_ribs[target], process_stamps[target])
                 )
-        # OSPF "default-information originate": the process injects a
-        # default route (as IOS does when the router has one; we always
-        # inject — the "always" variant — which is the common design use).
-        for key, proc in self.network.processes.items():
-            if key not in self.process_ribs or key[1] != "ospf":
-                continue
-            if getattr(proc.config, "default_information_originate", False):
-                self._originate(
-                    key,
-                    Route(
-                        prefix=Prefix(0, 0),
-                        protocol="ospf",
-                        redistributed=True,
-                        origin_router=key[0],
-                    ),
-                )
-        # BGP network statements originate unconditionally (simplification:
-        # IOS requires an IGP/connected route to exist first).
-        for key, proc in self.network.processes.items():
-            if not self._router_up(key[0]) or not proc.is_bgp:
-                continue
-            for statement in proc.config.networks:
-                self._originate(
-                    key,
-                    Route(
-                        prefix=statement.prefix(),
-                        protocol="bgp",
-                        origin_router=key[0],
-                    ),
-                )
+        self._igp = [
+            (
+                direction.edge,
+                process_ribs[direction.src],
+                process_stamps[direction.src],
+                process_ribs[direction.dst],
+                process_stamps[direction.dst],
+                direction.via,
+                direction.filters,
+                direction.increment,
+            )
+            for subnet, forward, backward in table.igp
+            if subnet is not None
+            and subnet not in failed_subnets
+            and forward.src in process_ribs
+            and forward.dst in process_ribs
+            for direction in (forward, backward)
+        ]
+        self._bgp = [
+            (
+                session,
+                process_ribs[session.src],
+                process_stamps[session.src],
+                process_ribs[session.dst],
+                process_stamps[session.dst],
+            )
+            for session in table.bgp
+            if session.src in process_ribs and session.dst in process_ribs
+        ]
 
-    def _originate(self, key: ProcessKey, route: Route) -> bool:
-        return self._install(self.process_ribs[key], self._process_stamps[key], route)
+    def _rib_of(self, key: Optional[ProcessKey]) -> Optional[Tuple[Rib, _Stamps]]:
+        """A live process or local RIB with its stamps; ``None`` for no key
+        or a RIB that does not exist (an edge from it never sends)."""
+        if key is None:
+            return None
+        if key[1] == LOCAL_RIB:
+            if key[0] not in self.local_ribs:
+                return None
+            return self.local_ribs[key[0]], self._local_stamps[key[0]]
+        if key not in self.process_ribs:
+            return None
+        return self.process_ribs[key], self._process_stamps[key]
 
-    def _install(self, rib: Rib, stamps: Optional[_Stamps], route: Route) -> bool:
+    def _install(self, rib: Rib, stamps: _Stamps, route: Route) -> bool:
         """Install *route* if it beats the entry for its prefix; stamp it.
 
         Only a strictly better preference key replaces an entry (an equal
         route has an equal key), so re-offering a route this RIB already
-        saw never changes it.  *stamps* is ``None`` for the router RIBs
-        that selection builds, which nothing reads from.
+        saw never changes it.
         """
         prefix = route.prefix
-        if not route.better_than(rib.get(prefix)):
+        current = rib.get(prefix)
+        if current is not None and not route.rank < current.rank:
             return False
         rib[prefix] = route
-        if stamps is not None:
-            self._clock += 1
-            stamps[prefix] = self._clock
-            stamps.latest = self._clock
+        self._clock += 1
+        stamps[prefix] = stamps.latest = self._clock
         return True
 
-    def _fresh(self, edge: Hashable, rib: Rib, stamps: _Stamps) -> List[Route]:
+    def _fresh(self, edge: int, rib: Rib, stamps: _Stamps) -> List[Route]:
         """The routes of *rib* stamped after *edge*'s mark, in *rib*'s order.
 
         Moves the mark to now, before the edge installs anything, so
         whatever it installs into its own source is sent next round.
         """
-        mark = self._marks.get(edge, 0)
+        mark = self._marks[edge]
         if stamps.latest <= mark:
             return []
         self._marks[edge] = self._clock
@@ -298,38 +578,24 @@ class RoutingSimulation:
 
     def _redistribution_step(self) -> bool:
         changed = False
-        for proc, index, redist, source in self._redistributions:
-            if proc.key in self.process_ribs:
-                changed |= self._redistribute(proc, index, redist, source)
+        for redistribution, src_rib, src_stamps, rib, stamps in self._redistributions:
+            routes = self._fresh(redistribution.edge, src_rib, src_stamps)
+            if redistribution.only is not None:
+                routes = [r for r in routes if r.protocol == redistribution.only]
+            if routes:
+                changed |= self._redistribute(redistribution, routes, rib, stamps)
         return changed
 
     def _redistribute(
-        self,
-        proc: RoutingProcess,
-        index: int,
-        redist: RedistributeConfig,
-        source: Optional[ProcessKey],
+        self, redist: _Redistribution, routes: List[Route], rib: Rib, stamps: _Stamps
     ) -> bool:
-        key = proc.key
-        routes = self._fresh(("redistribute", key, index), *self._rib_of(source))
-        if redist.source_protocol in ("connected", "static"):
-            routes = [r for r in routes if r.protocol == redist.source_protocol]
-        if not routes:
-            return False
         changed = False
-        config = self.network.routers[key[0]].config
-        route_map = (
-            config.route_maps.get(redist.route_map) if redist.route_map is not None else None
-        )
-        # OSPF summary-address: redistributed routes inside a configured
-        # summary enter as the summary instead.
-        summaries = getattr(proc.config, "summary_addresses", None)
-        rib, stamps = self.process_ribs[key], self._process_stamps[key]
+        config = redist.config
         for route in routes:
             moved = route
-            if route_map is not None:
+            if redist.route_map is not None:
                 moved = apply_route_map(
-                    route_map,
+                    redist.route_map,
                     config.access_lists,
                     moved,
                     prefix_lists=config.prefix_lists,
@@ -339,95 +605,71 @@ class RoutingSimulation:
                     continue
             moved = replace(
                 moved,
-                protocol="bgp" if proc.is_bgp else proc.protocol,
+                protocol=redist.protocol,
                 redistributed=True,
                 via_ibgp=False,
                 from_rr_client=False,
                 metric=redist.metric if redist.metric is not None else moved.metric,
                 tag=redist.tag if redist.tag is not None else moved.tag,
             )
-            if summaries:
-                for summary in summaries:
-                    if summary.contains(moved.prefix) and (
-                        moved.prefix.length > summary.length
-                    ):
-                        moved = replace(moved, prefix=summary)
-                        break
+            # OSPF summary-address: redistributed routes inside a configured
+            # summary enter as the summary instead.
+            for summary in redist.summaries:
+                if summary.contains(moved.prefix) and (
+                    moved.prefix.length > summary.length
+                ):
+                    moved = replace(moved, prefix=summary)
+                    break
             changed |= self._install(rib, stamps, moved)
         return changed
 
-    def _rib_of(self, key: Optional[ProcessKey]) -> Tuple[Rib, _Stamps]:
-        """A process or local RIB with its stamps; empty for ``None`` or a
-        RIB that does not exist."""
-        if key is None:
-            return {}, _NO_STAMPS
-        if key[1] == LOCAL_RIB:
-            return self.local_ribs.get(key[0], {}), self._local_stamps.get(key[0], _NO_STAMPS)
-        return self.process_ribs.get(key, {}), self._process_stamps.get(key, _NO_STAMPS)
-
     def _igp_exchange_step(self) -> bool:
-        changed = False
-        for index, (key_a, key_b, link) in enumerate(self.network.igp_adjacencies):
-            if not self._subnet_up(link.subnet):
-                continue
-            if key_a not in self.process_ribs or key_b not in self.process_ribs:
-                continue
-            changed |= self._igp_transfer(("igp", index, 0), key_a, key_b, link)
-            changed |= self._igp_transfer(("igp", index, 1), key_b, key_a, link)
-        return changed
+        """Every live IGP direction sends its fresh routes, priced first.
 
-    def _igp_transfer(self, edge: Hashable, src: ProcessKey, dst: ProcessKey, link) -> bool:
-        routes = self._fresh(edge, self.process_ribs[src], self._process_stamps[src])
-        if not routes:
-            return False
+        A route's advanced copy is built only when its preference key with
+        the increment added strictly beats the installed entry's (see the
+        module docstring); the distribute-list ACLs run only on such a
+        route.  Both tests are pure, so their order changes nothing.
+        """
         changed = False
-        link_interfaces = {end.router: end.interface for end in link.ends}
-        src_proc = self.network.processes[src]
-        dst_proc = self.network.processes[dst]
-        src_config = self.network.routers[src[0]].config
-        dst_config = self.network.routers[dst[0]].config
-        src_iface = link_interfaces.get(src[0])
-        dst_iface = link_interfaces.get(dst[0])
-        # Interface-qualified distribute-lists apply only to routes crossing
-        # that interface (the paper's "distribute-list 44 in Serial1/0.5").
-        out_acls = [
-            src_config.access_lists.get(d.acl)
-            for d in src_proc.config.distribute_lists
-            if d.direction == "out" and d.interface in (None, src_iface)
-        ]
-        in_acls = [
-            dst_config.access_lists.get(d.acl)
-            for d in dst_proc.config.distribute_lists
-            if d.direction == "in" and d.interface in (None, dst_iface)
-        ]
-        # OSPF-style interface cost: reference bandwidth 100 Mbit over the
-        # receiving router's interface bandwidth; hop count when unset.
-        increment = 1
-        if dst_proc.protocol == "ospf" and dst_iface is not None:
-            iface = dst_config.interfaces.get(dst_iface)
-            if iface is not None and iface.bandwidth_kbit:
-                increment = max(1, 100_000 // iface.bandwidth_kbit)
-        rib, stamps = self.process_ribs[dst], self._process_stamps[dst]
-        for route in routes:
-            if any(acl is not None and not acl_permits_route(acl, route) for acl in out_acls):
+        marks = self._marks
+        for edge, src_rib, src_stamps, rib, stamps, via, filters, increment in self._igp:
+            mark = marks[edge]
+            if src_stamps.latest <= mark:
                 continue
-            if any(acl is not None and not acl_permits_route(acl, route) for acl in in_acls):
-                continue
-            advanced = route.advanced(via_router=src[0], metric_increment=increment)
-            changed |= self._install(rib, stamps, advanced)
+            marks[edge] = clock = self._clock
+            lookup = rib.get
+            for route, stamp in zip(src_rib.values(), src_stamps.values()):
+                if stamp <= mark:
+                    continue
+                distance, local_pref, path_length, metric = route.rank
+                current = lookup(route.prefix)
+                if current is not None and not (
+                    (distance, local_pref, path_length, metric + increment) < current.rank
+                ):
+                    continue
+                if filters and not all(acl_permits_route(acl, route) for acl in filters):
+                    continue
+                prefix = route.prefix
+                rib[prefix] = route.advanced(via, increment)
+                clock += 1
+                stamps[prefix] = clock
+            if clock != self._clock:
+                self._clock = stamps.latest = clock
+                changed = True
         return changed
 
     def _bgp_exchange_step(self) -> bool:
         changed = False
-        for index, session in enumerate(self.network.bgp_sessions):
-            if session.remote_key is None:
-                continue
-            if session.local not in self.process_ribs or session.remote_key not in self.process_ribs:
-                continue
-            changed |= self._bgp_transfer(("bgp", index), session)
+        for session, src_rib, src_stamps, rib, stamps in self._bgp:
+            routes = self._fresh(session.edge, src_rib, src_stamps)
+            if routes:
+                changed |= self._bgp_transfer(session, routes, rib, stamps)
         return changed
 
-    def _bgp_transfer(self, edge: Hashable, session: BgpSession) -> bool:
+    def _bgp_transfer(
+        self, session: _BgpTransfer, routes: List[Route], rib: Rib, stamps: _Stamps
+    ) -> bool:
         """Transfer routes remote → local along one configured session.
 
         (Each configured ``neighbor`` statement is one direction of a
@@ -438,86 +680,44 @@ class RoutingSimulation:
         only when it is a reflector — to its clients always, and to
         non-clients when the route was learned *from* a client.
         """
-        src, dst = session.remote_key, session.local
-        routes = self._fresh(edge, self.process_ribs[src], self._process_stamps[src])
-        if not routes:
-            return False
         changed = False
-        is_ebgp = session.is_ebgp
-        src_asn, dst_asn = src[2], dst[2]
-        dst_config = self.network.routers[dst[0]].config
-        bgp = dst_config.bgp_process
-        nbr = bgp.neighbor(str(session.neighbor_address)) if bgp else None
-        # Find src's own neighbor statement whose address belongs to dst:
-        # it carries src's per-neighbor sending options (route reflection,
-        # send-community).
-        src_entry_for_dst = None
-        src_bgp = self.network.routers[src[0]].config.bgp_process
-        if src_bgp is not None:
-            for src_nbr in src_bgp.neighbors:
-                owner = self.network.address_map.get(src_nbr.address.value)
-                if owner is not None and owner[0] == dst[0]:
-                    src_entry_for_dst = src_nbr
-                    break
-        src_treats_dst_as_client = bool(
-            src_entry_for_dst is not None
-            and not is_ebgp
-            and src_entry_for_dst.route_reflector_client
-        )
-        sends_communities = bool(
-            src_entry_for_dst is not None and src_entry_for_dst.send_community
-        )
-        # Does dst treat src as a client (so routes arriving here count as
-        # client-learned when dst reflects them onward)?
-        dst_treats_src_as_client = bool(nbr and nbr.route_reflector_client)
-        in_acl = (
-            dst_config.access_lists.get(nbr.distribute_list_in)
-            if nbr and nbr.distribute_list_in
-            else None
-        )
-        in_map = (
-            dst_config.route_maps.get(nbr.route_map_in)
-            if nbr and nbr.route_map_in
-            else None
-        )
-        in_plist = (
-            dst_config.prefix_lists.get(nbr.prefix_list_in)
-            if nbr and nbr.prefix_list_in
-            else None
-        )
-        rib, stamps = self.process_ribs[dst], self._process_stamps[dst]
+        via = session.src[0]
+        sends_communities = session.sends_communities
+        dst_config = session.dst_config
         for route in routes:
-            if is_ebgp:
-                if dst_asn in route.as_path:
+            if session.ebgp:
+                if session.dst_asn in route.as_path:
                     continue  # AS-path loop prevention
                 moved = replace(
                     route,
-                    as_path=(src_asn,) + route.as_path,
+                    as_path=(session.src_asn,) + route.as_path,
                     via_ibgp=False,
                     from_rr_client=False,
                     local_pref=100,  # LOCAL_PREF is not carried across EBGP
                     communities=route.communities if sends_communities else (),
-                    via_router=src[0],
+                    via_router=via,
                 )
             else:
                 if route.via_ibgp and not (
-                    src_treats_dst_as_client or route.from_rr_client
+                    session.src_treats_dst_as_client or route.from_rr_client
                 ):
                     continue  # full-mesh rule, no reflection applies
                 moved = replace(
                     route,
                     via_ibgp=True,
-                    via_router=src[0],
-                    from_rr_client=dst_treats_src_as_client,
+                    via_router=via,
+                    from_rr_client=session.dst_treats_src_as_client,
                     communities=route.communities if sends_communities else (),
                 )
-            if in_acl is not None and not acl_permits_route(in_acl, moved):
+            if session.in_acl is not None and not acl_permits_route(session.in_acl, moved):
                 continue
-            if in_plist is not None and not prefix_list_permits_route(in_plist, moved):
+            if session.in_plist is not None and not prefix_list_permits_route(
+                session.in_plist, moved
+            ):
                 continue
-            if in_map is not None:
+            if session.in_map is not None:
                 moved = apply_route_map(
-                    in_map,
+                    session.in_map,
                     dst_config.access_lists,
                     moved,
                     prefix_lists=dst_config.prefix_lists,
@@ -529,15 +729,20 @@ class RoutingSimulation:
         return changed
 
     def _selection_step(self) -> None:
-        for name in self.local_ribs:
-            best: Rib = {}
-            for route in self.local_ribs[name].values():
-                self._install(best, None, route)
-            for key, rib in self.process_ribs.items():
-                if key[0] != name:
-                    continue
-                for route in rib.values():
-                    self._install(best, None, route)
+        """Each live router's RIB: the best route per prefix over its local
+        RIB, then its processes' RIBs in ``network.processes`` order.
+
+        A local RIB holds one route per prefix, so it copies as is; a
+        process route replaces an entry only with a strictly better key.
+        """
+        router_processes = self._table.router_processes
+        for name, local in self.local_ribs.items():
+            best: Rib = dict(local)
+            for key in router_processes[name]:
+                for prefix, route in self.process_ribs[key].items():
+                    current = best.get(prefix)
+                    if current is None or route.rank < current.rank:
+                        best[prefix] = route
             self.router_ribs[name] = best
 
     # -- driver ------------------------------------------------------------------

@@ -5,15 +5,19 @@ the no-failure :class:`~repro.routing.RoutingSimulation` fixpoint,
 reduced to exactly the facts deltas are computed from —
 
 * the **reachability pairs**: every ``(router, destination prefix)``
-  with a RIB entry,
-* the **next hop** of each pair (``via_router``), for pathway-change
-  counting,
+  with a RIB entry, held per router as ``prefix -> next hop``
+  (``via_router``), for lost/gained and pathway-change counting,
 * the **instance topology**: for each routing instance, its member
   routers and the physical links among them, for partition detection.
 
 Deltas are deliberately computed over *surviving* routers only: a failed
 router trivially loses its whole RIB, which would drown the interesting
 signal — what the rest of the network can no longer reach.
+
+A delta compares each surviving router's scenario RIB with its baseline
+map by prefix; only the lost and gained pairs are formatted, and the
+samples are sorted as ``(router, "a.b.c.d/len")`` strings, so
+``10.0.0.0/8`` comes before ``9.0.0.0/8``.
 """
 
 from __future__ import annotations
@@ -23,21 +27,23 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.model.network import Network
-from repro.routing.engine import RoutingSimulation
+from repro.net import Prefix
+from repro.routing.engine import RoutingSimulation, TransferTable
 from repro.sweep.scenarios import Scenario
 
 #: How many lost/gained pairs each delta payload names explicitly.
 SAMPLE_LIMIT = 10
 
-Pair = Tuple[str, str]  # (router, destination prefix)
+#: ``router -> {destination prefix: next-hop router}``.
+NextHops = Dict[str, Dict[Prefix, Optional[str]]]
 
 
 @dataclass
 class BaselineSnapshot:
     """The no-failure fixpoint, reduced to delta-computation facts."""
 
-    pairs: FrozenSet[Pair]
-    next_hops: Dict[Pair, Optional[str]]
+    #: Every router's reachability pairs with their next hops.
+    next_hops: NextHops
     #: ``instance_id -> member routers``.
     instance_members: Dict[int, FrozenSet[str]] = field(default_factory=dict)
     #: ``instance_id -> [(router_a, router_b, link subnet str), ...]``.
@@ -49,32 +55,31 @@ class BaselineSnapshot:
 
     def as_dict(self) -> Dict[str, Any]:
         return {
-            "pairs": len(self.pairs),
+            "pairs": sum(len(hops) for hops in self.next_hops.values()),
             "instances": len(self.instance_members),
             "converged": self.converged,
             "iterations": self.iterations,
         }
 
 
-def _reachability_pairs(
-    simulation: RoutingSimulation,
-) -> Tuple[Set[Pair], Dict[Pair, Optional[str]]]:
-    pairs: Set[Pair] = set()
-    next_hops: Dict[Pair, Optional[str]] = {}
-    for router, rib in simulation.router_ribs.items():
-        for prefix, route in rib.items():
-            pair = (router, str(prefix))
-            pairs.add(pair)
-            next_hops[pair] = route.via_router
-    return pairs, next_hops
+def compute_baseline(
+    network: Network,
+    max_iterations: int = 1000,
+    *,
+    table: Optional[TransferTable] = None,
+) -> BaselineSnapshot:
+    """Run the no-failure simulation and snapshot it for delta queries.
 
-
-def compute_baseline(network: Network, max_iterations: int = 1000) -> BaselineSnapshot:
-    """Run the no-failure simulation and snapshot it for delta queries."""
-    simulation = RoutingSimulation(network).run(
+    *table* is the network's compiled transfer table, shared with the
+    scenario simulations; without one the simulation compiles its own.
+    """
+    simulation = RoutingSimulation(network, table=table).run(
         max_iterations=max_iterations, on_divergence="degrade"
     )
-    pairs, next_hops = _reachability_pairs(simulation)
+    next_hops: NextHops = {
+        router: {prefix: route.via_router for prefix, route in rib.items()}
+        for router, rib in simulation.router_ribs.items()
+    }
     members = {
         instance.instance_id: frozenset(instance.routers)
         for instance in network.instances
@@ -91,7 +96,6 @@ def compute_baseline(network: Network, max_iterations: int = 1000) -> BaselineSn
                 for b in on_link[i + 1:]:
                     edges[instance_id].append((a, b, subnet))
     return BaselineSnapshot(
-        pairs=frozenset(pairs),
         next_hops=next_hops,
         instance_members=members,
         instance_edges=edges,
@@ -152,32 +156,47 @@ def scenario_delta(
     routers themselves.
     """
     failed = set(scenario.failed_routers)
-    scenario_pairs, scenario_hops = _reachability_pairs(simulation)
-    base_pairs = {pair for pair in baseline.pairs if pair[0] not in failed}
-    failed_router_pairs = len(baseline.pairs) - len(base_pairs)
-    lost = sorted(base_pairs - scenario_pairs)
-    gained = sorted(scenario_pairs - base_pairs)
-    changed_paths = sum(
-        1
-        for pair in base_pairs & scenario_pairs
-        if baseline.next_hops.get(pair) != scenario_hops.get(pair)
-    )
+    ribs = simulation.router_ribs
+    lost: List[Tuple[str, Prefix]] = []
+    gained: List[Tuple[str, Prefix]] = []
+    failed_router_pairs = 0
+    changed_paths = 0
+    for router, hops in baseline.next_hops.items():
+        if router in failed:
+            failed_router_pairs += len(hops)
+            continue
+        rib = ribs.get(router, {})
+        kept = 0
+        for prefix, via in hops.items():
+            route = rib.get(prefix)
+            if route is None:
+                lost.append((router, prefix))
+            else:
+                kept += 1
+                if route.via_router != via:
+                    changed_paths += 1
+        if len(rib) > kept:  # some scenario prefix is not in the baseline
+            gained.extend((router, prefix) for prefix in rib if prefix not in hops)
     partitioned = partitioned_instances(
         baseline, scenario.failed_routers, scenario.failed_subnets
     )
     return {
         "lost_pairs": len(lost),
-        "lost_sample": [f"{router}->{prefix}" for router, prefix in lost[:sample_limit]],
+        "lost_sample": _sample(lost, sample_limit),
         "gained_pairs": len(gained),
-        "gained_sample": [
-            f"{router}->{prefix}" for router, prefix in gained[:sample_limit]
-        ],
+        "gained_sample": _sample(gained, sample_limit),
         "failed_router_pairs": failed_router_pairs,
         "changed_paths": changed_paths,
         "partitioned_instances": partitioned,
         "converged": simulation.converged,
         "iterations": simulation.iterations,
     }
+
+
+def _sample(pairs: List[Tuple[str, Prefix]], limit: int) -> List[str]:
+    """The first *limit* of *pairs* in ``(router, prefix string)`` order."""
+    named = sorted((router, str(prefix)) for router, prefix in pairs)
+    return [f"{router}->{prefix}" for router, prefix in named[:limit]]
 
 
 def severity_key(row: Dict[str, Any]) -> Tuple[int, int, int, str]:

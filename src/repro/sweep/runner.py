@@ -34,14 +34,15 @@ scenario *k* leaves exactly the finished scenarios before *k*: a pooled
 result that finished behind a still-running earlier scenario is lost
 with the kill.
 
-Parallel execution ships the pickled network + baseline to each worker
-process once (initializer), then maps scenarios through the pool in
-submission order; the pure-Python simulation holds the GIL, so threads
-would serialize and processes are the only parallelism that pays.  This
-scenario pool is the program's one parallel grain: a scenario is a
-whole routing fixpoint (about 0.12 s at 48 routers), so its IPC
-amortizes, where per-file parsing and per-archive threads did not.  The
-pool never runs more workers than the usable CPUs.
+Parallel execution ships the pickled network, its transfer table and
+the baseline to each worker process once (initializer), then maps
+scenarios through the pool in submission order; the pure-Python
+simulation holds the GIL, so threads would serialize and processes are
+the only parallelism that pays.  This scenario pool is the program's
+one parallel grain: a scenario is a whole routing fixpoint (about 18 ms
+at 48 routers), so its IPC amortizes, where per-file parsing and
+per-archive threads did not.  The pool never runs more workers than the
+usable CPUs.
 """
 
 from __future__ import annotations
@@ -69,7 +70,7 @@ from repro.exec.watchdog import run_with_deadline
 from repro.model.network import Network
 from repro.obs.logging import get_logger
 from repro.obs.metrics import get_registry
-from repro.routing.engine import RoutingSimulation
+from repro.routing.engine import RoutingSimulation, TransferTable
 from repro.sweep.baseline import (
     BaselineSnapshot,
     compute_baseline,
@@ -199,19 +200,23 @@ class SweepResult:
 
 
 def _simulate(
-    network: Network, scenario: Scenario, baseline: BaselineSnapshot
+    network: Network,
+    scenario: Scenario,
+    baseline: BaselineSnapshot,
+    table: TransferTable,
 ) -> Dict[str, Any]:
     """Simulate one scenario and return its delta payload.
 
     ``validate=False``: the scenario enumerator derived the failure sets
     from the network model itself, so re-validation could only reject
-    its own input.
+    its own input.  *table* is the network's one compiled transfer table.
     """
     simulation = RoutingSimulation(
         network,
         failed_routers=scenario.failed_routers,
         failed_subnets=scenario.failed_subnets,
         validate=False,
+        table=table,
     ).run(max_iterations=MAX_ITERATIONS, on_divergence="degrade")
     return scenario_delta(baseline, simulation, scenario)
 
@@ -222,20 +227,20 @@ def _execute_scenario(
     """One scenario under chaos + deadline + exception barrier.
 
     *state* holds what every scenario of the sweep shares: the network,
-    archive name, baseline, chaos plan and the two deadlines.  Returns
-    the scenario's result and whether its attempt crossed the soft
-    deadline; the parent counts the latter, so a pool worker's event is
-    not lost.  Runs on the calling thread (serial path) or inside a
-    worker process (parallel path) — the semantics are identical
-    because the watchdog wraps the attempt in both, and raises a
-    non-``Exception`` escapee (SimulatedKill, KeyboardInterrupt) rather
+    its transfer table, archive name, baseline, chaos plan and the two
+    deadlines.  Returns the scenario's result and whether its attempt
+    crossed the soft deadline; the parent counts the latter, so a pool
+    worker's event is not lost.  Runs on the calling thread (serial
+    path) or inside a worker process (parallel path) — the semantics are
+    identical because the watchdog wraps the attempt in both, and raises
+    a non-``Exception`` escapee (SimulatedKill, KeyboardInterrupt) rather
     than folding it into a row.
     """
     archive = state["archive"]
 
     def attempt() -> Dict[str, Any]:
         state["chaos"].trigger(archive, scenario.scenario_id, 0)
-        return _simulate(state["network"], scenario, state["baseline"])
+        return _simulate(state["network"], scenario, state["baseline"], state["table"])
 
     hard_deadline = state["hard_deadline"]
     outcome = run_with_deadline(
@@ -360,9 +365,12 @@ def run_network_sweep(
                 replayed += 1
     pending = [s for s in scenarios if s.scenario_id not in results]
 
-    baseline = compute_baseline(network, max_iterations=MAX_ITERATIONS)
+    # One transfer table for the baseline and every scenario.
+    table = TransferTable(network)
+    baseline = compute_baseline(network, max_iterations=MAX_ITERATIONS, table=table)
     state = {
         "network": network,
+        "table": table,
         "archive": archive,
         "baseline": baseline,
         "chaos": config.chaos,

@@ -5,19 +5,23 @@ replaced, kept for the differential tests only, with ``Route.advanced``
 spelled out as the ``dataclasses.replace`` call it was.  Each round it
 re-sends every route of every source RIB over every ``redistribute``
 statement, IGP adjacency direction and BGP session, so it needs no
-stamps or marks; it reuses the engine's constructor, failure predicates
-and queries, and nothing of its propagation.
+stamps or marks; it re-derives every edge's constants from the
+configuration each round, builds every advanced route before comparing
+it, and decides installs by :func:`reference_key`, recomputed from the
+route's fields — never by the key a ``Route`` stores — so a stale stored
+key cannot fool the engine and the reference alike.  It reuses the
+engine's constructor and queries, and nothing of its propagation.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, Iterable
+from typing import Dict, Iterable, Optional, Tuple
 
 from repro.model.network import BgpSession
 from repro.model.processes import ProcessKey
 from repro.net import Prefix
-from repro.routing import RoutingSimulation
+from repro.routing import ADMIN_DISTANCE, RoutingSimulation
 from repro.routing.engine import Rib
 from repro.routing.policy import (
     acl_permits_route,
@@ -27,8 +31,30 @@ from repro.routing.policy import (
 from repro.routing.route import Route
 
 
+def reference_key(route: Route) -> Tuple[int, int, int, int]:
+    """A route's preference key, from its fields alone (lower is better):
+    administrative distance, negated LOCAL_PREF for BGP, AS-path length,
+    metric."""
+    if route.protocol == "bgp":
+        distance = ADMIN_DISTANCE["ibgp" if route.via_ibgp else "ebgp"]
+    else:
+        distance = ADMIN_DISTANCE.get(route.protocol, 255)
+    return (
+        distance,
+        -route.local_pref if route.protocol == "bgp" else 0,
+        len(route.as_path),
+        route.metric,
+    )
+
+
 class FullResendSimulation(RoutingSimulation):
     """:class:`RoutingSimulation` with the full re-send loop."""
+
+    def _router_up(self, router: str) -> bool:
+        return router not in self.failed_routers
+
+    def _subnet_up(self, prefix: Optional[Prefix]) -> bool:
+        return prefix is not None and prefix not in self.failed_subnets
 
     def _seed(self) -> None:
         for key in self.network.processes:
@@ -104,7 +130,9 @@ class FullResendSimulation(RoutingSimulation):
     @staticmethod
     def _install(rib: Rib, route: Route) -> bool:
         existing = rib.get(route.prefix)
-        if route.better_than(existing) and route != existing:
+        if existing is None or (
+            reference_key(route) < reference_key(existing) and route != existing
+        ):
             rib[route.prefix] = route
             return True
         return False

@@ -1,6 +1,9 @@
 """The ingestion engine: parse cache key contract, the serial parse pass,
 and the one ingestion pass behind both ``Network`` constructors."""
 
+import copyreg
+import hashlib
+import io
 import os
 import pickle
 
@@ -8,10 +11,12 @@ import pytest
 
 from repro.diag import ERROR, PHASE_PARSE, DiagnosticSink
 from repro.ingest import (
+    CACHE_FORMAT,
     CacheEntry,
     ParseCache,
     parse_stage,
 )
+from repro.net import Prefix
 from repro.ios.parser import ConfigParseError
 from repro.junos.blocks import JunosSyntaxError
 from repro.model import Network
@@ -133,6 +138,48 @@ class TestParseCache:
             pickle.dump({"not": "an entry"}, handle)
         assert cache.get(key) is None
         assert cache.stats.evictions == 1
+
+    def test_entry_from_before_the_prefix_hash_slot_is_a_miss(self, tmp_path):
+        """Format 1 pickled ``Prefix`` with two slots; loaded into today's
+        three-slot ``Prefix`` it prints, then fails at its first hash.
+        Such an entry sits under a key this format never computes, so a
+        warm run re-parses the file instead of replaying it."""
+        from repro.model.dialect import PARSER_VERSION
+
+        text = IOS_OK + "ip route 10.9.0.0 255.255.0.0 Null0\n"
+        data = text.encode("utf-8")
+        parsed = _parse_one(text, "skip-block")
+
+        class FormatOne(pickle.Pickler):
+            def reducer_override(self, obj):
+                if type(obj) is Prefix:
+                    slots = {"_network": obj.network_int, "_length": obj.length}
+                    return copyreg.__newobj__, (Prefix,), (None, slots)
+                return NotImplemented
+
+        buffer = io.BytesIO()
+        FormatOne(buffer, protocol=pickle.HIGHEST_PROTOCOL).dump(
+            CacheEntry(parsed.config, parsed.diagnostics, parsed.quarantined)
+        )
+        stale = pickle.loads(buffer.getvalue()).config.static_routes[0].prefix
+        assert str(stale) == "10.9.0.0/16"
+        with pytest.raises(AttributeError):
+            hash(stale)
+
+        assert CACHE_FORMAT > 1
+        header = f"repro-parse:1:{PARSER_VERSION}:skip-block:".encode("ascii")
+        old_key = hashlib.sha256(header + data).hexdigest()
+        cache = ParseCache(root=str(tmp_path))
+        assert cache.key(data, "skip-block") != old_key
+        os.makedirs(os.path.dirname(cache.disk.path(old_key)), exist_ok=True)
+        with open(cache.disk.path(old_key), "wb") as handle:
+            handle.write(buffer.getvalue())
+
+        outcome = _parse_one(text, "skip-block", cache=cache)
+        assert not outcome.cached
+        assert (cache.stats.hits, cache.stats.misses) == (0, 1)
+        fresh = outcome.config.static_routes[0].prefix
+        assert hash(fresh) == hash(Prefix("10.9.0.0/16")) == hash((fresh.network_int, 16))
 
     def test_coerce(self, tmp_path):
         assert ParseCache.coerce(None) is None

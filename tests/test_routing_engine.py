@@ -4,7 +4,7 @@ import pytest
 
 from repro.model import Network
 from repro.net import Prefix
-from repro.routing import RoutingSimulation
+from repro.routing import RoutingSimulation, TransferTable
 
 from tests.routing_reference import FullResendSimulation, state
 
@@ -122,6 +122,11 @@ class TestFailureValidation:
         net = Network.from_configs(CHAIN)
         sim = RoutingSimulation(net, failed_routers=["ghost"], validate=False)
         assert sim.run().can_reach("r1", "10.3.0.50")
+
+    def test_a_table_compiled_for_another_network_is_rejected(self):
+        table = TransferTable(Network.from_configs(CHAIN))
+        with pytest.raises(ValueError, match="another network"):
+            RoutingSimulation(Network.from_configs(CHAIN), table=table)
 
 
 class TestDivergenceHandling:

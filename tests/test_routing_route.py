@@ -1,9 +1,15 @@
 """Route preference and administrative distance tests."""
 
+import copy
+import pickle
 from dataclasses import MISSING, fields, replace
 
+from repro.ios import parse_config
 from repro.routing import ADMIN_DISTANCE, Route
+from repro.routing.policy import apply_route_map
 from repro.net import Prefix
+
+from tests.routing_reference import reference_key
 
 
 class TestAdminDistance:
@@ -92,3 +98,47 @@ class TestPreference:
             pass
         else:
             raise AssertionError("Route should be frozen")
+
+
+class TestStoredKey:
+    """``Route.rank`` is computed once, by every path that builds a route."""
+
+    def test_every_construction_path_stores_the_fields_key(self):
+        route = Route(
+            prefix=Prefix("10.0.0.0/24"),
+            protocol="bgp",
+            metric=3,
+            local_pref=150,
+            as_path=(65001, 65002),
+        )
+        config = parse_config(
+            "route-map SET permit 10\n set metric 42\n set local-preference 300\n"
+        )
+        set_clause = apply_route_map(config.route_maps["SET"], config.access_lists, route)
+        built = [
+            route,
+            replace(route, metric=9),
+            replace(route, local_pref=50),
+            replace(route, as_path=()),
+            replace(route, via_ibgp=True),
+            replace(route, protocol="ospf"),
+            replace(route, protocol="martian"),
+            set_clause,
+            route.advanced(via_router="r9", metric_increment=4),
+            replace(route, protocol="rip").advanced(via_router="r9"),
+            copy.copy(route),
+            pickle.loads(pickle.dumps(route)),
+        ]
+        assert (set_clause.metric, set_clause.local_pref) == (42, 300)
+        for made in built:
+            assert made.preference_key() == reference_key(made), made
+
+    def test_the_stored_key_is_not_a_field(self):
+        route = Route(prefix=Prefix("10.0.0.0/24"), protocol="ospf", metric=2)
+        assert "rank" not in {field.name for field in fields(Route)}
+        assert "rank" not in repr(route)
+        hop = route.advanced(via_router="r9")
+        rebuilt = Route(
+            prefix=Prefix("10.0.0.0/24"), protocol="ospf", metric=3, via_router="r9"
+        )
+        assert hop == rebuilt and hash(hop) == hash(rebuilt) and repr(hop) == repr(rebuilt)
